@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-free", help="forbidden K_{2,s} orientation scan")
     s.add_argument("--host", required=True)
     s.add_argument("--s", type=int, required=True)
-    s.add_argument("--prune", action="store_true")
+    s.add_argument("--prune", action="store_true",
+                   help="accepted for older scripts; the scan always skips low sign-degrees, same outcome")
     s.set_defaults(fn=cmd_check_free)
 
     s = sub.add_parser("select", help="two-regime subdigraph selection")

@@ -178,8 +178,10 @@ def core_member_bits(d: Digraph) -> int:
 def parse_arclist(text: str):
     """Parse the arc-list format.
 
-    First line ``n m`` (optionally ``n m root r``), then m lines ``u v``;
-    lines starting with ``#`` are ignored.  Returns (Digraph, root or None).
+    First line ``n m`` (optionally ``n m root r``), then exactly m lines
+    ``u v``; lines starting with ``#`` are ignored.  Returns (Digraph, root
+    or None).  A missing or surplus arc line, a token that is not an integer
+    and a root outside 0..n-1 raise AntembedError.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -188,16 +190,24 @@ def parse_arclist(text: str):
     head = lines[0].split()
     if len(head) not in (2, 4) or (len(head) == 4 and head[2] != "root"):
         raise AntembedError(f"bad header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    root = int(head[3]) if len(head) == 4 else None
+    try:
+        n, m = int(head[0]), int(head[1])
+        root = int(head[3]) if len(head) == 4 else None
+    except ValueError:
+        raise AntembedError(f"non-integer token in header line: {lines[0]!r}") from None
+    if root is not None and not 0 <= root < n:
+        raise AntembedError(f"root {root} out of range for order {n}")
+    if len(lines) - 1 != m:
+        raise AntembedError(f"expected {m} arcs, found {len(lines) - 1}")
     arcs = []
-    for ln in lines[1 : m + 1]:
+    for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise AntembedError(f"bad arc line: {ln!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
-    if len(arcs) != m:
-        raise AntembedError(f"expected {m} arcs, found {len(arcs)}")
+        try:
+            arcs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise AntembedError(f"non-integer token in arc line: {ln!r}") from None
     return Digraph(n, arcs), root
 
 

@@ -1,9 +1,21 @@
 """Detection of the three forbidden orientations of K_{2,s}.
 
-A digraph is free of them iff every sign-typed common neighborhood of two
-distinct vertices has size at most s-1.  The triple-probe bound used by the
-embedders (any three sign-typed neighborhoods meet a k-set in < 5k/4 vertices
-in a free digraph) lives here as a checkable report.
+A digraph is free of them iff every sign-typed common neighborhood
+N^{sa}(a) ∩ N^{sb}(b) of two distinct vertices has size at most s-1.
+
+``is_k2s_free`` finds such pairs with saturating bit-sliced counters rather
+than by probing every (a, b, sign-pair) triple.  For a fixed vertex a and
+sign pair (sa, sb), w ∈ N^{sb}(b) iff b ∈ N^{-sb}(w), so folding the rows
+N^{-sb}(w), w ∈ N^{sa}(a), into s bit counters marks exactly the vertices b
+with |N^{sa}(a) ∩ N^{sb}(b)| >= s in the last counter.  Loops are rejected by
+``Digraph``, so a and b never count towards their own common set.  The cost is
+Σ_a Σ_pairs deg^{sa}(a)·s big-int operations on n-bit rows; a vertex with
+deg^{sa}(a) < s is skipped outright.  The witness returned is the one the
+exhaustive probe in (a, b, sign pair) order finds first.
+
+The triple-probe bound used by the embedders (any three sign-typed
+neighborhoods meet a k-set in < 5k/4 vertices in a free digraph) lives here
+as a checkable report.
 """
 
 from __future__ import annotations
@@ -48,28 +60,61 @@ class ForbiddenWitness:
 def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     """True iff no sign-typed common neighborhood of size s exists.
 
-    Returns True or a ForbiddenWitness with exactly s common vertices.  With
-    ``prune`` only pairs whose sign-degrees both reach s are examined (a pure
-    optimization; the outcome is identical).
+    Returns True or a ForbiddenWitness with exactly s common vertices: the
+    first (a, b, sign pair) with a < b in lexicographic order of a, then b,
+    then the pair's place in ``_SIGN_PAIRS``, whose common set holds the s
+    lowest vertices of N^{sign_a}(a) ∩ N^{sign_b}(b).  This is the witness an
+    exhaustive probe of all triples in that order returns.
+
+    For each a and each sign pair (sa, sb) with deg^{sa}(a) >= s, b = a+1 is
+    probed directly first: a hit there cannot be beaten by a later pair, so
+    the scan of a dense host ends at once.  Otherwise the rows N^{-sb}(w),
+    w ∈ N^{sa}(a), are folded into s saturating counters; the last one, cut
+    to b > a+1, marks every b sharing at least s such neighbors with a.  The
+    least b over the four pairs wins, ties going to the earlier pair.  The
+    cost is Σ_a Σ_pairs deg^{sa}(a)·s big-int operations.
+
+    ``prune`` is kept for its callers: the exhaustive probe it replaced
+    skipped pairs with a sign-degree below s under it, which this scan always
+    does, so the flag changes neither the work nor the outcome.
     """
     if s < 1:
         raise AntembedError("s must be positive")
     n = d.n
+    # indexed by sign: [1] is the out-side, [-1] the in-side
+    adj = (None, d.out_adj, d.in_adj)
+    bits = (None, d.out_bits, d.in_bits)
+    steps = range(s - 1, 0, -1)
     for a in range(n):
-        mask_a = ~(1 << a)
-        for b in range(a + 1, n):
-            strip = mask_a & ~(1 << b)
-            for sa, sb in _SIGN_PAIRS:
-                if prune and (d.sign_deg(a, sa) < s or d.sign_deg(b, sb) < s):
-                    continue
-                bits = d.neighbor_bits(a, sa) & d.neighbor_bits(b, sb) & strip
-                if bits.bit_count() >= s:
-                    picked = []
-                    while bits and len(picked) < s:
-                        low = bits & -bits
-                        picked.append(low.bit_length() - 1)
-                        bits ^= low
-                    return ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=frozenset(picked))
+        best = None
+        for sa, sb in _SIGN_PAIRS:
+            nbrs = adj[sa][a]
+            if len(nbrs) < s:
+                continue
+            if a + 1 < n and (bits[sa][a] & bits[sb][a + 1]).bit_count() >= s:
+                best = (a + 1, sa, sb)
+                break
+            rows = bits[-sb]
+            c = [0] * s
+            for w in nbrs:
+                row = rows[w]
+                for j in steps:
+                    c[j] |= c[j - 1] & row
+                c[0] |= row
+            hits = c[-1] >> (a + 2)
+            if hits:
+                b = a + 1 + (hits & -hits).bit_length()
+                if best is None or b < best[0]:
+                    best = (b, sa, sb)
+        if best is not None:
+            b, sa, sb = best
+            common = bits[sa][a] & bits[sb][b]  # no loops, so a and b are not in it
+            picked = []
+            while len(picked) < s:
+                low = common & -common
+                picked.append(low.bit_length() - 1)
+                common ^= low
+            return ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=frozenset(picked))
     return True
 
 

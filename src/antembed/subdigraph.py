@@ -35,7 +35,8 @@ def prune_pseudo(d: Digraph, k: int) -> Digraph:
 
     More than (k-1)|V| arcs guarantee a nonempty result; the fixpoint runs
     either way and only an empty outcome raises (so a digraph already above
-    the threshold passes through whatever its density)."""
+    the threshold passes through whatever its density).  When no arc is
+    deleted the input itself is returned."""
     if k < 1:
         raise AntembedError("k must be positive")
     dense = d.a() > (k - 1) * d.n
@@ -78,12 +79,11 @@ def prune_pseudo(d: Digraph, k: int) -> Digraph:
             in_deg[v] = 0
     if triggers > 2 * d.n or deleted > (k - 1) * d.n:
         raise InternalAssertion("prune-budget", triggers=triggers, deleted=deleted)
-    kept = [arc for arc in d.arcs if alive[arc]]
-    if not kept:
+    sub = Digraph(d.n, [arc for arc in d.arcs if alive[arc]]) if deleted else d
+    if not sub.a():
         if not dense:
             raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
         raise InternalAssertion("prune-empty")
-    sub = Digraph(d.n, kept)
     if 2 * degree_profile(sub).delta0_bar < k:
         raise InternalAssertion("prune-postcondition")
     return sub

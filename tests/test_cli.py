@@ -97,3 +97,12 @@ def test_cli_error_path(tmp_path, capsys):
     bad.write_text("nonsense\n")
     assert main(["check-free", "--host", str(bad), "--s", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_malformed_arclist_exits_2_without_traceback(tmp_path, capsys):
+    for text in ("3 1\n0 1\n1 2\n", "3 1\n0 x\n", "3 1 root 5\n0 1\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["check-free", "--host", str(bad), "--s", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -112,6 +112,26 @@ def test_arclist_comments_and_errors():
         ae.parse_arclist("3\n")
 
 
+def test_arclist_rejects_surplus_arc_lines():
+    # the header promises one arc; 0->1->2 is not K_{2,1}-free but 0->1 alone is
+    with pytest.raises(ae.AntembedError, match="expected 1 arcs, found 2"):
+        ae.parse_arclist("3 1\n0 1\n1 2\n")
+
+
+def test_arclist_rejects_non_integer_tokens():
+    with pytest.raises(ae.AntembedError, match="non-integer"):
+        ae.parse_arclist("3 1\n0 x\n")
+    with pytest.raises(ae.AntembedError, match="non-integer"):
+        ae.parse_arclist("3 one\n0 1\n")
+
+
+def test_arclist_rejects_root_out_of_range():
+    for root in (3, -1):
+        with pytest.raises(ae.AntembedError, match="root"):
+            ae.parse_arclist(f"3 1 root {root}\n0 1\n")
+    assert ae.parse_arclist("3 1 root 2\n0 1\n")[1] == 2
+
+
 def test_dot_export():
     dot = ae.to_dot(ae.Digraph(3, [(0, 1)]))
     assert "0 -> 1;" in dot and "2;" in dot

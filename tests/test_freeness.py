@@ -49,6 +49,60 @@ def test_is_free_examples():
     assert w1 is not True and w1.revalidate(TRIANGLE, 1)
 
 
+_SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def reference_scan(d, s):
+    """The exhaustive probe of every (a, b, sign pair) triple in lexicographic
+    order; ``is_k2s_free`` must return the same witness."""
+    for a in range(d.n):
+        for b in range(a + 1, d.n):
+            strip = ~((1 << a) | (1 << b))
+            for sa, sb in _SIGN_PAIRS:
+                bits = d.neighbor_bits(a, sa) & d.neighbor_bits(b, sb) & strip
+                if bits.bit_count() >= s:
+                    picked = []
+                    while len(picked) < s:
+                        low = bits & -bits
+                        picked.append(low.bit_length() - 1)
+                        bits ^= low
+                    return ae.ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=frozenset(picked))
+    return True
+
+
+def assert_same_witness(d, s):
+    want = reference_scan(d, s)
+    assert ae.is_k2s_free(d, s) == want
+    assert ae.is_k2s_free(d, s, prune=True) == want
+    return want
+
+
+def test_witness_matches_reference_random(seed=1302):
+    rng = random.Random(seed)
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        p = rng.random()
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        for s in (1, 2, 3, 4):
+            assert_same_witness(d, s)
+
+
+def test_witness_matches_reference_projective(seed=7):
+    rng = random.Random(seed)
+    for q in (7, 13):
+        host = ae.gen_incidence(q)
+        for s in (1, 2, 3):
+            assert_same_witness(host, s)
+        assert ae.is_k2s_free(host, 2) is True
+        points = [v for v in range(host.n) if host.out_adj[v]]
+        lines = [v for v in range(host.n) if host.in_adj[v]]
+        for _ in range(3):
+            u = rng.choice(points)
+            v = rng.choice([x for x in lines if not host.has_arc(u, x)])
+            w = assert_same_witness(Digraph(host.n, host.arcs + ((u, v),)), 2)
+            assert w is not True
+
+
 def test_free_matches_slow_and_prune(seed=9):
     rng = random.Random(seed)
     for _ in range(150):

@@ -14,9 +14,12 @@ def bidirected_complete(n):
 def test_prune_pseudo_unchanged_cases():
     k = 4
     d = bidirected_complete(k + 1)
-    assert ae.prune_pseudo(d, k) == d
+    assert ae.prune_pseudo(d, k) is d
     d1 = Digraph(3, [(0, 1), (2, 1)])
-    assert ae.prune_pseudo(d1, 2) == d1
+    assert ae.prune_pseudo(d1, 2) is d1
+    # nothing is deleted from PG(2,7) at k=13 (every degree is 8), so no copy is made
+    host = ae.gen_incidence(7)
+    assert ae.prune_pseudo(host, 13) is host
     with pytest.raises(ae.HypothesisViolated):
         ae.prune_pseudo(Digraph(3, [(0, 1)]), 3)
 
