@@ -39,7 +39,6 @@ from .digraph import (
 from .embedding import Embedding, validate_embedding
 from .errors import (
     AntembedError,
-    BudgetExhausted,
     HypothesisViolated,
     InternalAssertion,
     NotACaterpillar,

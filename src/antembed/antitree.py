@@ -42,9 +42,6 @@ class AntiTree:
     def vertices(self) -> range:
         return range(self.tree.n)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.deg[v] == 1
-
     def leaves(self) -> list[int]:
         return [v for v in range(self.n) if self.deg[v] == 1]
 
@@ -78,9 +75,6 @@ class AntiTree:
         out.reverse()
         return out
 
-    def dist(self, u: int, v: int) -> int:
-        return len(self.path(u, v)) - 1
-
     def __eq__(self, other):
         return isinstance(other, AntiTree) and self.tree == other.tree
 
@@ -90,7 +84,7 @@ class AntiTree:
         return self._hash
 
     def __repr__(self):
-        return f"AntiTree(k={self.k}, arcs={sorted(self.tree.arc_set)})"
+        return f"AntiTree(k={self.k}, arcs={sorted(self.tree.arcs)})"
 
 
 def validate_antitree(d: Digraph) -> AntiTree:
@@ -123,9 +117,12 @@ def validate_antitree(d: Digraph) -> AntiTree:
         raise NotATree("underlying graph is disconnected")
     sign = []
     for v in range(d.n):
-        if d.out_adj[v] and d.in_adj[v]:
-            raise NotAntidirected((d.in_adj[v][0], v, d.out_adj[v][0]))
-        sign.append(PLUS if d.out_adj[v] else MINUS)
+        if d.out_bits[v] and d.in_bits[v]:
+            # the first in-arc and out-arc of v in input order
+            x = next(u for u, w in d.arcs if w == v)
+            y = next(w for u, w in d.arcs if u == v)
+            raise NotAntidirected((x, v, y))
+        sign.append(PLUS if d.out_bits[v] else MINUS)
     return AntiTree(d, tuple(sign), tuple(tuple(sorted(a)) for a in adj))
 
 

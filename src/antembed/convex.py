@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
-from .digraph import Digraph, plus_minus_sets, reverse
+from .digraph import Digraph, neighbor_lists, plus_minus_sets, reverse
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
@@ -41,14 +41,15 @@ class ConvexDigraph:
             pos[v] = i
         self.pos = tuple(pos)
         n = d.n
+        outs, ins = neighbor_lists(d)
         self._cw_out = []
         self._cw_in = []
         self._pos_out = []
         self._pos_in = []
         for x in range(n):
             key = lambda w: (self.pos[w] - self.pos[x]) % n
-            co = tuple(sorted(d.out_adj[x], key=key))
-            ci = tuple(sorted(d.in_adj[x], key=key))
+            co = tuple(sorted(outs[x], key=key))
+            ci = tuple(sorted(ins[x], key=key))
             self._cw_out.append(co)
             self._cw_in.append(ci)
             self._pos_out.append({w: i for i, w in enumerate(co)})
@@ -96,10 +97,6 @@ class GoodArcTable:
     stage_arcs: list[dict[Arc, Arc | None]] = field(default_factory=list)
     lemma8_bound: int = 0
     lemma12_bound: int = 0
-
-    def good(self, stage: int | None = None) -> set[Arc]:
-        arcs = self.stage_arcs[-1 if stage is None else stage]
-        return set(arcs)
 
 
 def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTable:

@@ -2,9 +2,15 @@
 
 Vertices are dense integers 0..n-1.  Arcs are ordered pairs (tail, head);
 both (u, v) and (v, u) may coexist, loops and duplicates are rejected.
-Adjacency is kept both as insertion-ordered tuples and as int bitmasks
-(bit v of ``out_bits[u]`` is set iff the arc u->v exists), which is what
-all the heavier algorithms operate on.
+
+A digraph is held one way: as int bitmask rows (bit v of ``out_bits[u]`` is
+set iff the arc u->v exists, ``in_bits`` is the transpose), which is what the
+sign-typed neighborhoods N^{+/-}(v) of every algorithm are read from.  The
+``arcs`` tuple is kept beside the rows only for its insertion order, so that
+arc-list and JSON output round-trip and error witnesses name the arc the input
+gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
+``arcs`` for the loops that walk every neighborhood of a large host, where
+iterating the bits of each long row costs several times more.
 
 Digraph values are immutable after construction and safe to share.
 """
@@ -12,24 +18,28 @@ Digraph values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AntembedError
 
 Arc = tuple[int, int]
 
 
+def bits_of(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Digraph:
-    __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "out_bits", "in_bits", "_hash")
+    __slots__ = ("n", "arcs", "out_bits", "in_bits", "_hash")
 
     def __init__(self, n: int, arcs: Iterable[Arc]):
         if n < 0:
             raise AntembedError("order must be non-negative")
-        self.n = n
-        seen = set()
         ordered = []
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
         out_bits = [0] * n
         in_bits = [0] * n
         for u, v in arcs:
@@ -37,21 +47,41 @@ class Digraph:
                 raise AntembedError(f"arc ({u},{v}) out of range for order {n}")
             if u == v:
                 raise AntembedError(f"loop at vertex {u} rejected")
-            if (u, v) in seen:
+            if (out_bits[u] >> v) & 1:
                 raise AntembedError(f"duplicate arc ({u},{v}) rejected")
-            seen.add((u, v))
             ordered.append((u, v))
-            out_adj[u].append(v)
-            in_adj[v].append(u)
             out_bits[u] |= 1 << v
             in_bits[v] |= 1 << u
+        self.n = n
         self.arcs = tuple(ordered)
-        self.arc_set = frozenset(seen)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
         self.out_bits = tuple(out_bits)
         self.in_bits = tuple(in_bits)
         self._hash = None
+
+    @classmethod
+    def _of(cls, n: int, arcs: tuple, out_bits: tuple, in_bits: tuple) -> "Digraph":
+        """Wrap already consistent rows and arcs without re-validating them."""
+        d = object.__new__(cls)
+        d.n, d.arcs, d.out_bits, d.in_bits, d._hash = n, arcs, out_bits, in_bits, None
+        return d
+
+    @classmethod
+    def from_bits(cls, n: int, out_bits: Sequence[int]) -> "Digraph":
+        """Digraph from its out-rows; ``arcs`` comes out in (tail, head) order."""
+        if len(out_bits) != n:
+            raise AntembedError(f"{len(out_bits)} rows for order {n}")
+        arcs = []
+        in_bits = [0] * n
+        for u, row in enumerate(out_bits):
+            if row >> n:  # also true for a negative row
+                raise AntembedError(f"row {u} has a bit outside 0..{n - 1}")
+            if (row >> u) & 1:
+                raise AntembedError(f"loop at vertex {u} rejected")
+            bit = 1 << u
+            for v in bits_of(row):
+                arcs.append((u, v))
+                in_bits[v] |= bit
+        return cls._of(n, tuple(arcs), tuple(out_bits), tuple(in_bits))
 
     # -- basic queries -------------------------------------------------
 
@@ -59,41 +89,47 @@ class Digraph:
         """Arc count a(D)."""
         return len(self.arcs)
 
+    @property
+    def arc_set(self) -> frozenset[Arc]:
+        """The arcs as a set, built on each call; membership tests use ``has_arc``."""
+        return frozenset(self.arcs)
+
     def out_deg(self, v: int) -> int:
-        return len(self.out_adj[v])
+        return self.out_bits[v].bit_count()
 
     def in_deg(self, v: int) -> int:
-        return len(self.in_adj[v])
+        return self.in_bits[v].bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arc_set
-
-    def out_sorted(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.out_adj[v]))
-
-    def in_sorted(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.in_adj[v]))
-
-    def vertices(self) -> range:
-        return range(self.n)
+        return 0 <= u < self.n and 0 <= v < self.n and bool((self.out_bits[u] >> v) & 1)
 
     def neighbor_bits(self, v: int, sign: int) -> int:
         """Sign-typed neighborhood as a bitmask: N^+(v) for sign +1, N^-(v) for -1."""
         return self.out_bits[v] if sign > 0 else self.in_bits[v]
 
     def sign_deg(self, v: int, sign: int) -> int:
-        return len(self.out_adj[v]) if sign > 0 else len(self.in_adj[v])
+        return (self.out_bits[v] if sign > 0 else self.in_bits[v]).bit_count()
 
     def __eq__(self, other):
-        return isinstance(other, Digraph) and self.n == other.n and self.arc_set == other.arc_set
+        return isinstance(other, Digraph) and self.n == other.n and self.out_bits == other.out_bits
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.arc_set))
+            self._hash = hash((self.n, self.out_bits))
         return self._hash
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arc_set)})"
+        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
+
+
+def neighbor_lists(d: Digraph) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-neighbor lists of every vertex, in ``arcs`` order."""
+    outs = [[] for _ in range(d.n)]
+    ins = [[] for _ in range(d.n)]
+    for u, v in d.arcs:
+        outs[u].append(v)
+        ins[v].append(u)
+    return outs, ins
 
 
 @dataclass(frozen=True)
@@ -118,8 +154,8 @@ def degree_profile(d: Digraph) -> DegreeProfile:
     The minimum pseudo-out-degree is 0 for an arcless digraph, otherwise the
     least d such that every vertex has out-degree 0 or >= d.
     """
-    outs = tuple(len(a) for a in d.out_adj)
-    ins = tuple(len(a) for a in d.in_adj)
+    outs = tuple(row.bit_count() for row in d.out_bits)
+    ins = tuple(row.bit_count() for row in d.in_bits)
     dp = _pseudo(outs)
     dm = _pseudo(ins)
     return DegreeProfile(
@@ -135,14 +171,14 @@ def degree_profile(d: Digraph) -> DegreeProfile:
 
 def plus_minus_sets(d: Digraph) -> tuple[set[int], set[int]]:
     """(D+, D-): vertices of positive out-degree and of positive in-degree."""
-    plus = {v for v in range(d.n) if d.out_adj[v]}
-    minus = {v for v in range(d.n) if d.in_adj[v]}
+    plus = {v for v in range(d.n) if d.out_bits[v]}
+    minus = {v for v in range(d.n) if d.in_bits[v]}
     return plus, minus
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Flip every arc; order preserved."""
-    return Digraph(d.n, [(v, u) for u, v in d.arcs])
+    """Flip every arc; order preserved.  The rows swap, so nothing is re-checked."""
+    return Digraph._of(d.n, tuple((v, u) for u, v in d.arcs), d.in_bits, d.out_bits)
 
 
 def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool = False):
@@ -153,7 +189,7 @@ def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool
     """
     keep = list(dict.fromkeys(tuple(a) for a in keep_arcs))
     for a in keep:
-        if a not in d.arc_set:
+        if not d.has_arc(*a):
             raise AntembedError(f"arc {a} not present in digraph")
     if not drop_isolated:
         return Digraph(d.n, keep)
@@ -166,9 +202,8 @@ def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool
 def core_member_bits(d: Digraph) -> int:
     """Bitmask of vertices with positive total degree (the vertex set of a subdigraph)."""
     bits = 0
-    for v in range(d.n):
-        if d.out_adj[v] or d.in_adj[v]:
-            bits |= 1 << v
+    for row in d.out_bits + d.in_bits:
+        bits |= row
     return bits
 
 
@@ -225,8 +260,8 @@ def from_json_obj(obj: dict) -> Digraph:
 
 
 def to_dot(d: Digraph, name: str = "D") -> str:
-    body = "\n".join(f"  {u} -> {v};" for u, v in sorted(d.arc_set))
-    isolated = [v for v in range(d.n) if not d.out_adj[v] and not d.in_adj[v]]
+    body = "\n".join(f"  {u} -> {v};" for u, v in sorted(d.arcs))
+    isolated = [v for v in range(d.n) if not d.out_bits[v] and not d.in_bits[v]]
     iso = "\n".join(f"  {v};" for v in isolated)
     parts = [f"digraph {name} {{", iso, body, "}"]
     return "\n".join(p for p in parts if p) + "\n"

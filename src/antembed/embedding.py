@@ -15,9 +15,6 @@ class Embedding:
     def __getitem__(self, v: int) -> int:
         return self.map[v]
 
-    def image(self) -> set[int]:
-        return set(self.map.values())
-
 
 def validate_embedding(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
     """Injectivity plus arc preservation on every tree arc; vertex range checked."""
@@ -28,7 +25,7 @@ def validate_embedding(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool
         return False
     if any(not (0 <= h < d.n) for h in vals):
         return False
-    return all((mapping[u], mapping[v]) in d.arc_set for u, v in t.tree.arcs)
+    return all(d.has_arc(mapping[u], mapping[v]) for u, v in t.tree.arcs)
 
 
 def validate_partial(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
@@ -38,7 +35,7 @@ def validate_partial(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
         return False
     dom = set(mapping)
     return all(
-        (mapping[u], mapping[v]) in d.arc_set
+        d.has_arc(mapping[u], mapping[v])
         for u, v in t.tree.arcs
         if u in dom and v in dom
     )

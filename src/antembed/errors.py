@@ -51,7 +51,3 @@ class InternalAssertion(AntembedError):
         self.trace = trace if trace is not None else []
         self.data = data
         super().__init__(f"internal assertion failed at [{tag}] {data if data else ''}")
-
-
-class BudgetExhausted(AntembedError):
-    """Search stopped at the node budget; the result is inconclusive."""

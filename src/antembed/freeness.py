@@ -21,8 +21,9 @@ as a checkable report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .digraph import Digraph
+from .digraph import Digraph, bits_of, neighbor_lists
 from .errors import AntembedError
 
 _SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -34,12 +35,7 @@ def common_neighborhood(d: Digraph, a: int, sign_a: int, b: int, sign_b: int) ->
         raise AntembedError("common neighborhood needs two distinct vertices")
     bits = d.neighbor_bits(a, sign_a) & d.neighbor_bits(b, sign_b)
     bits &= ~((1 << a) | (1 << b))
-    out = set()
-    while bits:
-        low = bits & -bits
-        out.add(low.bit_length() - 1)
-        bits ^= low
-    return out
+    return set(bits_of(bits))
 
 
 @dataclass(frozen=True)
@@ -82,21 +78,24 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
         raise AntembedError("s must be positive")
     n = d.n
     # indexed by sign: [1] is the out-side, [-1] the in-side
-    adj = (None, d.out_adj, d.in_adj)
     bits = (None, d.out_bits, d.in_bits)
+    adj = None
     steps = range(s - 1, 0, -1)
     for a in range(n):
         best = None
         for sa, sb in _SIGN_PAIRS:
-            nbrs = adj[sa][a]
-            if len(nbrs) < s:
+            if bits[sa][a].bit_count() < s:
                 continue
             if a + 1 < n and (bits[sa][a] & bits[sb][a + 1]).bit_count() >= s:
                 best = (a + 1, sa, sb)
                 break
+            if adj is None:
+                # built only once a fold is needed: walking the bits of long
+                # rows here costs about three times more than plain lists
+                adj = (None, *neighbor_lists(d))
             rows = bits[-sb]
             c = [0] * s
-            for w in nbrs:
+            for w in adj[sa][a]:
                 row = rows[w]
                 for j in steps:
                     c[j] |= c[j - 1] & row
@@ -109,12 +108,8 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
         if best is not None:
             b, sa, sb = best
             common = bits[sa][a] & bits[sb][b]  # no loops, so a and b are not in it
-            picked = []
-            while len(picked) < s:
-                low = common & -common
-                picked.append(low.bit_length() - 1)
-                common ^= low
-            return ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=frozenset(picked))
+            picked = frozenset(islice(bits_of(common), s))
+            return ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=picked)
     return True
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .antitree import AntiTree, caterpillar_decompose, rooted_view, validate_antitree
 from .convex import ConvexDigraph
-from .digraph import Digraph
+from .digraph import Digraph, bits_of
 from .errors import AntembedError
 
 _PRIME_POWERS = {
@@ -141,18 +141,10 @@ def all_embeddings(d: Digraph, t: AntiTree):
             return
         x = order[i]
         if i == 0:
-            cand = range(d.n)
+            cand = (1 << d.n) - 1
         else:
-            hp = assign[rv.parent[x]]
-            bits = d.neighbor_bits(hp, -t.sign[x]) & ~used
-            cand = []
-            while bits:
-                low = bits & -bits
-                cand.append(low.bit_length() - 1)
-                bits ^= low
-        for c in cand:
-            if (used >> c) & 1:
-                continue
+            cand = d.neighbor_bits(assign[rv.parent[x]], -t.sign[x])
+        for c in bits_of(cand & ~used):
             assign[x] = c
             yield from rec(i + 1, used | (1 << c))
             del assign[x]

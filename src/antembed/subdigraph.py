@@ -17,17 +17,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, degree_profile
+from .digraph import Digraph, bits_of, degree_profile
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
-
-
-def _bit_list(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def prune_pseudo(d: Digraph, k: int) -> Digraph:
@@ -36,50 +27,36 @@ def prune_pseudo(d: Digraph, k: int) -> Digraph:
     More than (k-1)|V| arcs guarantee a nonempty result; the fixpoint runs
     either way and only an empty outcome raises (so a digraph already above
     the threshold passes through whatever its density).  When no arc is
-    deleted the input itself is returned."""
+    deleted the input itself is returned.
+
+    The fixpoint is the unique largest subdigraph in which every positive
+    out- and in-degree is at least k/2 (the union of two such subdigraphs is
+    one too, and no arc of it is ever deleted), so the worklist order cannot
+    change the result."""
     if k < 1:
         raise AntembedError("k must be positive")
     dense = d.a() > (k - 1) * d.n
-    out_deg = [len(a) for a in d.out_adj]
-    in_deg = [len(a) for a in d.in_adj]
-    alive = {arc: True for arc in d.arcs}
-    out_arcs = [list(d.out_adj[v]) for v in range(d.n)]
-    in_arcs = [list(d.in_adj[v]) for v in range(d.n)]
+    out_bits = list(d.out_bits)
+    in_bits = list(d.in_bits)
     deleted = 0
     triggers = 0
-    while True:
-        victim = None
-        for v in range(d.n):
-            if 0 < 2 * out_deg[v] < k:
-                victim = (v, +1)
-                break
-            if 0 < 2 * in_deg[v] < k:
-                victim = (v, -1)
-                break
-        if victim is None:
-            break
-        v, side = victim
-        triggers += 1
-        if side > 0:
-            removed = 2 * out_deg[v]  # < k, so at most ceil(k/2)-1 arcs go
-            assert removed < k
-            for w in out_arcs[v]:
-                if alive[(v, w)]:
-                    alive[(v, w)] = False
-                    in_deg[w] -= 1
-                    deleted += 1
-            out_deg[v] = 0
-        else:
-            assert 2 * in_deg[v] < k
-            for w in in_arcs[v]:
-                if alive[(w, v)]:
-                    alive[(w, v)] = False
-                    out_deg[w] -= 1
-                    deleted += 1
-            in_deg[v] = 0
+    work = list(range(d.n))
+    while work:
+        v = work.pop()
+        # side +1 deletes v's out-arcs, side -1 its in-arcs; each side of a
+        # vertex fires at most once, since its degree is 0 afterwards
+        for rows, cross in ((out_bits, in_bits), (in_bits, out_bits)):
+            deg = rows[v].bit_count()
+            if 0 < 2 * deg < k:
+                triggers += 1
+                deleted += deg
+                for w in bits_of(rows[v]):
+                    cross[w] ^= 1 << v
+                    work.append(w)
+                rows[v] = 0
     if triggers > 2 * d.n or deleted > (k - 1) * d.n:
         raise InternalAssertion("prune-budget", triggers=triggers, deleted=deleted)
-    sub = Digraph(d.n, [arc for arc in d.arcs if alive[arc]]) if deleted else d
+    sub = Digraph.from_bits(d.n, out_bits) if deleted else d
     if not sub.a():
         if not dense:
             raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
@@ -99,9 +76,6 @@ class BipartiteGraph:
 
     n: int
     adj: list[int] = field(default_factory=list)
-
-    def deg_a(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj)
@@ -142,11 +116,9 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
     adj = list(h.adj)
     radj = [0] * n
     for u in range(n):
-        m = adj[u]
-        while m:
-            low = m & -m
-            radj[low.bit_length() - 1] |= 1 << u
-            m ^= low
+        bit = 1 << u
+        for w in bits_of(adj[u]):
+            radj[w] |= bit
     alive_a = set(range(n))
     alive_b = set(range(n))
     e = sum(m.bit_count() for m in adj)
@@ -157,28 +129,20 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
 
     def drop_a(u):
         nonlocal e
-        m = adj[u]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
+        for w in bits_of(adj[u]):
             radj[w] &= ~(1 << u)
             degb[w] -= 1
             e -= 1
-            m ^= low
         adj[u] = 0
         dega[u] = 0
         alive_a.discard(u)
 
     def drop_b(v):
         nonlocal e
-        m = radj[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
+        for w in bits_of(radj[v]):
             adj[w] &= ~(1 << v)
             dega[w] -= 1
             e -= 1
-            m ^= low
         radj[v] = 0
         degb[v] = 0
         alive_b.discard(v)
@@ -217,7 +181,7 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
         drop_a(pair[0])
         drop_b(pair[1])
         assert_density()
-        for u in _bit_list(hit):
+        for u in bits_of(hit):
             if u in alive_a and 2 * dega[u] < k:
                 heapq.heappush(heap_a, (prio[u], u))
 
@@ -235,7 +199,7 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
                     hit = adj[u]
                     drop_a(u)
                     assert_density()
-                    for v in _bit_list(hit):
+                    for v in bits_of(hit):
                         if v in alive_b and 2 * degb[v] < k:
                             heapq.heappush(heap2, (1, prio[v], v))
             else:
@@ -243,7 +207,7 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
                     hit = radj[u]
                     drop_b(u)
                     assert_density()
-                    for w in _bit_list(hit):
+                    for w in bits_of(hit):
                         if w in alive_a and 2 * dega[w] < k:
                             heapq.heappush(heap2, (0, prio[w], w))
         case = "II" if len(alive_a) > len(alive_b) else "I"
@@ -278,14 +242,7 @@ def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = Non
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
     h = split_bipartite(d)
     alive_a, alive_b, adj, case, audit = prune_bipartite(h, k, r, shuffle_seed=shuffle_seed)
-    arcs = []
-    for u in sorted(alive_a):
-        m = adj[u]
-        while m:
-            low = m & -m
-            arcs.append((u, low.bit_length() - 1))
-            m ^= low
-    sub = Digraph(d.n, arcs)
+    sub = Digraph.from_bits(d.n, adj)
 
     # full revalidation from scratch
     prof = degree_profile(sub)
@@ -310,7 +267,7 @@ def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = Non
         ok = (
             witness is not None
             and 2 * prof.delta0_bar >= k
-            and all(len(d.out_adj[a]) > k - r for a in plus)
+            and all(d.out_deg(a) > k - r for a in plus)
         )
     if not ok:
         raise InternalAssertion("cor-cond-3", case=case)

@@ -268,19 +268,10 @@ def _empty_class_below_13(ns=(2, 3, 4, 5)):
     for n in ns:
         all_rows = list(range(1 << n))
 
-        def rows_to_digraph(rows):
-            arcs = []
-            for u, m in enumerate(rows):
-                while m:
-                    low = m & -m
-                    arcs.append((u, low.bit_length() - 1))
-                    m ^= low
-            return Digraph(n, arcs)
-
         def rec(i, rows):
             nonlocal checked
             if i == n:
-                d = rows_to_digraph(rows)
+                d = Digraph.from_bits(n, rows)
                 checked += 1
                 if d.a() > n and is_k2s_free(d, 1) is True:
                     free_found.append(to_json_obj(d))
@@ -294,7 +285,7 @@ def _empty_class_below_13(ns=(2, 3, 4, 5)):
                     # spot-check the claim with the full scanner
                     if rng.random() < 0.001:
                         rest = [rng.choice([0, 1 << ((u + 1) % n)]) & ~(1 << u) for u in range(i + 1, n)]
-                        d = rows_to_digraph(rows + [m] + rest)
+                        d = Digraph.from_bits(n, rows + [m] + rest)
                         if is_k2s_free(d, 1) is True:
                             free_found.append(to_json_obj(d))
                     continue
@@ -365,10 +356,9 @@ def suite_burr_tightness(params, jobs=1):
         st = oracle_embed(d, star)
         if st.verdict != "NotContained":
             failures.append({"k": k, "why": f"oracle-{st.verdict}"})
-        present = d.arc_set
         for u in range(d.n):
             for v in range(d.n):
-                if u == v or (u, v) in present:
+                if u == v or d.has_arc(u, v):
                     continue
                 adds += 1
                 d2 = Digraph(d.n, list(d.arcs) + [(u, v)])

@@ -28,19 +28,12 @@ from .antitree import (
     validate_antitree,
 )
 from .convex import embed_caterpillar_mindeg
-from .digraph import Digraph, core_member_bits, degree_profile, reverse
+from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse
 from .embedding import Embedding, validate_embedding, validate_partial
 from .errors import HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free, k4_bound_check
 from .oracle_gen import oracle_embed
 from .subdigraph import SelectionResult, prune_pseudo, select_subdigraph
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask(it) -> int:
@@ -54,14 +47,6 @@ def _mask(it) -> int:
 class CaseTag:
     branch: str  # LowDelta | MidDelta | BroomA | BroomB_I | BroomB_II
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class SuitabilityMask:
-    core_vertices: frozenset[int]
-
-    def audit(self, t: AntiTree, mapping: dict[int, int]) -> bool:
-        return all(mapping[x] in self.core_vertices for x in range(t.n) if t.deg[x] > 1)
 
 
 @dataclass
@@ -172,7 +157,7 @@ class _Ctx:
         return bits
 
     def cand_list(self, x: int) -> list[int]:
-        out = list(_bits(self.cand_mask(x)))
+        out = list(bits_of(self.cand_mask(x)))
         if self.t.deg[x] > 1:
             # a vertex that will need sign(x)-arcs for its children should
             # keep a positive core degree in that direction
@@ -190,7 +175,7 @@ class _Ctx:
         p = self.rv.parent[x]
         if p is not None and p in self.f:
             arc = (h, self.f[p]) if self.t.sign[x] > 0 else (self.f[p], h)
-            if arc not in self.d.arc_set:
+            if not self.d.has_arc(*arc):
                 raise InternalAssertion("place-arc", vertex=x, host=h)
         self.f[x] = h
         self.used |= 1 << h
@@ -301,7 +286,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
     inv = {h: x for x, h in f0.items()}
     Y = sorted(
         inv[h]
-        for h in _bits(slot_bits & ctx.used)
+        for h in bits_of(slot_bits & ctx.used)
         if inv[h] != w and inv[h] not in t.adj[w]
     )
     ctx.note("63:Y-size", len(Y) >= (k + 1) // 2 - k // 4, size=len(Y))
@@ -327,7 +312,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
     if depth[y] == 2:
         yslots = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
         ctx.require("63:reseat-y", yslots != 0)
-        ctx.place(y, min(_bits(yslots)))
+        ctx.place(y, min(bits_of(yslots)))
 
     last_dist = -1
     guard = 0
@@ -363,7 +348,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
             )
             trace.append({"event": "k4-report", "report": rep.__dict__})
             ctx.require("allhappy63", False)
-        b = ch.pick("63:b", sorted(_bits(bbits)))
+        b = ch.pick("63:b", sorted(bits_of(bbits)))
         X = core.neighbor_bits(b, sz) & ~ctx.used & ~(1 << b)
         kids = list(ctx.rv.children[z])
         ctx.note("63:X-size", X.bit_count() >= k // 4 - 1, size=X.bit_count())
@@ -373,7 +358,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
             if v in ctx.f:
                 ctx.unplace(v)
         ctx.move(z, b)
-        slots = sorted(_bits(core.neighbor_bits(b, sz) & ~ctx.used))
+        slots = sorted(bits_of(core.neighbor_bits(b, sz) & ~ctx.used))
         for child, slot in zip(kids, slots):
             ctx.place(child, slot)
 
@@ -414,12 +399,12 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
     leaf = [c for c in kids if t.deg[c] == 1]
     out_core = d.neighbor_bits(anchor, +1) & ctx.core_bits & ~ctx.used
     ctx.require("pu:anchor-core", out_core.bit_count() >= len(non_leaf), have=out_core.bit_count())
-    core_slots = sorted(_bits(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
+    core_slots = sorted(bits_of(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
     for c, slot in zip(non_leaf, core_slots):
         ctx.place(c, slot)
     rest = d.neighbor_bits(anchor, +1) & ~ctx.used
     ctx.require("pu:anchor-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
-    pref = sorted(_bits(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
+    pref = sorted(bits_of(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
     for c, slot in zip(leaf, pref):
         ctx.place(c, slot)
 
@@ -441,7 +426,7 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
         inv = {h: x for x, h in ctx.f.items()}
         ys = sorted(
             inv[h]
-            for h in _bits(slot_bits & ctx.used)
+            for h in bits_of(slot_bits & ctx.used)
             if ctx.rv.depth[inv[h]] == 2 and ctx.rv.parent[inv[h]] != w
         )
         ctx.require("pu:y", bool(ys))
@@ -450,7 +435,7 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
             re = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
             if re:
                 old = ctx.f[y]
-                ctx.move(y, min(_bits(re)))
+                ctx.move(y, min(bits_of(re)))
                 ctx.place(wprime, old)
                 moved = True
                 break
@@ -516,7 +501,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
         ctx.note("eq:b1_out", 2 * (core.neighbor_bits(b1, sw) & ctx.used).bit_count() >= k)
         bbits = core.neighbor_bits(ctx.f[pw], -sw) & ~ctx.used
         ctx.require("eq:B1", bbits != 0)
-        B = sorted(_bits(bbits))
+        B = sorted(bits_of(bbits))
         ctx.note("claim:B-order", len(B) >= 2, size=len(B))
         protected = ctx.used & ~(1 << b1) & ~_mask(ctx.f[c] for c in placed)
         for b in B:
@@ -525,7 +510,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
                 for c in placed:
                     ctx.unplace(c)
                 ctx.move(w, b)
-                slots = sorted(_bits(core.neighbor_bits(b, sw) & ~ctx.used))
+                slots = sorted(bits_of(core.neighbor_bits(b, sw) & ~ctx.used))
                 for c, s in zip(kids, slots):
                     ctx.place(c, s)
                 return
@@ -556,7 +541,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
         R = set(path) | set(placed) | {w}
         inv = {h: x for x, h in ctx.f.items()}
         outside = sorted(
-            (inv[h] for h in _bits(core.neighbor_bits(b1, sw) & ctx.used) if inv[h] not in R),
+            (inv[h] for h in bits_of(core.neighbor_bits(b1, sw) & ctx.used) if inv[h] not in R),
             key=lambda y: (-ctx.rv.depth[y], y),
         )
         if not outside:
@@ -574,7 +559,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
         if not yslots:
             ctx.reset_to(old)
             ctx.require("case3b:yslot", False, y=y)
-        ctx.place(y, min(_bits(yslots)))
+        ctx.place(y, min(bits_of(yslots)))
         opens = ctx.greedy(set(keep) | sub_y, blocked=reserved)
         if opens:
             ctx.reset_to(old)
@@ -672,7 +657,7 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r
     inner = embed_wide_star(d, sel.sub, tstar, kprime, anchor, strict=False, hub=relabel[u])
     mapping = {v: inner.embedding.map[relabel[v]] for v in keep_vs}
     core = sel.sub
-    slots = sorted(_bits(core.neighbor_bits(anchor, +1) & ~_mask(mapping.values())))
+    slots = sorted(bits_of(core.neighbor_bits(anchor, +1) & ~_mask(mapping.values())))
     if len(slots) < strip:
         raise InternalAssertion("strip-reattach", have=len(slots), need=strip, trace=trace)
     for leaf, s in zip(dropped, slots):
@@ -743,8 +728,8 @@ def embed_big_delta2(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
     out.trace[:0] = trace
     out.case = tag
     if branch == "BroomB_II":
-        mask = SuitabilityMask(frozenset(_bits(core_member_bits(sel.sub))))
-        if not mask.audit(t, out.embedding.map):
+        core_bits = core_member_bits(sel.sub)
+        if any(t.deg[x] > 1 and not (core_bits >> out.embedding.map[x]) & 1 for x in range(t.n)):
             raise InternalAssertion("suitability-mask", trace=out.trace)
     return out
 
@@ -816,7 +801,7 @@ def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, ch
         inv = {h: x for x, h in ctx.f.items()}
         hs = [
             inv[h]
-            for h in _bits(core.neighbor_bits(ctx.f[z], sz) & ctx.used)
+            for h in bits_of(core.neighbor_bits(ctx.f[z], sz) & ctx.used)
             if inv[h] in t.adj[u] and inv[h] not in broom.path_uv and ctx.embedded_leaf(inv[h])
         ]
         ctx.require("A-I:h", bool(hs), z=z)
@@ -825,7 +810,7 @@ def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, ch
             re = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
             if re:
                 old = ctx.f[h]
-                ctx.move(h, min(_bits(re)))
+                ctx.move(h, min(bits_of(re)))
                 ctx.place(zprime, old)
                 moved = True
                 break
@@ -842,12 +827,12 @@ def _seed_hub(ctx: _Ctx, x: int, a: int):
     leaf = [c for c in kids if t.deg[c] == 1]
     out_core = d.neighbor_bits(a, +1) & ctx.core_bits & ~ctx.used
     ctx.require("hub-core-capacity", out_core.bit_count() >= len(non_leaf), have=out_core.bit_count())
-    slots = sorted(_bits(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
+    slots = sorted(bits_of(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
     for c, s in zip(non_leaf, slots):
         ctx.place(c, s)
     rest = d.neighbor_bits(a, +1) & ~ctx.used
     ctx.require("hub-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
-    pref = sorted(_bits(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
+    pref = sorted(bits_of(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
     for c, s in zip(leaf, pref):
         ctx.place(c, s)
 
@@ -896,12 +881,12 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
     if len(path) == 2:
         # a double-star: u goes on an in-neighbor of the heavy sink
         ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
-        ins = sorted(_bits(core.neighbor_bits(b_vertex, -1)))
+        ins = sorted(bits_of(core.neighbor_bits(b_vertex, -1)))
         a = ch.pick("Bii:dstar-anchor", ins)
         ctx.place(u, a)
         ctx.place(v, b_vertex)
         _seed_rest_of_hub(ctx, u, exclude={v})
-        slots = sorted(_bits(core.neighbor_bits(b_vertex, -1) & ~ctx.used))
+        slots = sorted(bits_of(core.neighbor_bits(b_vertex, -1) & ~ctx.used))
         vkids = [c for c in t.adj[v] if c != u]
         ctx.require("Bii:dstar-capacity", len(slots) >= len(vkids))
         for c, s in zip(vkids, slots):
@@ -913,7 +898,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
     ctx = _Ctx(t, d, core, "suitable", root=x, trace=trace)
     if case_no == 3:
         ctx.place(x, b_vertex)
-        slots = [s for s in sorted(_bits(core.neighbor_bits(b_vertex, -1))) if not (ctx.used >> s) & 1]
+        slots = [s for s in sorted(bits_of(core.neighbor_bits(b_vertex, -1))) if not (ctx.used >> s) & 1]
         kids = sorted(ctx.rv.children[x])
         ctx.require("Bii:iii-capacity", len(slots) >= len(kids))
         for c, s in zip(kids, slots):
@@ -958,9 +943,9 @@ def _seed_rest_of_hub(ctx: _Ctx, x: int, exclude):
     leaf = [c for c in kids if t.deg[c] == 1]
     out_core = d.neighbor_bits(a, +1) & ctx.core_bits & ~ctx.used
     ctx.require("hub-core-capacity", out_core.bit_count() >= len(non_leaf))
-    for c, s in zip(non_leaf, sorted(_bits(out_core))):
+    for c, s in zip(non_leaf, sorted(bits_of(out_core))):
         ctx.place(c, s)
-    rest = sorted(_bits(d.neighbor_bits(a, +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
+    rest = sorted(bits_of(d.neighbor_bits(a, +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
     ctx.require("hub-capacity", len(rest) >= len(leaf))
     for c, s in zip(leaf, rest):
         ctx.place(c, s)
@@ -982,7 +967,7 @@ def _bii_eqqqq_escape(ctx: _Ctx, opens, x: int, n_x) -> bool:
             if t.deg[w2] > 1:
                 re &= ctx.core_bits
             if re:
-                ctx.move(w2, min(_bits(re)))
+                ctx.move(w2, min(bits_of(re)))
                 ctx.place(zprime, h)
                 return True
     return False
@@ -1004,7 +989,7 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         ctx.require("Bii:iii-compat", bool(ok))
         xprime = min(ok)
         old = ctx.f[xprime]
-        ctx.move(xprime, min(_bits(slots)))
+        ctx.move(xprime, min(bits_of(slots)))
         ctx.place(yprime, old)
         return True
     ctx.note("eq:extra", 12 * (d.neighbor_bits(ctx.f[x], +1) & ctx.used).bit_count() < 7 * k)
@@ -1015,12 +1000,12 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         if t.deg[yprime] > 1 and not (ctx.core_bits >> h) & 1:
             continue
         if t.deg[xprime] == 1:
-            ctx.move(xprime, min(_bits(bfree)))
+            ctx.move(xprime, min(bits_of(bfree)))
             ctx.place(yprime, h)
             return True
         bcore = bfree & ctx.core_bits
         if bcore:
-            ctx.move(xprime, min(_bits(bcore)))
+            ctx.move(xprime, min(bits_of(bcore)))
             ctx.place(yprime, h)
             return True
     ctx.note("eq:x-neighborhood", core.neighbor_bits(ctx.f[x], +1) & ~ctx.used == 0)
@@ -1046,14 +1031,14 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         ctx.unplace(xprime)
         ctx.unplace(xstar)
         ctx.place(xprime, hs)
-        ctx.place(xstar, min(_bits(bfree)))
+        ctx.place(xstar, min(bits_of(bfree)))
         ctx.place(yprime, hx)
         return True
     # case (ii)
     ctx.require("Bii:ii-leafy", t.deg[yprime] > 1)
     b2 = d.neighbor_bits(ctx.f[y], t.sign[y]) & ~ctx.used
     ctx.require("Bii:ii-count2", b2 != 0)
-    b2v = min(_bits(b2))
+    b2v = min(bits_of(b2))
     if (core.neighbor_bits(ctx.f[y], t.sign[y]) >> b2v) & 1 and (ctx.core_bits >> b2v) & 1:
         ctx.place(yprime, b2v)
         return True
@@ -1077,7 +1062,7 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
     py = ctx.rv.parent[y]
     bbits = core.neighbor_bits(ctx.f[py], -t.sign[y]) & ~ctx.used
     ctx.require("thirdpart2:pyb", bbits != 0)
-    b = ch.pick("thirdpart2:b", sorted(_bits(bbits)))
+    b = ch.pick("thirdpart2:b", sorted(bits_of(bbits)))
     gy = d if t.deg[yprime] == 1 else core
     nb = gy.neighbor_bits(b, t.sign[y])
     yball = {c for c in t.adj[y] if c != py}
@@ -1105,13 +1090,13 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
             _fan_children(ctx, y, (r1_bits | r2_bits) & ~ctx.used, yball)
             slots = core.neighbor_bits(ctx.f[x], -1) & ~ctx.used
             ctx.require("Bii:iii-refill", slots.bit_count() >= len(n_x))
-            for c, s in zip(sorted(n_x), sorted(_bits(slots))):
+            for c, s in zip(sorted(n_x), sorted(bits_of(slots))):
                 ctx.place(c, s)
             return _bii_done(ctx, broom)
         lx = sum(1 for c in t.adj[x] if t.deg[c] == 1)
         ctx.require("Bii:2x-small", 12 * lx >= k, lx=lx)
         take = []
-        for h in sorted(_bits(r2_bits)):
+        for h in sorted(bits_of(r2_bits)):
             if len(take) + r1 >= need:
                 break
             take.append(h)
@@ -1129,10 +1114,10 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
             "Bii:2x-count",
             core_slots.bit_count() >= len(non_leaf) and slots.bit_count() >= len(displaced),
         )
-        it_core = iter(sorted(_bits(core_slots)))
+        it_core = iter(sorted(bits_of(core_slots)))
         for c in sorted(non_leaf):
             ctx.place(c, next(it_core))
-        rest = sorted(_bits(d.neighbor_bits(ctx.f[x], +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
+        rest = sorted(bits_of(d.neighbor_bits(ctx.f[x], +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
         it = iter(rest)
         for c in sorted(c for c in displaced if t.deg[c] == 1):
             ctx.place(c, next(it))
@@ -1147,9 +1132,9 @@ def _fan_children(ctx: _Ctx, y: int, slot_bits: int, yball):
     leaf = [c for c in kids if t.deg[c] == 1]
     core_slots = slot_bits & ctx.core_bits
     ctx.require("r1-core", core_slots.bit_count() >= len(non_leaf), have=core_slots.bit_count())
-    for c, s in zip(non_leaf, sorted(_bits(core_slots))):
+    for c, s in zip(non_leaf, sorted(bits_of(core_slots))):
         ctx.place(c, s)
-    rest = sorted(_bits(slot_bits & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
+    rest = sorted(bits_of(slot_bits & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
     ctx.require("r1-capacity", len(rest) >= len(leaf), have=len(rest))
     for c, s in zip(leaf, rest):
         ctx.place(c, s)
@@ -1206,7 +1191,7 @@ def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], c
         inv = {h: q for q, h in ctx.f.items()}
         xs = sorted(
             inv[h]
-            for h in _bits(slot_bits & ctx.used)
+            for h in bits_of(slot_bits & ctx.used)
             if ctx.rv.parent[inv[h]] is not None
             and ctx.rv.parent[inv[h]] != w
             and ctx.embedded_leaf(inv[h])
@@ -1218,7 +1203,7 @@ def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], c
                 re &= ctx.core_bits
             if re:
                 old = ctx.f[xv]
-                ctx.move(xv, min(_bits(re)))
+                ctx.move(xv, min(bits_of(re)))
                 ctx.place(wprime, old)
                 moved = True
                 break
@@ -1254,13 +1239,13 @@ def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case
     opens = ctx.greedy(part1 | {u})
     ctx.require("BIbig:part1", not opens, open=len(opens))
     free = core.neighbor_bits(a, +1) & ~ctx.used
-    slots = sorted(_bits(free), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
+    slots = sorted(bits_of(free), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
     ctx.require("BIbig:part2", len(slots) >= len(heavy))
     for c, s in zip(sorted(heavy), slots):
         ctx.place(c, s)
     opens = ctx.greedy(set(range(t.n)) - leaves_u)
     ctx.require("BIbig:Du", not opens, open=len(opens))
-    slots = sorted(_bits(core.neighbor_bits(a, +1) & ~ctx.used))
+    slots = sorted(bits_of(core.neighbor_bits(a, +1) & ~ctx.used))
     ctx.require("BIbig:leaves", len(slots) >= len(leaves_u))
     for c, s in zip(sorted(leaves_u), slots):
         ctx.place(c, s)
@@ -1299,7 +1284,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
         ctx.note("BI:Rw", 4 * len(r_w) <= k + 8, size=len(r_w))
         inv = {h: q for q, h in ctx.f.items()}
         slot_bits = core.neighbor_bits(ctx.f[w], t.sign[w])
-        X = sorted(inv[h] for h in _bits(slot_bits & ctx.used) if inv[h] not in r_w and inv[h] != w)
+        X = sorted(inv[h] for h in bits_of(slot_bits & ctx.used) if inv[h] not in r_w and inv[h] != w)
         ctx.require("BI:X", bool(X))
         paths = {xv: tuple(t.path(w, xv)) for xv in X}
         xstar_set = [
@@ -1343,7 +1328,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
         if ycands and afree:
             yv = min(ycands)
             old_h = ctx.f[yv]
-            ctx.move(yv, min(_bits(afree)))
+            ctx.move(yv, min(bits_of(afree)))
             missing_b = [c for c in ctx.rv.children[z2] if c not in ctx.f]
             if missing_b:
                 ctx.place(missing_b[0], old_h)
@@ -1399,7 +1384,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
         a, b = t.tree.arcs[0]
         aa, bb = min(a, b), max(a, b)
         cand = []
-        for x, y in d.arc_set:
+        for x, y in d.arcs:
             m = {a: x, b: y}
             cand.append((m[aa], m[bb]))
         xa, xb = min(cand)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antembed as ae
-from antembed.digraph import from_json_obj, to_json_obj
+from antembed.digraph import Digraph, from_json_obj, to_json_obj
 
 D1 = ae.Digraph(3, [(0, 1), (2, 1)])
 
@@ -93,6 +93,39 @@ def test_degree_sum_and_reverse_properties(d):
     assert not any(0 < o < p.delta_plus_bar for o in p.out_deg)
     r = ae.reverse(d)
     assert ae.reverse(r) == d and r.a() == d.a()
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_lists)
+def test_from_bits_round_trip(d):
+    back = Digraph.from_bits(d.n, d.out_bits)
+    assert back == d and hash(back) == hash(d)
+    assert back.arcs == tuple(sorted(d.arcs)) and back.in_bits == d.in_bits
+
+
+def test_from_bits_rejects():
+    with pytest.raises(ae.AntembedError, match="loop"):
+        Digraph.from_bits(3, [0b010, 0b010, 0])
+    with pytest.raises(ae.AntembedError, match="outside"):
+        Digraph.from_bits(3, [0b1000, 0, 0])
+    with pytest.raises(ae.AntembedError):
+        Digraph.from_bits(3, [0b010, 0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_lists)
+def test_reverse_swaps_rows(d):
+    r = ae.reverse(d)
+    assert r.out_bits == d.in_bits and r.in_bits == d.out_bits
+    assert r.arcs == tuple((v, u) for u, v in d.arcs)
+    assert ae.reverse(r) == d and ae.reverse(r).arcs == d.arcs
+
+
+def test_not_antidirected_witness_follows_input_order():
+    # the lowest in-neighbour of 1 is 0, but the first in-arc given is 3->1
+    with pytest.raises(ae.NotAntidirected) as err:
+        ae.validate_antitree(Digraph(4, [(3, 1), (0, 1), (1, 2)]))
+    assert err.value.witness == (3, 1, 2)
 
 
 @settings(max_examples=60, deadline=None)

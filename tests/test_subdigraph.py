@@ -24,6 +24,72 @@ def test_prune_pseudo_unchanged_cases():
         ae.prune_pseudo(Digraph(3, [(0, 1)]), 3)
 
 
+def reference_prune(d, k):
+    """The rescan loop prune_pseudo ran before its worklist: delete the out-arcs
+    (in-arcs) of the least vertex whose positive out-degree (in-degree) is
+    below k/2, rescan all vertices, repeat.  Returns the surviving arc set."""
+    out_arcs = [[w for u, w in d.arcs if u == v] for v in range(d.n)]
+    in_arcs = [[u for u, w in d.arcs if w == v] for v in range(d.n)]
+    out_deg = [len(a) for a in out_arcs]
+    in_deg = [len(a) for a in in_arcs]
+    alive = {arc: True for arc in d.arcs}
+    while True:
+        victim = None
+        for v in range(d.n):
+            if 0 < 2 * out_deg[v] < k:
+                victim = (v, +1)
+                break
+            if 0 < 2 * in_deg[v] < k:
+                victim = (v, -1)
+                break
+        if victim is None:
+            break
+        v, side = victim
+        if side > 0:
+            for w in out_arcs[v]:
+                if alive[(v, w)]:
+                    alive[(v, w)] = False
+                    in_deg[w] -= 1
+            out_deg[v] = 0
+        else:
+            for w in in_arcs[v]:
+                if alive[(w, v)]:
+                    alive[(w, v)] = False
+                    out_deg[w] -= 1
+            in_deg[v] = 0
+    return {arc for arc in d.arcs if alive[arc]}
+
+
+def assert_prune_matches_reference(d, k):
+    want = reference_prune(d, k)
+    if not want:
+        with pytest.raises((ae.HypothesisViolated, ae.InternalAssertion)):
+            ae.prune_pseudo(d, k)
+        return
+    got = ae.prune_pseudo(d, k)
+    assert got.arc_set == want
+    if want == d.arc_set:
+        assert got is d
+
+
+def test_prune_pseudo_matches_rescan_reference(seed=11):
+    rng = random.Random(seed)
+    for _ in range(1200):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        assert_prune_matches_reference(d, rng.randint(1, 6))
+    host = ae.gen_incidence(7)  # every degree is 8: nothing goes up to k=16, everything at 17
+    for k in (1, 9, 16, 17):
+        assert_prune_matches_reference(host, k)
+    for k in range(2, 7):
+        burr = ae.gen_burr(k)
+        for _ in range(3):
+            u, v = rng.choice([(u, v) for u in range(burr.n) for v in range(burr.n)
+                               if u != v and not burr.has_arc(u, v)])
+            assert_prune_matches_reference(Digraph(burr.n, burr.arcs + ((u, v),)), k)
+
+
 def test_prune_pseudo_cascade():
     # dense core plus a pendant path of low-degree vertices: the tail goes
     core = bidirected_complete(6)
