@@ -140,7 +140,7 @@ def cmd_select(args) -> int:
             "case": sel.case_tag,
             "witness_vertex": sel.witness_vertex,
             "arcs": sel.sub.a(),
-            "audit": sel.audit,
+            "audit": dict(sel.audit),
         },
         args.json,
     )

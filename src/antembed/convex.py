@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
-from .digraph import Digraph, neighbor_lists, plus_minus_sets, reverse
+from .digraph import Digraph, memoized, neighbor_lists, plus_minus_sets, reverse
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
@@ -27,33 +27,28 @@ Arc = tuple[int, int]
 
 
 class ConvexDigraph:
-    """A digraph plus a circular (clockwise) vertex order."""
+    """A digraph plus a circular (clockwise) vertex order.
+
+    The clockwise tables of the default order (vertex ids ascending) are
+    memoized on the digraph; an explicit order builds its own."""
 
     __slots__ = ("d", "order", "pos", "_cw_out", "_cw_in", "_pos_out", "_pos_in")
 
     def __init__(self, d: Digraph, order=None):
         self.d = d
-        self.order = tuple(order) if order is not None else tuple(range(d.n))
-        if sorted(self.order) != list(range(d.n)):
-            raise AntembedError("order must be a permutation of the vertex set")
-        pos = [0] * d.n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        self.pos = tuple(pos)
-        n = d.n
-        outs, ins = neighbor_lists(d)
-        self._cw_out = []
-        self._cw_in = []
-        self._pos_out = []
-        self._pos_in = []
-        for x in range(n):
-            key = lambda w: (self.pos[w] - self.pos[x]) % n
-            co = tuple(sorted(outs[x], key=key))
-            ci = tuple(sorted(ins[x], key=key))
-            self._cw_out.append(co)
-            self._cw_in.append(ci)
-            self._pos_out.append({w: i for i, w in enumerate(co)})
-            self._pos_in.append({w: i for i, w in enumerate(ci)})
+        if order is None:
+            self.order = self.pos = tuple(range(d.n))
+            tables = memoized(d, ("convex",), lambda: _clockwise_tables(d, self.pos))
+        else:
+            self.order = tuple(order)
+            if sorted(self.order) != list(range(d.n)):
+                raise AntembedError("order must be a permutation of the vertex set")
+            pos = [0] * d.n
+            for i, v in enumerate(self.order):
+                pos[v] = i
+            self.pos = tuple(pos)
+            tables = _clockwise_tables(d, self.pos)
+        self._cw_out, self._cw_in, self._pos_out, self._pos_in = tables
 
     def cw_list(self, x: int, sign: int) -> tuple[int, ...]:
         """Sign-arcs of x ordered clockwise starting just after x."""
@@ -71,6 +66,23 @@ class ConvexDigraph:
             out.add(self.order[i])
             i = (i + 1) % n
         return out
+
+
+def _clockwise_tables(d: Digraph, pos: tuple[int, ...]):
+    """Each vertex's out- and in-neighbors sorted clockwise from it, and their
+    positions in those lists, as (cw_out, cw_in, pos_out, pos_in)."""
+    n = d.n
+    outs, ins = neighbor_lists(d)
+    cw_out, cw_in, pos_out, pos_in = [], [], [], []
+    for x in range(n):
+        key = lambda w: (pos[w] - pos[x]) % n
+        co = tuple(sorted(outs[x], key=key))
+        ci = tuple(sorted(ins[x], key=key))
+        cw_out.append(co)
+        cw_in.append(ci)
+        pos_out.append({w: i for i, w in enumerate(co)})
+        pos_in.append({w: i for i, w in enumerate(ci)})
+    return tuple(cw_out), tuple(cw_in), tuple(pos_out), tuple(pos_in)
 
 
 @dataclass(frozen=True)

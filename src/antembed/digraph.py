@@ -12,13 +12,16 @@ gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
 ``arcs`` for the loops that walk every neighborhood of a large host, where
 iterating the bits of each long row costs several times more.
 
-Digraph values are immutable after construction and safe to share.
+A Digraph value is immutable and safe to share.  It carries a memo of derived
+host work (its reversal, its pseudo-degree core, its selections and its
+clockwise tables, see ``memoized``), so reusing one value across embeds does
+that work once; no memo entry ever references the digraph that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AntembedError
 
@@ -34,7 +37,7 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 class Digraph:
-    __slots__ = ("n", "arcs", "out_bits", "in_bits", "_hash")
+    __slots__ = ("n", "arcs", "out_bits", "in_bits", "_hash", "_memo")
 
     def __init__(self, n: int, arcs: Iterable[Arc]):
         if n < 0:
@@ -57,12 +60,13 @@ class Digraph:
         self.out_bits = tuple(out_bits)
         self.in_bits = tuple(in_bits)
         self._hash = None
+        self._memo = None
 
     @classmethod
     def _of(cls, n: int, arcs: tuple, out_bits: tuple, in_bits: tuple) -> "Digraph":
         """Wrap already consistent rows and arcs without re-validating them."""
         d = object.__new__(cls)
-        d.n, d.arcs, d.out_bits, d.in_bits, d._hash = n, arcs, out_bits, in_bits, None
+        d.n, d.arcs, d.out_bits, d.in_bits, d._hash, d._memo = n, arcs, out_bits, in_bits, None, None
         return d
 
     @classmethod
@@ -122,8 +126,43 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
 
+_OWNER = object()  # stored in a memo entry in place of the digraph that holds the memo
+_MISS = object()
+
+
+def memoized(d: Digraph, key: tuple, compute: Callable[[], object]):
+    """``compute()``, run once for each ``key`` on ``d`` and kept in ``d``'s memo.
+
+    ``compute`` must depend only on ``d`` and ``key``.  The memo is created
+    on first use, so a digraph never asked for derived work carries none.  A
+    result that is ``d``, or a tuple item that is ``d``, is stored as a
+    sentinel: no entry references its owner, so a dropped digraph is freed at
+    once instead of waiting for a cycle collection.  A call that raises
+    stores nothing and is recomputed next time.
+    """
+    if d._memo is not None:
+        val = d._memo.get(key, _MISS)
+        if val is not _MISS:
+            if type(val) is tuple:
+                return tuple(d if x is _OWNER else x for x in val)
+            return d if val is _OWNER else val
+    val = compute()
+    memo = d._memo
+    if memo is None:
+        memo = d._memo = {}
+    if type(val) is tuple:
+        memo[key] = tuple(_OWNER if x is d else x for x in val)
+    else:
+        memo[key] = _OWNER if val is d else val
+    return val
+
+
 def neighbor_lists(d: Digraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-neighbor lists of every vertex, in ``arcs`` order."""
+    """Out- and in-neighbor lists of every vertex, in ``arcs`` order.
+
+    Not memoized: the lists are as large as the host and each caller reads
+    them once per host (the clockwise tables are memoized themselves), so
+    keeping them would only add memory."""
     outs = [[] for _ in range(d.n)]
     ins = [[] for _ in range(d.n)]
     for u, v in d.arcs:
@@ -177,8 +216,13 @@ def plus_minus_sets(d: Digraph) -> tuple[set[int], set[int]]:
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Flip every arc; order preserved.  The rows swap, so nothing is re-checked."""
-    return Digraph._of(d.n, tuple((v, u) for u, v in d.arcs), d.in_bits, d.out_bits)
+    """Flip every arc; order preserved.  The rows swap, so nothing is re-checked.
+
+    The result is memoized on ``d`` (so ``reverse(d) is reverse(d)``), but not
+    the other way round: ``reverse(reverse(d))`` is a new value equal to ``d``,
+    because a back-link would make the two digraphs a reference cycle."""
+    flipped = lambda: Digraph._of(d.n, tuple((v, u) for u, v in d.arcs), d.in_bits, d.out_bits)
+    return memoized(d, ("reverse",), flipped)
 
 
 def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool = False):

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
-from .digraph import Digraph, bits_of, degree_profile
+from .digraph import Digraph, bits_of, degree_profile, memoized
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
 
@@ -32,7 +34,13 @@ def prune_pseudo(d: Digraph, k: int) -> Digraph:
     The fixpoint is the unique largest subdigraph in which every positive
     out- and in-degree is at least k/2 (the union of two such subdigraphs is
     one too, and no arc of it is ever deleted), so the worklist order cannot
-    change the result."""
+    change the result.
+
+    The result is memoized on ``d`` for each k."""
+    return memoized(d, ("prune", k), lambda: _prune_pseudo(d, k))
+
+
+def _prune_pseudo(d: Digraph, k: int) -> Digraph:
     if k < 1:
         raise AntembedError("k must be positive")
     dense = d.a() > (k - 1) * d.n
@@ -221,19 +229,32 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
     return alive_a, alive_b, adj, case, audit
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionResult:
     sub: Digraph
     case_tag: str  # "I" or "II"
     witness_vertex: int
     r: int
     k: int
-    audit: dict = field(default_factory=dict)
+    audit: Mapping  # read-only
 
 
 def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = None) -> SelectionResult:
     """Dense subdigraph with the paired degree-sum guarantee and one of the
-    two witness regimes; every condition is revalidated before returning."""
+    two witness regimes; every condition is revalidated before returning.
+
+    ``sub`` is ``d`` itself when no arc is deleted.  Without ``shuffle_seed``
+    the outcome is memoized on ``d`` for each (k, r), so the revalidation runs
+    once per (d, k, r), on the value every later call returns."""
+    if shuffle_seed is None:
+        sub, case, witness, audit = memoized(d, ("select", k, r), lambda: _select(d, k, r, None))
+    else:
+        sub, case, witness, audit = _select(d, k, r, shuffle_seed)
+    return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, r=r, k=k, audit=audit)
+
+
+def _select(d: Digraph, k: int, r: int, shuffle_seed: int | None):
+    """(sub, case, witness vertex, read-only audit), revalidated from scratch."""
     if k > d.n:
         raise HypothesisViolated("k-exceeds-order", k=k, n=d.n)
     if d.a() <= (k - 1) * d.n:
@@ -242,7 +263,7 @@ def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = Non
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
     h = split_bipartite(d)
     alive_a, alive_b, adj, case, audit = prune_bipartite(h, k, r, shuffle_seed=shuffle_seed)
-    sub = Digraph.from_bits(d.n, adj)
+    sub = d if audit["edges"] == d.a() else Digraph.from_bits(d.n, adj)
 
     # full revalidation from scratch
     prof = degree_profile(sub)
@@ -282,4 +303,4 @@ def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = Non
             "delta_minus_bar": prof.delta_minus_bar,
         }
     )
-    return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, r=r, k=k, audit=audit)
+    return sub, case, witness, MappingProxyType(audit)

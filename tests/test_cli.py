@@ -72,7 +72,15 @@ def test_select_and_oracle(tmp_path, capsys):
     hp = _write(tmp_path, "h.txt", host)
     assert main(["--json", "select", "--host", hp, "--k", "4", "--r", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["case"] in ("I", "II")
+    audit = {"loop2": True, "edges": 28, "sides": [8, 9], "case": "I", "plus": 8, "minus": 9,
+             "min_out": 3, "min_in": 2, "delta_plus_bar": 3, "delta_minus_bar": 2}
+    assert payload == {"case": "I", "witness_vertex": 0, "arcs": 28, "audit": audit}
+    # the read-only audit prints as the plain dict it was before
+    assert main(["select", "--host", hp, "--k", "4", "--r", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "audit: {'loop2': True, 'edges': 28, 'sides': (8, 9), 'case': 'I', 'plus': 8, 'minus': 9, "
+        "'min_out': 3, 'min_in': 2, 'delta_plus_bar': 3, 'delta_minus_bar': 2}"
+    )
 
     tree = Digraph(3, [(0, 1), (2, 1)])
     tp = _write(tmp_path, "t.txt", tree)

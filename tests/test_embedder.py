@@ -1,10 +1,13 @@
+import gc
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 import antembed as ae
 from antembed.digraph import Digraph
+from antembed.convex import ConvexDigraph
 from antembed.oracle_gen import sample_antitree_heavy
 from antembed.tree_embedder import (
     embed_big_delta2,
@@ -461,3 +464,69 @@ def test_differential_mini():
         if ae.is_caterpillar(t) and d.a() > (k - 1) * n:
             emb = ae.embed_caterpillar(d, t)
             assert ae.validate_embedding(t, d, emb.map)
+
+
+def _reaches(root, target) -> bool:
+    """Whether ``target`` is reachable from ``root`` through object references
+    (classes, modules and functions are not followed)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (int, str, type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_host_memo_is_transparent():
+    # seeded k=13 trees, one per branch the PG(2,25) benchmark reaches; each
+    # embeds into one host twice (cold, then warm) and once into a copy with
+    # an empty memo, and likewise for the reversed pair
+    host = ae.gen_incidence(25)
+    rng = random.Random(0)
+    trees = {"MidDelta": ae.sample_antitree(13, rng), "BroomB_I": sample_antitree_heavy(13, rng, 6),
+             "LowDelta": ae.sample_antitree(13, random.Random(6))}
+    for branch, t in trees.items():
+        rt = ae.reverse_antitree(t)
+        fresh = Digraph(host.n, host.arcs)
+        runs = [ae.embed_antitree(h, t, known_free=True) for h in (host, host, fresh)]
+        rev = [ae.embed_antitree(h, rt, known_free=True)
+               for h in (ae.reverse(host), ae.reverse(host), ae.reverse(Digraph(host.n, host.arcs)))]
+        for out in runs + rev:
+            assert out.ok and out.case.branch == branch and not out.assertion_events()
+        for group in (runs, rev):
+            for out in group[1:]:
+                assert out.embedding.map == group[0].embedding.map
+                assert out.case == group[0].case
+                assert out.trace == group[0].trace
+        assert rev[0].embedding.map == runs[0].embedding.map
+    assert host._memo and not _reaches(host._memo, host)
+
+
+def test_host_memo_has_no_cycle_and_skips_seeded_and_ordered_calls():
+    host = ae.gen_incidence(7)
+    k = 4
+    assert ae.reverse(host) is ae.reverse(host)
+    assert ae.reverse(ae.reverse(host)) == host
+    assert ae.prune_pseudo(host, k) is host
+    assert ae.select_subdigraph(host, k, 2).sub is host
+    ConvexDigraph(host)
+    ConvexDigraph(ae.reverse(host))
+    star = T(k + 1, [(0, i) for i in range(1, k + 1)])
+    ae.embed_caterpillar_mindeg(host, star)
+    ae.embed_caterpillar_mindeg(host, ae.reverse_antitree(star))
+    assert not _reaches(host._memo, host)
+    # a seeded selection and an explicit order are not memoized; nor is a refusal
+    d = Digraph(host.n, host.arcs)
+    sel = ae.select_subdigraph(d, k, 2, shuffle_seed=5)
+    ConvexDigraph(d, list(reversed(range(d.n))))
+    with pytest.raises(ae.HypothesisViolated):
+        ae.select_subdigraph(d, 5, 2)
+    assert d._memo is None
+    assert ae.select_subdigraph(d, k, 2).sub.arcs == sel.sub.arcs
+    assert ConvexDigraph(d).cw_list(0, +1) == ConvexDigraph(host).cw_list(0, +1)
+    assert sorted(d._memo) == [("convex",), ("select", k, 2)]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -222,3 +223,21 @@ def test_round_trip_reaudit():
             for v in range(n):
                 if dega[u] and degb[v]:
                     assert dega[u] + degb[v] >= k
+
+
+def test_select_returns_input_when_nothing_deleted():
+    host = ae.gen_incidence(7)
+    for r in (1, 2):
+        assert ae.select_subdigraph(host, 4, r).sub is host
+    d = ae.gen_random_dense(10, 3, seed=0)
+    sel = ae.select_subdigraph(d, 3, 1)
+    assert sel.sub is not d and sel.sub.a() < d.a()
+    _audit(d, sel, 3, 1)
+
+
+def test_selection_result_is_read_only():
+    sel = ae.select_subdigraph(ae.gen_incidence(7), 4, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sel.case_tag = "II"
+    with pytest.raises(TypeError):
+        sel.audit["edges"] = 0
