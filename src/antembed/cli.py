@@ -104,9 +104,11 @@ def cmd_good_arcs(args) -> int:
     final = sorted(table.stage_arcs[-1])
     payload = {"good": final, "count": len(final), "lemma8_bound": table.lemma8_bound}
     if args.witness:
-        u, v = (int(x) for x in args.witness.split(","))
-        mapping = reconstruct_witness(c, tree, table, (u, v))
-        payload["witness"] = mapping
+        try:
+            u, v = (int(x) for x in args.witness.split(","))
+        except ValueError:
+            raise AntembedError(f"bad --witness value {args.witness!r}: expected an arc 'u,v'") from None
+        payload["witness"] = reconstruct_witness(c, tree, table, (u, v))
     _emit(payload, args.json)
     return 0
 

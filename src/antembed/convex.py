@@ -8,37 +8,64 @@ free of image vertices.
 ``good_arcs`` runs the inductive construction: peel the caterpillar one spine
 vertex at a time from the far end, and at each stage drop the m extremal
 ("nasty") sign-arcs of every anchor and shift the survivors m positions along
-the anchor's clockwise arc order.  Every surviving arc carries a back-pointer
-from which a witness embedding is reconstructed.  The construction certifies
-at least a(D) - (k-1)n good arcs, and the variant accounting gives the
+the anchor's clockwise arc order.  The construction certifies at least
+a(D) - (k-1)n good arcs, and the variant accounting gives the
 a(D) - (|T+|-1)|D-| - (|T-|-1)|D+| bound used by the sign-balanced embedder.
+
+Each stage is one bit set over the host arcs, held in an anchor-major layout.
+The layout of sign s has one block per vertex x, blocks in vertex order, and
+block x holds ``cw_list(x, s)`` in clockwise order: bit ``starts[x] + i`` is
+the arc between x and its i-th clockwise s-neighbor.  A stage anchored at
+sign s is then one shift of the whole set, ``(cur & mask) >> m`` when the new
+spine prefix has even length and ``(cur & mask) << m`` when it is odd.  The
+mask clears the nasty positions of every block (its first m, or its last m);
+it depends only on the block lengths and on (s, m, parity), and is kept per
+convex digraph.  Consecutive spine vertices have opposite signs, so between
+stages one ``operator.itemgetter`` over the set's bit string moves it from
+the out-major layout to the in-major one or back.
+
+No arc stores a predecessor: the arc one stage back sits at clockwise index
+idx + m or idx - m in the same block.  Tracing an arc back stage by stage
+stays inside its blocks exactly when the arc is good, since every arc is
+alive at the first stage, and the same trace replays a witness embedding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, compress, count
+from operator import itemgetter
 
 from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
-from .digraph import Digraph, memoized, neighbor_lists, plus_minus_sets, reverse
+from .digraph import Digraph, bits_of, memoized, neighbor_lists, plus_minus_sets, reverse
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
 Arc = tuple[int, int]
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
 
 class ConvexDigraph:
     """A digraph plus a circular (clockwise) vertex order.
 
-    The clockwise tables of the default order (vertex ids ascending) are
-    memoized on the digraph; an explicit order builds its own."""
+    The clockwise tables and arc layouts of the default order (vertex ids
+    ascending) are memoized on the digraph; an explicit order builds its own.
+    Tables indexed by sign hold the out-side at [1] and the in-side at [-1].
+    ``_cache`` is filled on first use: the stage mask of each (sign, m, even)
+    under that key, and under each sign the getter that moves a set into
+    that sign's layout."""
 
-    __slots__ = ("d", "order", "pos", "_cw_out", "_cw_in", "_pos_out", "_pos_in")
+    __slots__ = ("d", "order", "pos", "_cw", "_out_starts", "_cache")
 
     def __init__(self, d: Digraph, order=None):
         self.d = d
         if order is None:
             self.order = self.pos = tuple(range(d.n))
-            tables = memoized(d, ("convex",), lambda: _clockwise_tables(d, self.pos))
+            tables = memoized(d, ("convex",), lambda: _convex_tables(d, self.pos))
         else:
             self.order = tuple(order)
             if sorted(self.order) != list(range(d.n)):
@@ -47,15 +74,17 @@ class ConvexDigraph:
             for i, v in enumerate(self.order):
                 pos[v] = i
             self.pos = tuple(pos)
-            tables = _clockwise_tables(d, self.pos)
-        self._cw_out, self._cw_in, self._pos_out, self._pos_in = tables
+            tables = _convex_tables(d, self.pos)
+        self._cw, self._out_starts, self._cache = tables
 
     def cw_list(self, x: int, sign: int) -> tuple[int, ...]:
         """Sign-arcs of x ordered clockwise starting just after x."""
-        return self._cw_out[x] if sign > 0 else self._cw_in[x]
+        return self._cw[sign][x]
 
-    def cw_pos(self, x: int, sign: int) -> dict:
-        return self._pos_out[x] if sign > 0 else self._pos_in[x]
+    def cw_index(self, x: int, sign: int, w: int) -> int:
+        """The index of w in ``cw_list(x, sign)``; w must be a sign-neighbor of x."""
+        pos, n, px = self.pos, self.d.n, self.pos[x]
+        return bisect_left(self._cw[sign][x], (pos[w] - px) % n, key=lambda v: (pos[v] - px) % n)
 
     def interval(self, a: int, b: int) -> set[int]:
         """Vertices strictly after a and strictly before b, clockwise."""
@@ -67,22 +96,67 @@ class ConvexDigraph:
             i = (i + 1) % n
         return out
 
+    def _mask(self, sign: int, m: int, even: bool) -> int:
+        """The positions of the sign layout that survive a stage shifting by m:
+        all but the first m of each block when ``even``, all but the last m
+        otherwise."""
+        key = (sign, m, even)
+        mask = self._cache.get(key)
+        if mask is None:
+            mask, low = 0, m if even else 0
+            for lst in reversed(self._cw[sign]):
+                mask <<= len(lst)
+                if len(lst) > m:
+                    mask |= ((1 << (len(lst) - m)) - 1) << low
+            self._cache[key] = mask
+        return mask
 
-def _clockwise_tables(d: Digraph, pos: tuple[int, ...]):
-    """Each vertex's out- and in-neighbors sorted clockwise from it, and their
-    positions in those lists, as (cw_out, cw_in, pos_out, pos_in)."""
+    def _relayout(self, bits: int, sign: int) -> int:
+        """A set of arcs moved from the other sign's layout into the sign layout."""
+        if not bits:
+            return 0
+        into = self._cache.get(sign)
+        if into is None:
+            self._cache[1], self._cache[-1] = self._relayout_getters()
+            into = self._cache[sign]
+        return int("".join(into(format(bits, f"0{self.d.a()}b"))), 2)
+
+    def _layout_arcs(self, sign: int) -> list[Arc]:
+        """The arcs of the sign layout in position order."""
+        if sign > 0:
+            return [(x, w) for x, lst in enumerate(self._cw[1]) for w in lst]
+        return [(u, y) for y, lst in enumerate(self._cw[-1]) for u in lst]
+
+    def _relayout_getters(self):
+        """The getters moving a set's bit string (most significant bit first)
+        into the out-major and into the in-major layout."""
+        n, (cw_out, cw_in) = self.d.n, self._cw[1:]
+        # out-major position of every arc, keyed by tail * n + head
+        where = dict(zip([x * n + w for x, lst in enumerate(cw_out) for w in lst], count()))
+        from_out = [where[u * n + y] for y, lst in enumerate(cw_in) for u in lst]
+        from_in = [0] * len(from_out)
+        for q, p in enumerate(from_out):
+            from_in[p] = q
+        top = len(from_out) - 1
+        # new bit q is old bit src[q]; string index i holds bit top - i
+        return tuple(itemgetter(*[top - p for p in reversed(src)]) for src in (from_in, from_out))
+
+
+def _convex_tables(d: Digraph, pos: tuple[int, ...]):
+    """The clockwise tables of both signs, indexed by sign, the block starts
+    of the out-major layout and an empty cache."""
     n = d.n
     outs, ins = neighbor_lists(d)
-    cw_out, cw_in, pos_out, pos_in = [], [], [], []
+    cw_out, cw_in = [], []
     for x in range(n):
         key = lambda w: (pos[w] - pos[x]) % n
-        co = tuple(sorted(outs[x], key=key))
-        ci = tuple(sorted(ins[x], key=key))
-        cw_out.append(co)
-        cw_in.append(ci)
-        pos_out.append({w: i for i, w in enumerate(co)})
-        pos_in.append({w: i for i, w in enumerate(ci)})
-    return tuple(cw_out), tuple(cw_in), tuple(pos_out), tuple(pos_in)
+        cw_out.append(tuple(sorted(outs[x], key=key)))
+        cw_in.append(tuple(sorted(ins[x], key=key)))
+    return (
+        (None, tuple(cw_out), tuple(cw_in)),
+        tuple(accumulate(map(len, cw_out), initial=0)),
+        {},
+    )
 
 
 @dataclass(frozen=True)
@@ -101,119 +175,183 @@ def side_sets(c: ConvexDigraph, arc: Arc) -> SideSets:
     return SideSets(arc=arc, left=left, right=right)
 
 
-@dataclass
+@dataclass(eq=False)
 class GoodArcTable:
+    """The staged good-arc construction of one caterpillar on one convex digraph.
+
+    ``steps[i]`` is (anchor sign, shift m, new prefix even) of the stage that
+    makes the good set of the spine prefix of length i+3.  ``stages[i]`` is
+    the good set of the prefix of length i+2 as a bit set in the layout of
+    its stage's anchor sign (``stages[0]``, every arc, in the layout of the
+    first stage, or the out-major one when there is none); ``count`` is the
+    size of the last."""
+
     spine: tuple[int, ...]
-    # stage_arcs[i] holds the good set for the spine prefix of length i+2,
-    # mapped to the predecessor arc one stage earlier (None at the first stage)
-    stage_arcs: list[dict[Arc, Arc | None]] = field(default_factory=list)
-    lemma8_bound: int = 0
-    lemma12_bound: int = 0
+    dec: SpineDecomposition = field(repr=False)
+    c: ConvexDigraph = field(repr=False)
+    steps: tuple[tuple[int, int, bool], ...]
+    stages: tuple[int, ...] = field(repr=False)
+    count: int
+    lemma8_bound: int
+    lemma12_bound: int
+
+    @cached_property
+    def stage_arcs(self) -> "_StageArcs":
+        """stage_arcs[i] maps each good arc of the spine prefix of length i+2
+        to its predecessor one stage earlier (None at the first stage).  Each
+        stage is decoded from its bit set when first read; embedding reads
+        none."""
+        return _StageArcs(self)
+
+
+class _StageArcs(Sequence):
+    """The stage maps of a GoodArcTable, each decoded on first read."""
+
+    __slots__ = ("_table", "_maps")
+
+    def __init__(self, table: GoodArcTable):
+        self._table = table
+        self._maps: list[dict[Arc, Arc | None] | None] = [None] * len(table.stages)
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __getitem__(self, i):
+        i = range(len(self._maps))[i]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        if self._maps[i] is None:
+            self._maps[i] = self._decode(i)
+        return self._maps[i]
+
+    def _decode(self, i: int) -> dict[Arc, Arc | None]:
+        table = self._table
+        if i == 0:
+            return dict.fromkeys(table.c.d.arcs)
+        sign, m, even = table.steps[i - 1]
+        arcs = table.c._layout_arcs(sign)
+        # one byte per position, 1 where the arc is in the set
+        flags = format(table.stages[i], f"0{len(arcs)}b")[::-1].encode().translate(_BIT_BYTES)
+        # the predecessor of position p sits at p + m (even) or p - m
+        preds = compress(arcs[m:], flags) if even else compress(arcs, flags[m:])
+        return dict(zip(compress(arcs, flags), preds))
 
 
 def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTable:
+    """The staged construction, one whole-set shift per stage.
+
+    A shift moves every surviving arc inside its own block, so no two arcs
+    ever land on one position: the stage maps are injective by construction
+    and need no check."""
     spine = dec.spine
-    L = len(spine)
-    table = GoodArcTable(spine=spine)
-    current: dict[Arc, Arc | None] = {arc: None for arc in c.d.arcs}
-    table.stage_arcs.append(current)
-    for j in range(2, L):
-        pj = spine[j - 1]
-        m = 1 + len(dec.leaves_at.get(pj, ()))
-        sigma = t.sign[pj]
-        new_even = (j + 1) % 2 == 0
-        nxt: dict[Arc, Arc | None] = {}
-        for arc in current:
-            x, w = (arc[0], arc[1]) if sigma > 0 else (arc[1], arc[0])
-            lst = c.cw_list(x, sigma)
-            idx = c.cw_pos(x, sigma)[w]
-            if new_even:
-                if idx < m:  # nasty: among the first m sign-arcs of x
-                    continue
-                z = lst[idx - m]
-            else:
-                if idx >= len(lst) - m:  # nasty: among the last m
-                    continue
-                z = lst[idx + m]
-            new_arc = (x, z) if sigma > 0 else (z, x)
-            if new_arc in nxt:
-                raise InternalAssertion("phi-injectivity", arc=new_arc)
-            nxt[new_arc] = arc
-        table.stage_arcs.append(nxt)
-        current = nxt
+    steps = tuple(
+        (t.sign[p], 1 + len(dec.leaves_at.get(p, ())), j % 2 == 1)
+        for j, p in enumerate(spine[1:-1], start=2)
+    )
+    layout = steps[0][0] if steps else 1
+    cur = (1 << c.d.a()) - 1
+    stages = [cur]
+    for sign, m, even in steps:
+        if sign != layout:
+            cur, layout = c._relayout(cur, sign), sign
+        cur = cur & c._mask(sign, m, even)
+        cur = cur >> m if even else cur << m
+        stages.append(cur)
     d = c.d
     k = t.k
-    table.lemma8_bound = d.a() - (k - 1) * d.n
     dplus, dminus = plus_minus_sets(d)
     tplus, tminus = t.plus_minus()
-    table.lemma12_bound = d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus)
-    return table
+    return GoodArcTable(
+        spine=spine,
+        dec=dec,
+        c=c,
+        steps=steps,
+        stages=tuple(stages),
+        count=cur.bit_count(),
+        lemma8_bound=d.a() - (k - 1) * d.n,
+        lemma12_bound=d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus),
+    )
 
 
 def good_arcs(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
     """Good-arc table with the a(D) - (k-1)n count guarantee asserted."""
-    dec = caterpillar_decompose(t)
-    table = _run_dp(c, t, dec)
-    if len(table.stage_arcs[-1]) < table.lemma8_bound:
-        raise InternalAssertion(
-            "good-count", have=len(table.stage_arcs[-1]), need=table.lemma8_bound
-        )
+    table = _run_dp(c, t, caterpillar_decompose(t))
+    if table.count < table.lemma8_bound:
+        raise InternalAssertion("good-count", have=table.count, need=table.lemma8_bound)
     return table
 
 
 def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
     """Same construction, with the |T+|/|T-| versus |D-|/|D+| count asserted."""
-    dec = caterpillar_decompose(t)
-    table = _run_dp(c, t, dec)
-    if len(table.stage_arcs[-1]) < table.lemma12_bound:
-        raise InternalAssertion(
-            "good-count-mindeg", have=len(table.stage_arcs[-1]), need=table.lemma12_bound
-        )
+    table = _run_dp(c, t, caterpillar_decompose(t))
+    if table.count < table.lemma12_bound:
+        raise InternalAssertion("good-count-mindeg", have=table.count, need=table.lemma12_bound)
     return table
 
 
+def _trace(c: ConvexDigraph, steps, arc: Arc) -> list[Arc] | None:
+    """The arcs ``arc`` came from, one per stage, first stage first, ending
+    with ``arc``; None when the trace leaves a block, that is, when the host
+    arc ``arc`` is not good."""
+    chain = [arc]
+    for sign, m, even in reversed(steps):
+        x, w = arc if sign > 0 else (arc[1], arc[0])
+        lst = c.cw_list(x, sign)
+        i = c.cw_index(x, sign, w) + (m if even else -m)
+        if not 0 <= i < len(lst):
+            return None
+        arc = (x, lst[i]) if sign > 0 else (lst[i], x)
+        chain.append(arc)
+    chain.reverse()
+    return chain
+
+
+def _least_good_arc(table: GoodArcTable) -> Arc:
+    """The least good arc in (tail, head) order, read from the final bit set."""
+    c = table.c
+    bits = table.stages[-1]
+    if table.steps and table.steps[-1][0] < 0:
+        bits = c._relayout(bits, 1)
+    starts = c._out_starts
+    x = bisect_right(starts, (bits & -bits).bit_length() - 1) - 1
+    lst = c.cw_list(x, 1)
+    return x, min(lst[i] for i in bits_of((bits >> starts[x]) & ((1 << len(lst)) - 1)))
+
+
 def reconstruct_witness(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, final_arc: Arc) -> dict[int, int]:
-    """Replay the back-pointers of one good arc into a full embedding.
+    """Replay one good arc into a full embedding.
 
-    Walks the predecessor chain down to the two-vertex stage and then replays
-    forward: each stage places the new spine vertex on the shifted endpoint
-    and the peeled leaves on the sign-arcs of the anchor lying in the
-    clockwise gap (least position first).
+    Traces the arc back to the two-vertex stage and then replays forward:
+    each stage places the new spine vertex on the shifted endpoint and the
+    peeled leaves on the sign-arcs of the anchor lying in the clockwise gap
+    (least position first).  An arc that is not in the host or not good is
+    an ``AntembedError``.
     """
+    if not c.d.has_arc(*final_arc):
+        raise AntembedError(f"arc {final_arc} is not in the host")
+    chain = _trace(c, table.steps, final_arc)
+    if chain is None:
+        raise AntembedError(f"arc {final_arc} is not a good arc")
     spine = table.spine
-    dec = caterpillar_decompose(t)
-    L = len(spine)
-    chain = [final_arc]
-    for stage in range(L - 2, 0, -1):
-        chain.append(table.stage_arcs[stage][chain[-1]])
-    chain.reverse()  # chain[i] is the good arc for the prefix of length i+2
-
+    leaves_at = table.dec.leaves_at
     f: dict[int, int] = {}
     p1, p2 = spine[0], spine[1]
-    a0 = chain[0]
     if t.sign[p2] > 0:
-        f[p2], f[p1] = a0
+        f[p2], f[p1] = chain[0]
     else:
-        f[p1], f[p2] = a0
-    for j in range(2, L):
+        f[p1], f[p2] = chain[0]
+    for j, (sigma, m, even) in enumerate(table.steps, start=2):
         pj = spine[j - 1]
-        pj1 = spine[j]
-        sigma = t.sign[pj]
-        m = 1 + len(dec.leaves_at.get(pj, ()))
         prev_arc, new_arc = chain[j - 2], chain[j - 1]
         x, w_old = (prev_arc[0], prev_arc[1]) if sigma > 0 else (prev_arc[1], prev_arc[0])
         z = new_arc[1] if sigma > 0 else new_arc[0]
         lst = c.cw_list(x, sigma)
-        posmap = c.cw_pos(x, sigma)
-        io, iz = posmap[w_old], posmap[z]
-        if (j + 1) % 2 == 0:
-            fills = lst[iz + 1 : io]
-        else:
-            fills = lst[io + 1 : iz]
+        io, iz = c.cw_index(x, sigma, w_old), c.cw_index(x, sigma, z)
+        fills = lst[iz + 1 : io] if even else lst[io + 1 : iz]
         if len(fills) != m - 1 or f[pj] != x or f[spine[j - 2]] != w_old:
             raise InternalAssertion("witness-replay", stage=j + 1, arc=new_arc)
-        f[pj1] = z
-        for leaf, hv in zip(dec.leaves_at.get(pj, ()), fills):
+        f[spine[j]] = z
+        for leaf, hv in zip(leaves_at.get(pj, ()), fills):
             f[leaf] = hv
     return f
 
@@ -252,10 +390,9 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None, fallback_oracle: bool
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     c = ConvexDigraph(d, order)
     table = good_arcs(c, t)
-    final = table.stage_arcs[-1]
-    if not final:
+    if not table.count:
         raise InternalAssertion("empty-good-set")
-    return _validated(c, t, table, min(final))
+    return _validated(c, t, table, _least_good_arc(table))
 
 
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None, _allow_reverse: bool = True) -> Embedding:
@@ -275,10 +412,9 @@ def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None, _allow_reverse
     if len(dplus) <= len(dminus) and len(tplus) <= len(tminus):
         c = ConvexDigraph(d, order)
         table = good_arcs_mindeg(c, t)
-        final = table.stage_arcs[-1]
-        if not final:
+        if not table.count:
             raise InternalAssertion("empty-good-set-mindeg")
-        return _validated(c, t, table, min(final))
+        return _validated(c, t, table, _least_good_arc(table))
     if len(dplus) >= len(dminus) and len(tplus) >= len(tminus) and _allow_reverse:
         from .antitree import reverse_antitree
 

@@ -14,7 +14,7 @@ iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
 host work (its reversal, its pseudo-degree core, its selections and its
-clockwise tables, see ``memoized``), so reusing one value across embeds does
+convex tables, see ``memoized``), so reusing one value across embeds does
 that work once; no memo entry ever references the digraph that holds it.
 """
 

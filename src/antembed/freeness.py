@@ -79,7 +79,12 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     n = d.n
     # indexed by sign: [1] is the out-side, [-1] the in-side
     bits = (None, d.out_bits, d.in_bits)
+    # A scan that ends at a small a walks the bits of only the rows it folds.
+    # Walking every row so costs about twice one pass over ``arcs`` that
+    # builds lists for the whole host, so those lists take over once the
+    # walked rows hold a(D)/16 arcs, which bounds what a free scan pays extra.
     adj = None
+    walked = 0
     steps = range(s - 1, 0, -1)
     for a in range(n):
         best = None
@@ -89,13 +94,16 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
             if a + 1 < n and (bits[sa][a] & bits[sb][a + 1]).bit_count() >= s:
                 best = (a + 1, sa, sb)
                 break
-            if adj is None:
-                # built only once a fold is needed: walking the bits of long
-                # rows here costs about three times more than plain lists
+            if adj is None and walked > d.a() >> 4:
                 adj = (None, *neighbor_lists(d))
+            if adj:
+                nbrs = adj[sa][a]
+            else:
+                nbrs = bits_of(bits[sa][a])
+                walked += bits[sa][a].bit_count()
             rows = bits[-sb]
             c = [0] * s
-            for w in adj[sa][a]:
+            for w in nbrs:
                 row = rows[w]
                 for j in steps:
                     c[j] |= c[j - 1] & row

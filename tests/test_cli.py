@@ -114,3 +114,35 @@ def test_cli_malformed_arclist_exits_2_without_traceback(tmp_path, capsys):
         assert main(["check-free", "--host", str(bad), "--s", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _good_arcs_files(tmp_path):
+    host = Digraph(4, [(0, 1), (0, 3), (1, 2), (2, 0), (3, 2)])
+    star = Digraph(3, [(0, 1), (0, 2)])
+    return ["good-arcs", "--tree", _write(tmp_path, "t.txt", star), "--host", _write(tmp_path, "h.txt", host)]
+
+
+def test_good_arcs_witness_of_a_good_arc(tmp_path, capsys):
+    assert main(["--json"] + _good_arcs_files(tmp_path) + ["--witness", "0,3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["good"] == [[0, 3]] and payload["witness"] == {"0": 0, "1": 1, "2": 3}
+
+
+def _witness_error(tmp_path, capsys, value):
+    assert main(_good_arcs_files(tmp_path) + ["--witness", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_good_arcs_witness_of_an_arc_that_is_not_good(tmp_path, capsys):
+    assert "arc (0, 1) is not a good arc" in _witness_error(tmp_path, capsys, "0,1")
+
+
+def test_good_arcs_witness_of_an_arc_not_in_the_host(tmp_path, capsys):
+    assert "arc (2, 1) is not in the host" in _witness_error(tmp_path, capsys, "2,1")
+
+
+def test_good_arcs_witness_malformed(tmp_path, capsys):
+    for value in ("0", "0,1,2", "a,b"):
+        assert repr(value) in _witness_error(tmp_path, capsys, value)
