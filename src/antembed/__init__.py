@@ -18,12 +18,10 @@ from .antitree import (
 from .convex import (
     ConvexDigraph,
     GoodArcTable,
-    SideSets,
     embed_caterpillar,
     embed_caterpillar_mindeg,
     good_arcs,
     good_arcs_mindeg,
-    side_sets,
 )
 from .digraph import (
     DegreeProfile,
@@ -71,7 +69,6 @@ from .tree_embedder import (
     embed_big_delta2,
     embed_low_delta,
     embed_mid_delta,
-    embed_radius_two,
     embed_wide_star,
     oracle_fallback,
 )

@@ -179,7 +179,9 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     params = {}
     for kv in args.param or []:
-        key, val = kv.split("=", 1)
+        key, eq, val = kv.partition("=")
+        if not eq:
+            raise AntembedError(f"bad --param value {kv!r}: expected key=value")
         params[key] = val
     cfg = sweeps.SweepConfig(suite=args.suite, params=params, jobs=args.jobs, out=args.out)
     report = sweeps.run_sweep(cfg)
@@ -193,7 +195,6 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="antembed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="run a registered acceptance suite")
     s.add_argument("--suite", required=True, choices=sorted(sweeps.SUITES))
-    s.add_argument("--param", action="append", help="key=value, repeatable")
+    s.add_argument("--param", action="append", help="key=value with an integer value, repeatable")
     s.add_argument("--out", default=None, help="write the JSON report here")
     s.set_defaults(fn=cmd_sweep)
     return p

@@ -159,22 +159,6 @@ def _convex_tables(d: Digraph, pos: tuple[int, ...]):
     )
 
 
-@dataclass(frozen=True)
-class SideSets:
-    arc: Arc
-    left: frozenset[int]   # after tail, before head, clockwise
-    right: frozenset[int]  # everything else off the chord
-
-
-def side_sets(c: ConvexDigraph, arc: Arc) -> SideSets:
-    x, y = arc
-    if not (0 <= x < c.d.n and 0 <= y < c.d.n) or x == y:
-        raise AntembedError(f"bad arc {arc}")
-    left = frozenset(c.interval(x, y))
-    right = frozenset(range(c.d.n)) - left - {x, y}
-    return SideSets(arc=arc, left=left, right=right)
-
-
 @dataclass(eq=False)
 class GoodArcTable:
     """The staged good-arc construction of one caterpillar on one convex digraph.
@@ -357,11 +341,14 @@ def reconstruct_witness(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, fina
 
 
 def check_side_condition(c: ConvexDigraph, t: AntiTree, mapping: dict[int, int], spine) -> bool:
-    """The parity-appropriate side of the final chord holds no image vertex."""
-    x_def = mapping[spine[-1]]
-    y_def = mapping[spine[-2]]
-    zone = c.interval(x_def, y_def) if len(spine) % 2 == 1 else c.interval(y_def, x_def)
-    return not (zone & set(mapping.values()))
+    """The parity-appropriate side of the final chord holds no image vertex:
+    no image lies strictly between its ends a and b, clockwise from a."""
+    a, b = mapping[spine[-1]], mapping[spine[-2]]
+    if len(spine) % 2 == 0:
+        a, b = b, a
+    pos, n = c.pos, c.d.n
+    span = (pos[b] - pos[a]) % n
+    return not any(0 < (pos[h] - pos[a]) % n < span for h in mapping.values())
 
 
 def _validated(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, arc: Arc) -> Embedding:

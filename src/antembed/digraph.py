@@ -13,14 +13,17 @@ gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
 iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
-host work (its reversal, its pseudo-degree core, its selections and its
-convex tables, see ``memoized``), so reusing one value across embeds does
-that work once; no memo entry ever references the digraph that holds it.
+host work (its reversal, its degree profile and vertex mask, its
+pseudo-degree core, its selections and its convex tables, see ``memoized``),
+so reusing one value across embeds does that work once; no memo entry ever
+references the digraph that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AntembedError
@@ -188,11 +191,15 @@ def _pseudo(degs: Sequence[int]) -> int:
 
 
 def degree_profile(d: Digraph) -> DegreeProfile:
-    """Degree summary with the pseudo-semidegrees.
+    """Degree summary with the pseudo-semidegrees, memoized on ``d``.
 
     The minimum pseudo-out-degree is 0 for an arcless digraph, otherwise the
     least d such that every vertex has out-degree 0 or >= d.
     """
+    return memoized(d, ("profile",), lambda: _degree_profile(d))
+
+
+def _degree_profile(d: Digraph) -> DegreeProfile:
     outs = tuple(row.bit_count() for row in d.out_bits)
     ins = tuple(row.bit_count() for row in d.in_bits)
     dp = _pseudo(outs)
@@ -244,11 +251,9 @@ def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool
 
 
 def core_member_bits(d: Digraph) -> int:
-    """Bitmask of vertices with positive total degree (the vertex set of a subdigraph)."""
-    bits = 0
-    for row in d.out_bits + d.in_bits:
-        bits |= row
-    return bits
+    """Bitmask of vertices with positive total degree (the vertex set of a
+    subdigraph), memoized on ``d``."""
+    return memoized(d, ("members",), lambda: reduce(or_, d.out_bits + d.in_bits, 0))
 
 
 # -- file formats ------------------------------------------------------

@@ -1,7 +1,9 @@
 """Registered acceptance suites and the JSON sweep runner.
 
 Each suite returns a report dict (schema 1) whose ``failures`` list carries
-the full offending instances inline, so a failing run replays standalone.
+the full offending instances inline, and whose ``params`` echo every value
+the run used, so a failing run replays standalone.  Every suite parameter is
+an integer; ``_suite`` declares each suite's keys with their defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .antitree import degree_stats, is_caterpillar, enumerate_antitrees, validat
 from .convex import ConvexDigraph, embed_caterpillar, good_arcs, good_arcs_mindeg
 from .digraph import Digraph, degree_profile, reverse, to_json_obj
 from .embedding import validate_embedding
-from .errors import HypothesisViolated
+from .errors import AntembedError, HypothesisViolated
 from .freeness import common_neighborhood, is_k2s_free
 from .oracle_gen import (
     audit_projective,
@@ -32,6 +34,8 @@ from .tree_embedder import embed_antitree
 from .antitree import reverse_antitree
 
 SCHEMA = 1
+SUITES: dict = {}
+DEFAULTS: dict[str, dict[str, int]] = {}
 
 
 @dataclass
@@ -51,6 +55,37 @@ def _report(suite, params, failures, summary):
         "failures": failures,
         "summary": summary,
     }
+
+
+def _resolve_params(suite: str, params: dict) -> dict[str, int]:
+    """The suite's defaults overridden by ``params``; an unknown key or a
+    value that is not an integer raises AntembedError."""
+    known = DEFAULTS[suite]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise AntembedError(f"unknown parameter {unknown[0]!r} for suite {suite} (known: {', '.join(known)})")
+    out = dict(known)
+    for key, val in params.items():
+        try:
+            out[key] = int(val)
+        except (TypeError, ValueError):
+            raise AntembedError(f"parameter {key}={val!r} of suite {suite} is not an integer") from None
+    return out
+
+
+def _suite(name: str, **defaults: int):
+    """Register a suite under ``name`` with its parameters' defaults; the
+    registered function resolves its params dict before it runs."""
+
+    def register(fn):
+        def run(params, jobs=1):
+            return fn(_resolve_params(name, params), jobs)
+
+        DEFAULTS[name] = defaults
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _pmap(fn, items, jobs):
@@ -102,9 +137,9 @@ def _prop3_host(args):
     return bad
 
 
+@_suite("prop3-exhaustive", sample5=100_000, seed=20260810)
 def suite_prop3_exhaustive(params, jobs=1):
-    sample5 = int(params.get("sample5", 100_000))
-    seed = int(params.get("seed", 20260810))
+    sample5, seed = params["sample5"], params["seed"]
     trees3 = _caterpillar_classes(3)
     trees4 = _caterpillar_classes(4)
     failures = []
@@ -129,7 +164,7 @@ def suite_prop3_exhaustive(params, jobs=1):
     for bad in res:
         failures.extend(bad)
     counts["n5_sample"] = sample5
-    return _report("prop3-exhaustive", {"sample5": sample5, "seed": seed}, failures, counts)
+    return _report("prop3-exhaustive", params, failures, counts)
 
 
 # -- criterion 2: good-arc bounds and the completeness gap ----------------------
@@ -163,10 +198,10 @@ def _goodarcs_one(args):
     return out
 
 
+@_suite("good-arcs", count=10_000, seed=4242)
 def suite_good_arcs(params, jobs=1):
-    count = int(params.get("count", 10_000))
-    seed = int(params.get("seed", 4242))
-    rng = random.Random(seed)
+    count = params["count"]
+    rng = random.Random(params["seed"])
     trees = _caterpillar_classes(4)
     tasks = []
     for _ in range(count):
@@ -191,12 +226,7 @@ def suite_good_arcs(params, jobs=1):
         "equality_failures": len(eq_fails),
         "bound_failures": len(bound_fails),
     }
-    return _report(
-        "good-arcs",
-        {"count": count, "seed": seed},
-        bound_fails + eq_fails[:20],
-        summary,
-    )
+    return _report("good-arcs", params, bound_fails + eq_fails[:20], summary)
 
 
 # -- criterion 3: selector audit -------------------------------------------------
@@ -245,12 +275,12 @@ def _selector_one(seed):
     return None
 
 
+@_suite("selector-audit", count=10_000, seed=777)
 def suite_selector_audit(params, jobs=1):
-    count = int(params.get("count", 10_000))
-    seed = int(params.get("seed", 777))
+    count, seed = params["count"], params["seed"]
     res = _pmap(_selector_one, [seed + i for i in range(count)], jobs)
     failures = [r for r in res if r]
-    return _report("selector-audit", {"count": count, "seed": seed}, failures, {"instances": count})
+    return _report("selector-audit", params, failures, {"instances": count})
 
 
 # -- criterion 4: Theorem 2 end to end on PG(2,25) -------------------------------
@@ -295,10 +325,9 @@ def _empty_class_below_13(ns=(2, 3, 4, 5)):
     return checked, free_found
 
 
+@_suite("theorem2-pg", count=200, seed=1302, full_check=5)
 def suite_theorem2_pg(params, jobs=1):
-    count = int(params.get("count", 200))
-    seed = int(params.get("seed", 1302))
-    full_check = int(params.get("full_check", 5))
+    count, seed, full_check = params["count"], params["seed"], params["full_check"]
     k = 13
     failures = []
     host = gen_incidence(25)
@@ -338,14 +367,15 @@ def suite_theorem2_pg(params, jobs=1):
     summary.update({"branches": branch_counts, "emptiness_checked": checked})
     for d in free_found:
         failures.append({"why": "k<=12-class-not-empty", "host": d})
-    return _report("theorem2-pg", {"count": count, "seed": seed}, failures, summary)
+    return _report("theorem2-pg", params, failures, summary)
 
 
 # -- criterion 5: Burr tightness --------------------------------------------------
 
 
+@_suite("burr-tightness", kmax=6)
 def suite_burr_tightness(params, jobs=1):
-    kmax = int(params.get("kmax", 6))
+    kmax = params["kmax"]
     failures = []
     adds = 0
     for k in range(2, kmax + 1):
@@ -369,7 +399,7 @@ def suite_burr_tightness(params, jobs=1):
                     continue
                 if not validate_embedding(star, d2, emb.map):
                     failures.append({"k": k, "added": [u, v], "why": "invalid"})
-    return _report("burr-tightness", {"kmax": kmax}, failures, {"additions": adds})
+    return _report("burr-tightness", params, failures, {"additions": adds})
 
 
 # -- criterion 6: differential soundness ------------------------------------------
@@ -414,22 +444,21 @@ def _differential_one(seed):
     return None
 
 
+@_suite("differential", count=10_000, seed=60_001)
 def suite_differential(params, jobs=1):
-    count = int(params.get("count", 10_000))
-    seed = int(params.get("seed", 60_001))
+    count, seed = params["count"], params["seed"]
     res = _pmap(_differential_one, [seed + i for i in range(count)], jobs)
     failures = [r for r in res if r]
-    return _report("differential", {"count": count, "seed": seed}, failures, {"instances": count})
+    return _report("differential", params, failures, {"instances": count})
 
 
 # -- criterion 7: metamorphic reversal ---------------------------------------------
 
 
+@_suite("reversal-metamorphic", count=1000, pg_count=200, seed=909)
 def suite_reversal(params, jobs=1):
-    count = int(params.get("count", 1000))
-    pg_count = int(params.get("pg_count", 200))
-    seed = int(params.get("seed", 909))
-    rng = random.Random(seed)
+    count, pg_count = params["count"], params["pg_count"]
+    rng = random.Random(params["seed"])
     failures = []
     host_pg = gen_incidence(25)
     pg_free = is_k2s_free(host_pg, 2, prune=True) is True
@@ -464,18 +493,7 @@ def suite_reversal(params, jobs=1):
                 failures.append(
                     {"i": i, "why": why, "host": to_json_obj(d), "tree": to_json_obj(t.tree)}
                 )
-    return _report("reversal-metamorphic", {"count": count, "seed": seed}, failures, {"instances": count})
-
-
-SUITES = {
-    "prop3-exhaustive": suite_prop3_exhaustive,
-    "good-arcs": suite_good_arcs,
-    "selector-audit": suite_selector_audit,
-    "theorem2-pg": suite_theorem2_pg,
-    "burr-tightness": suite_burr_tightness,
-    "differential": suite_differential,
-    "reversal-metamorphic": suite_reversal,
-}
+    return _report("reversal-metamorphic", params, failures, {"instances": count})
 
 
 def run_sweep(cfg: SweepConfig) -> dict:

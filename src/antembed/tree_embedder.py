@@ -1,10 +1,15 @@
 """The full antidirected-tree embedding pipeline.
 
 Entry point ``embed_antitree`` verifies the density and forbidden-subgraph
-hypotheses (certified refusal otherwise), normalizes orientation so some
-maximum-degree vertex is a source, and dispatches on the second-highest
-degree: the low branch splits again on the maximum degree, the high branch
-runs the double-broom pipeline.
+hypotheses (certified refusal otherwise), normalizes orientation and
+dispatches on the second-highest degree: the low branch splits again on the
+maximum degree, the high branch runs the double-broom pipeline.
+
+Orientation is normalized in one place, ``_oriented``: the least-index
+maximum-degree tree vertex must be an out-vertex, otherwise host and tree are
+reversed together.  The dispatcher and the public ``embed_mid_delta`` and
+``embed_big_delta2`` all go through it, so a pair and its reversal always
+reach the same branch code with the same inputs and return equal maps.
 
 Each branch follows its constructive argument step by step.  Greedy maximal
 extension alternates with the argument's exchange moves; the argument's
@@ -82,9 +87,14 @@ class _Chooser:
         return options[idx]
 
 
-def _with_net(fn, width: int = 3, replays: int = 24):
+_NET_WIDTH = 3  # alternatives tried at one choice point
+_NET_REPLAYS = 24  # replays before the assertion propagates
+
+
+def _with_net(fn):
     """Replay ``fn(chooser)``, advancing the deepest advanceable choice point
-    after each InternalAssertion, at most ``width`` alternatives per point."""
+    after each InternalAssertion, at most ``_NET_WIDTH`` alternatives per
+    point and ``_NET_REPLAYS`` replays in all."""
     overrides: list[int] = []
     attempt = 0
     while True:
@@ -93,18 +103,34 @@ def _with_net(fn, width: int = 3, replays: int = 24):
             return fn(ch)
         except InternalAssertion:
             attempt += 1
-            if attempt > replays:
+            if attempt > _NET_REPLAYS:
                 raise
             log = ch.log
             i = len(log) - 1
             while i >= 0:
                 tag, nopt, idx = log[i]
-                if idx + 1 < min(nopt, width):
+                if idx + 1 < min(nopt, _NET_WIDTH):
                     overrides = [e[2] for e in log[:i]] + [idx + 1]
                     break
                 i -= 1
             if i < 0:
                 raise
+
+
+def _net_embedding(fn, t: AntiTree, d: Digraph, tag: str, trace: list, case=None) -> EmbedOutcome:
+    """Run ``fn`` under the re-choice net and return its map as a validated
+    embedding of t into d; InternalAssertion ``tag`` when it is not one."""
+    mapping = _with_net(fn)
+    if not validate_embedding(t, d, mapping):
+        raise InternalAssertion(tag, trace=trace)
+    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
+
+
+def _note(trace: list, tag: str, holds, **data):
+    """Log the checkpoint ``tag`` (one of the argument's displayed
+    inequalities) with whether it holds; returns ``holds``."""
+    trace.append({"event": "check", "tag": tag, "holds": bool(holds), **data})
+    return holds
 
 
 # -- embedding context ----------------------------------------------------------
@@ -157,13 +183,16 @@ class _Ctx:
         return bits
 
     def cand_list(self, x: int) -> list[int]:
-        out = list(bits_of(self.cand_mask(x)))
         if self.t.deg[x] > 1:
-            # a vertex that will need sign(x)-arcs for its children should
-            # keep a positive core degree in that direction
-            sg = self.t.sign[x]
-            out.sort(key=lambda c: (0 if self.core.sign_deg(c, sg) > 0 else 1, c))
-        return out
+            return self.ranked(self.cand_mask(x), self.t.sign[x])
+        return list(bits_of(self.cand_mask(x)))
+
+    def ranked(self, bits: int, sign: int) -> list[int]:
+        """The vertices of ``bits`` in increasing order, those of positive core
+        sign-degree first: a non-leaf of that sign seated there still needs
+        sign-arcs to its own children."""
+        rows = self.core.out_bits if sign > 0 else self.core.in_bits
+        return sorted(bits_of(bits), key=lambda c: (not rows[c], c))
 
     # mutation ----------------------------------------------------------
 
@@ -188,9 +217,33 @@ class _Ctx:
         self.unplace(x)
         self.place(x, h)
 
+    def hand_over(self, x: int, slots: int, y: int):
+        """The exchange move: x steps to the least vertex of ``slots`` and y
+        takes the image x leaves."""
+        old = self.f[x]
+        self.move(x, min(bits_of(slots)))
+        self.place(y, old)
+
     def reset_to(self, keep: dict[int, int]):
         self.f = dict(keep)
         self.used = _mask(keep.values())
+
+    def seat_children(self, x: int, kids, slots: int, tag: str):
+        """Place ``kids``, children of the placed x, on free vertices of
+        ``slots``: the non-leaves on core vertices (``ranked``), then the
+        leaves on what is left, non-core vertices first."""
+        t = self.t
+        kids = sorted(kids)
+        non_leaf = [c for c in kids if t.deg[c] > 1]
+        leaf = [c for c in kids if t.deg[c] == 1]
+        core_free = slots & self.core_bits & ~self.used
+        self.require(tag + "-core", core_free.bit_count() >= len(non_leaf), have=core_free.bit_count())
+        for c, s in zip(non_leaf, self.ranked(core_free, -t.sign[x])):
+            self.place(c, s)
+        rest = slots & ~self.used
+        self.require(tag + "-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
+        for c, s in zip(leaf, sorted(bits_of(rest), key=lambda q: ((self.core_bits >> q) & 1, q))):
+            self.place(c, s)
 
     # traversal ---------------------------------------------------------
 
@@ -234,13 +287,19 @@ class _Ctx:
     # checkpoints ---------------------------------------------------------
 
     def note(self, tag: str, holds: bool, **data):
-        self.trace.append({"event": "check", "tag": tag, "holds": bool(holds), **data})
-        return holds
+        return _note(self.trace, tag, holds, **data)
 
     def require(self, tag: str, holds: bool, **data):
-        self.trace.append({"event": "check", "tag": tag, "holds": bool(holds), **data})
-        if not holds:
+        if not _note(self.trace, tag, holds, **data):
             raise InternalAssertion(tag, trace=self.trace, **data)
+
+    def stalled(self, host: Digraph, k: int, probes: list, tag: str, **data):
+        """Fail ``tag`` at a stall the argument rules out, after logging the
+        K4-bound report of the probes (when there are three) on the images."""
+        if len(probes) == 3:
+            rep = k4_bound_check(host, (k + 11) // 12, list(self.f.values()), probes, k=k)
+            self.trace.append({"event": "k4-report", "report": rep.__dict__})
+        self.require(tag, False, **data)
 
 
 # -- the low-maximum-degree embedder (whole tree inside the pruned core) --------
@@ -252,10 +311,8 @@ def embed_low_delta(d_core: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
     Works entirely inside the pruned core whose pseudo-semidegree reaches
     k/2; applies when the tree's maximum degree stays below k/4."""
     trace: list = []
-    mapping = _with_net(lambda ch: _low_delta_impl(d_core, t, k, ch, trace))
-    if not validate_embedding(t, d_core, mapping):
-        raise InternalAssertion("low-delta-validate", trace=trace)
-    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=CaseTag("LowDelta", {"k": k}))
+    return _net_embedding(lambda ch: _low_delta_impl(d_core, t, k, ch, trace), t, d_core,
+                          "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
 
 
 def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: list) -> dict[int, int]:
@@ -339,15 +396,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
         )
         bbits = core.neighbor_bits(ctx.f[pz], -sz) & ~ctx.used
         if not bbits:
-            rep = k4_bound_check(
-                core,
-                (k + 11) // 12,
-                list(ctx.f.values()),
-                [(ctx.f[w], sw), (ctx.f[z], sz), (ctx.f[pz], -sz)],
-                k=k,
-            )
-            trace.append({"event": "k4-report", "report": rep.__dict__})
-            ctx.require("allhappy63", False)
+            ctx.stalled(core, k, [(ctx.f[w], sw), (ctx.f[z], sz), (ctx.f[pz], -sz)], "allhappy63")
         b = ch.pick("63:b", sorted(bits_of(bbits)))
         X = core.neighbor_bits(b, sz) & ~ctx.used & ~(1 << b)
         kids = list(ctx.rv.children[z])
@@ -363,7 +412,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
             ctx.place(child, slot)
 
 
-# -- radius-two and layered wide-star embedders ----------------------------------
+# -- the layered wide-star embedder ------------------------------------------------
 
 
 def _pick_out_max(t: AntiTree, hub: int | None = None):
@@ -376,37 +425,13 @@ def _pick_out_max(t: AntiTree, hub: int | None = None):
     return (outs[0] if outs else None), stats
 
 
-def _check_wide_star_pre(d, d_core, t, k, anchor, stats, strict=True):
-    prof = degree_profile(d_core)
-    if 2 * prof.delta0_bar < k:
-        raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
-    if d.sign_deg(anchor, +1) < stats.delta:
-        raise HypothesisViolated("anchor-outdegree", have=d.sign_deg(anchor, +1), need=stats.delta)
-    if strict and 4 * stats.delta <= k:
-        raise HypothesisViolated("delta-too-small", delta=stats.delta, k=k)
-    if strict and stats.delta2 > k // 4 + 2:
-        raise HypothesisViolated("delta2-too-big", delta2=stats.delta2, k=k)
-
-
 def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
     """Hub on the anchor, children in the anchor's out-neighborhood with
     non-leaves on core vertices, then the radius-2 extension; a stall swaps a
     depth-2 vertex aside so the blocked child can inherit its slot."""
     t, d, core = ctx.t, ctx.d, ctx.core
     ctx.place(u, anchor)
-    kids = sorted(ctx.rv.children[u])
-    non_leaf = [c for c in kids if t.deg[c] > 1]
-    leaf = [c for c in kids if t.deg[c] == 1]
-    out_core = d.neighbor_bits(anchor, +1) & ctx.core_bits & ~ctx.used
-    ctx.require("pu:anchor-core", out_core.bit_count() >= len(non_leaf), have=out_core.bit_count())
-    core_slots = sorted(bits_of(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
-    for c, slot in zip(non_leaf, core_slots):
-        ctx.place(c, slot)
-    rest = d.neighbor_bits(anchor, +1) & ~ctx.used
-    ctx.require("pu:anchor-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
-    pref = sorted(bits_of(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
-    for c, slot in zip(leaf, pref):
-        ctx.place(c, slot)
+    ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(anchor, +1), "pu:anchor")
 
     guard = 0
     while True:
@@ -434,48 +459,12 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
         for y in ys:
             re = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
             if re:
-                old = ctx.f[y]
-                ctx.move(y, min(bits_of(re)))
-                ctx.place(wprime, old)
+                ctx.hand_over(y, re, wprime)
                 moved = True
                 break
         if not moved:
-            rep = k4_bound_check(
-                d,
-                (k + 11) // 12,
-                list(ctx.f.values()),
-                [(anchor, +1), (ctx.f[w], sw), (ctx.f[ctx.rv.parent[ys[0]]], -t.sign[ys[0]])],
-                k=k,
-            )
-            ctx.trace.append({"event": "k4-report", "report": rep.__dict__})
-            ctx.require("pu:k4", False)
-
-
-def embed_radius_two(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: int) -> EmbedOutcome:
-    """Embed a tree of radius two around its out-hub, hub on the anchor, with
-    non-core vertices spent only on the hub's leaf neighbors."""
-    u, stats = _pick_out_max(t)
-    if u is None:
-        raise HypothesisViolated("no-out-max-vertex")
-    rv = rooted_view(t, u)
-    if max(rv.depth) > 2:
-        raise HypothesisViolated("radius", depth=max(rv.depth))
-    _check_wide_star_pre(d, d_core, t, k, anchor, stats)
-    trace: list = []
-
-    def run(ch):
-        ctx = _Ctx(t, d, d_core, "pu", root=u, u_root=u, trace=trace)
-        _pu_place_ball(ctx, u, anchor, k, set(range(t.n)))
-        return dict(ctx.f)
-
-    mapping = _with_net(run)
-    if not validate_embedding(t, d, mapping):
-        raise InternalAssertion("pu-validate", trace=trace)
-    return EmbedOutcome(
-        embedding=Embedding(map=mapping),
-        trace=trace,
-        case=CaseTag("MidDelta", {"k": k, "op": "radius2"}),
-    )
+            y = ys[0]
+            ctx.stalled(d, k, [(anchor, +1), (ctx.f[w], sw), (ctx.f[ctx.rv.parent[y]], -t.sign[y])], "pu:k4")
 
 
 def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
@@ -566,10 +555,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
             ctx.require("case3b:Q", False, open=len(opens))
 
 
-def _wide_star_impl(d, core, t, k, anchor, hub, ch, trace) -> dict[int, int]:
-    u, stats = _pick_out_max(t, hub)
-    if u is None:
-        raise HypothesisViolated("no-out-max-vertex")
+def _wide_star_impl(d, core, t, k, anchor, u, ch, trace) -> dict[int, int]:
     ctx = _Ctx(t, d, core, "pu", root=u, u_root=u, trace=trace)
     ball = {x for x in range(t.n) if ctx.rv.depth[x] <= 2}
     _pu_place_ball(ctx, u, anchor, k, ball)
@@ -586,16 +572,18 @@ def embed_wide_star(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: in
     u, stats = _pick_out_max(t, hub)
     if u is None:
         raise HypothesisViolated("no-out-max-vertex")
-    _check_wide_star_pre(d, d_core, t, k, anchor, stats, strict=strict)
+    prof = degree_profile(d_core)
+    if 2 * prof.delta0_bar < k:
+        raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
+    if d.sign_deg(anchor, +1) < stats.delta:
+        raise HypothesisViolated("anchor-outdegree", have=d.sign_deg(anchor, +1), need=stats.delta)
+    if strict and 4 * stats.delta <= k:
+        raise HypothesisViolated("delta-too-small", delta=stats.delta, k=k)
+    if strict and stats.delta2 > k // 4 + 2:
+        raise HypothesisViolated("delta2-too-big", delta2=stats.delta2, k=k)
     trace: list = []
-    mapping = _with_net(lambda ch: _wide_star_impl(d, d_core, t, k, anchor, hub, ch, trace))
-    if not validate_embedding(t, d, mapping):
-        raise InternalAssertion("wide-star-validate", trace=trace)
-    return EmbedOutcome(
-        embedding=Embedding(map=mapping),
-        trace=trace,
-        case=CaseTag("MidDelta", {"k": k, "op": "wide-star"}),
-    )
+    return _net_embedding(lambda ch: _wide_star_impl(d, d_core, t, k, anchor, u, ch, trace), t, d,
+                          "wide-star-validate", trace, CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
 
 
 # -- the middle branch -----------------------------------------------------------
@@ -608,14 +596,11 @@ def embed_mid_delta(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
         raise HypothesisViolated("mid-delta-range", delta=delta, delta2=stats.delta2, k=k)
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a())
-    if not any(t.deg[v] == delta and t.sign[v] > 0 for v in range(t.n)):
-        # realize the top degree as out-degree; the map transfers unchanged
-        out = embed_mid_delta(reverse(d), reverse_antitree(t), k)
-        out.trace.append({"event": "normalize", "reversed": True})
-        return out
+    trace: list = []
+    d, t = _oriented(d, t, trace)
     r = min((k + 1) // 2, k - delta + 1)
     sel = select_subdigraph(d, k, r)
-    trace: list = [{"event": "select", "case": sel.case_tag, "r": r}]
+    trace.append({"event": "select", "case": sel.case_tag, "r": r})
     tag = CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
     if sel.case_tag == "II":
         prof = degree_profile(sel.sub)
@@ -633,29 +618,27 @@ def embed_mid_delta(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
         if 2 * prof.delta0_bar >= k:
             out = embed_wide_star(d, sel.sub, t, k, sel.witness_vertex)
         else:
-            out = _strip_and_reattach(d, sel, t, k, r, [])
+            out = _strip_and_reattach(d, sel, t, k, r)
     out.trace[:0] = trace
     out.case = tag
     return out
 
 
-def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r: int, trace: list) -> EmbedOutcome:
+def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r: int) -> EmbedOutcome:
+    trace: list = []
     u, stats = _pick_out_max(t)
     leaves_u = sorted(x for x in t.adj[u] if t.deg[x] == 1)
     strip = stats.delta - r
     if len(leaves_u) < strip + 1:
         raise InternalAssertion("strip-leaf-count", have=len(leaves_u), need=strip + 1, trace=trace)
     dropped = leaves_u[:strip]
-    keep_vs = sorted(set(range(t.n)) - set(dropped))
-    relabel = {v: i for i, v in enumerate(keep_vs)}
-    arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in relabel and b in relabel]
-    tstar = validate_antitree(Digraph(len(keep_vs), arcs))
+    tstar, relabel = _induced_tree(t, set(range(t.n)).difference(dropped))
     kprime = 2 * r - 1
     if tstar.k != kprime:
         raise InternalAssertion("strip-arith", have=tstar.k, need=kprime, trace=trace)
     anchor = sel.witness_vertex
     inner = embed_wide_star(d, sel.sub, tstar, kprime, anchor, strict=False, hub=relabel[u])
-    mapping = {v: inner.embedding.map[relabel[v]] for v in keep_vs}
+    mapping = {v: inner.embedding.map[i] for v, i in relabel.items()}
     core = sel.sub
     slots = sorted(bits_of(core.neighbor_bits(anchor, +1) & ~_mask(mapping.values())))
     if len(slots) < strip:
@@ -672,7 +655,9 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r
 # -- the double-broom branch -------------------------------------------------------
 
 
-def _broom_tree(t: AntiTree, verts):
+def _induced_tree(t: AntiTree, verts: set[int]):
+    """The subtree of t induced on ``verts``, relabeled 0.. in vertex order,
+    and the relabeling."""
     keep = sorted(verts)
     relabel = {v: i for i, v in enumerate(keep)}
     arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in verts and b in verts]
@@ -680,9 +665,7 @@ def _broom_tree(t: AntiTree, verts):
 
 
 def _uv_for_big_delta2(t: AntiTree):
-    stats = degree_stats(t)
-    outs = [v for v in range(t.n) if t.deg[v] == stats.delta and t.sign[v] > 0]
-    u = outs[0]
+    u, stats = _pick_out_max(t)
     rest = [v for v in range(t.n) if v != u]
     d2 = max(t.deg[v] for v in rest)
     v = min(x for x in rest if t.deg[x] == d2)
@@ -706,10 +689,8 @@ def embed_big_delta2(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
         raise HypothesisViolated("delta2-too-small", delta2=stats.delta2, k=k)
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a())
-    if not any(t.deg[v] == stats.delta and t.sign[v] > 0 for v in range(t.n)):
-        out = embed_big_delta2(reverse(d), reverse_antitree(t), k)
-        out.trace.append({"event": "normalize", "reversed": True})
-        return out
+    trace: list = []
+    d, t = _oriented(d, t, trace)
     letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
     sel = select_subdigraph(d, k, r)
     if letter == "A":
@@ -721,7 +702,7 @@ def embed_big_delta2(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
         {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
          "broom_size": len(broom.vertices), "padded": padded},
     )
-    trace: list = [{"event": "broom-case", "branch": branch, "r": r}]
+    trace.append({"event": "broom-case", "branch": branch, "r": r})
     partial = embed_double_broom(d, sel, t, k, tag)
     trace.extend(partial.trace)
     out = extend_from_broom(d, sel, t, partial.embedding.map, tag)
@@ -756,9 +737,9 @@ def embed_double_broom(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, ca
 
 
 def _broom_catmindeg(core: Digraph, t: AntiTree, broom, k: int, trace: list) -> dict[int, int]:
-    bt, relabel = _broom_tree(t, broom.vertices)
+    bt, relabel = _induced_tree(t, broom.vertices)
     tp, tm = bt.plus_minus()
-    trace.append({"event": "check", "tag": "B-I:balance", "holds": len(tp) <= len(tm)})
+    _note(trace, "B-I:balance", len(tp) <= len(tm))
     emb = embed_caterpillar_mindeg(core, bt)
     return {v: emb.map[relabel[v]] for v in broom.vertices}
 
@@ -766,12 +747,12 @@ def _broom_catmindeg(core: Digraph, t: AntiTree, broom, k: int, trace: list) -> 
 def _broom_a_padded(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
     v = case.params["v"]
     dlt = case.params["delta"] - case.params["delta2"]
-    bt, relabel = _broom_tree(t, broom.vertices)
+    bt, relabel = _induced_tree(t, broom.vertices)
     arcs = list(bt.tree.arcs) + [(bt.n + i, relabel[v]) for i in range(dlt)]
     padded = validate_antitree(Digraph(bt.n + dlt, arcs))
-    trace.append({"event": "check", "tag": "A-II:size", "holds": padded.n <= k + 1, "size": padded.n})
+    _note(trace, "A-II:size", padded.n <= k + 1, size=padded.n)
     tp, tm = padded.plus_minus()
-    trace.append({"event": "check", "tag": "A-II:balance", "holds": len(tp) == len(tm)})
+    _note(trace, "A-II:balance", len(tp) == len(tm))
     if padded.n > k + 1:
         raise InternalAssertion("A-II:size", trace=trace)
     emb = embed_caterpillar_mindeg(core, padded)
@@ -805,36 +786,9 @@ def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, ch
             if inv[h] in t.adj[u] and inv[h] not in broom.path_uv and ctx.embedded_leaf(inv[h])
         ]
         ctx.require("A-I:h", bool(hs), z=z)
-        moved = False
-        for h in sorted(hs):
-            re = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
-            if re:
-                old = ctx.f[h]
-                ctx.move(h, min(bits_of(re)))
-                ctx.place(zprime, old)
-                moved = True
-                break
-        ctx.require("A-I:reembed", moved)
-
-
-def _seed_hub(ctx: _Ctx, x: int, a: int):
-    """Hub x on a, children into a's full-host out-neighborhood; core slots go
-    to the non-leaf children first."""
-    t, d, core = ctx.t, ctx.d, ctx.core
-    ctx.place(x, a)
-    kids = sorted(ctx.rv.children[x])
-    non_leaf = [c for c in kids if t.deg[c] > 1]
-    leaf = [c for c in kids if t.deg[c] == 1]
-    out_core = d.neighbor_bits(a, +1) & ctx.core_bits & ~ctx.used
-    ctx.require("hub-core-capacity", out_core.bit_count() >= len(non_leaf), have=out_core.bit_count())
-    slots = sorted(bits_of(out_core), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
-    for c, s in zip(non_leaf, slots):
-        ctx.place(c, s)
-    rest = d.neighbor_bits(a, +1) & ~ctx.used
-    ctx.require("hub-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
-    pref = sorted(bits_of(rest), key=lambda c: ((ctx.core_bits >> c) & 1, c))
-    for c, s in zip(leaf, pref):
-        ctx.place(c, s)
+        re = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
+        ctx.require("A-I:reembed", re != 0)
+        ctx.hand_over(min(hs), re, zprime)
 
 
 def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, trace: list):
@@ -863,7 +817,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
     r = case.params["r"]
     prof = degree_profile(core)
     b_vertex = sel.witness_vertex  # in-degree >= k inside the core
-    trace.append({"event": "check", "tag": "bwithindegk", "holds": prof.in_deg[b_vertex] >= k})
+    _note(trace, "bwithindegk", prof.in_deg[b_vertex] >= k)
     scope = set(broom.vertices)
     plus_members = sorted(c for c in range(d.n) if prof.out_deg[c] > 0)
 
@@ -872,7 +826,8 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         # other extension step keeps ~5k/12 slack: plain greedy suffices
         ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
         a = ch.pick("Bii:bigdelta-anchor", plus_members)
-        _seed_hub(ctx, u, a)
+        ctx.place(u, a)
+        ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
         opens = ctx.greedy(scope)
         ctx.require("Bii:bigdelta", not opens, open=len(opens))
         return dict(ctx.f)
@@ -885,7 +840,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         a = ch.pick("Bii:dstar-anchor", ins)
         ctx.place(u, a)
         ctx.place(v, b_vertex)
-        _seed_rest_of_hub(ctx, u, exclude={v})
+        ctx.seat_children(u, [c for c in ctx.rv.children[u] if c != v], d.neighbor_bits(a, +1), "hub")
         slots = sorted(bits_of(core.neighbor_bits(b_vertex, -1) & ~ctx.used))
         vkids = [c for c in t.adj[v] if c != u]
         ctx.require("Bii:dstar-capacity", len(slots) >= len(vkids))
@@ -893,7 +848,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
             ctx.place(c, s)
         return dict(ctx.f)
 
-    trace.append({"event": "check", "tag": "notdoublestar", "holds": True})
+    _note(trace, "notdoublestar", True)
     x, y, case_no = _relabel_xy(t, u, v, delta, delta2, k, trace)
     ctx = _Ctx(t, d, core, "suitable", root=x, trace=trace)
     if case_no == 3:
@@ -903,12 +858,13 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         ctx.require("Bii:iii-capacity", len(slots) >= len(kids))
         for c, s in zip(kids, slots):
             ctx.place(c, s)
-        trace.append({"event": "check", "tag": "eq:degree-k", "holds": prof.in_deg[b_vertex] >= k})
+        ctx.note("eq:degree-k", prof.in_deg[b_vertex] >= k)
     else:
         a = ch.pick("Bii:anchor", plus_members)
-        trace.append({"event": "check", "tag": "degaD'712", "holds": 12 * d.out_deg(a) >= 7 * k})
-        _seed_hub(ctx, x, a)
-        trace.append({"event": "check", "tag": "eq:eeeee", "holds": 12 * d.out_deg(ctx.f[x]) >= 7 * k})
+        ctx.note("degaD'712", 12 * d.out_deg(a) >= 7 * k)
+        ctx.place(x, a)
+        ctx.seat_children(x, ctx.rv.children[x], d.neighbor_bits(a, +1), "hub")
+        ctx.note("eq:eeeee", 12 * d.out_deg(ctx.f[x]) >= 7 * k)
 
     path_xy = t.path(x, y)
     n_x = [c for c in t.adj[x] if c not in path_xy]
@@ -935,22 +891,6 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         ctx.require("thirdpart2:final", False)
 
 
-def _seed_rest_of_hub(ctx: _Ctx, x: int, exclude):
-    t, d = ctx.t, ctx.d
-    a = ctx.f[x]
-    kids = sorted(c for c in ctx.rv.children[x] if c not in exclude)
-    non_leaf = [c for c in kids if t.deg[c] > 1]
-    leaf = [c for c in kids if t.deg[c] == 1]
-    out_core = d.neighbor_bits(a, +1) & ctx.core_bits & ~ctx.used
-    ctx.require("hub-core-capacity", out_core.bit_count() >= len(non_leaf))
-    for c, s in zip(non_leaf, sorted(bits_of(out_core))):
-        ctx.place(c, s)
-    rest = sorted(bits_of(d.neighbor_bits(a, +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
-    ctx.require("hub-capacity", len(rest) >= len(leaf))
-    for c, s in zip(leaf, rest):
-        ctx.place(c, s)
-
-
 def _bii_eqqqq_escape(ctx: _Ctx, opens, x: int, n_x) -> bool:
     """Free a child of the hub whose image can host a blocked extension."""
     t, core = ctx.t, ctx.core
@@ -967,8 +907,7 @@ def _bii_eqqqq_escape(ctx: _Ctx, opens, x: int, n_x) -> bool:
             if t.deg[w2] > 1:
                 re &= ctx.core_bits
             if re:
-                ctx.move(w2, min(bits_of(re)))
-                ctx.place(zprime, h)
+                ctx.hand_over(w2, re, zprime)
                 return True
     return False
 
@@ -987,10 +926,7 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         ctx.require("Bii:iii-slot", slots != 0)
         ok = [c for c in xs if t.deg[yprime] == 1 or (ctx.core_bits >> ctx.f[c]) & 1]
         ctx.require("Bii:iii-compat", bool(ok))
-        xprime = min(ok)
-        old = ctx.f[xprime]
-        ctx.move(xprime, min(bits_of(slots)))
-        ctx.place(yprime, old)
+        ctx.hand_over(min(ok), slots, yprime)
         return True
     ctx.note("eq:extra", 12 * (d.neighbor_bits(ctx.f[x], +1) & ctx.used).bit_count() < 7 * k)
     bfree = d.neighbor_bits(ctx.f[x], +1) & ~ctx.used
@@ -1000,13 +936,11 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         if t.deg[yprime] > 1 and not (ctx.core_bits >> h) & 1:
             continue
         if t.deg[xprime] == 1:
-            ctx.move(xprime, min(bits_of(bfree)))
-            ctx.place(yprime, h)
+            ctx.hand_over(xprime, bfree, yprime)
             return True
         bcore = bfree & ctx.core_bits
         if bcore:
-            ctx.move(xprime, min(bits_of(bcore)))
-            ctx.place(yprime, h)
+            ctx.hand_over(xprime, bcore, yprime)
             return True
     ctx.note("eq:x-neighborhood", core.neighbor_bits(ctx.f[x], +1) & ~ctx.used == 0)
     xprime = next((c for c in sorted(xs) if t.deg[c] > 1), None)
@@ -1048,10 +982,7 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
         if c in ctx.f and t.deg[c] == 1 and (ctx.core_bits >> ctx.f[c]) & 1 and ctx.embedded_leaf(c)
     ]
     ctx.require("Bii:ii-ystar", bool(ystars))
-    ystar = min(ystars)
-    old = ctx.f[ystar]
-    ctx.move(ystar, b2v)
-    ctx.place(yprime, old)
+    ctx.hand_over(min(ystars), 1 << b2v, yprime)
     return True
 
 
@@ -1078,7 +1009,7 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
             if c in yball or c == y:
                 ctx.unplace(c)
         ctx.place(y, b)
-        _fan_children(ctx, y, r1_bits & ~ctx.used, yball)
+        ctx.seat_children(y, yball, r1_bits, "r1")
         return _bii_done(ctx, broom)
     ctx.note("claim:second-optionx", r1 + r2 < need, r1=r1, r2=r2)
     if r1 + r2 >= need:
@@ -1087,7 +1018,7 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
                 if c in yball or c == y or c in n_x:
                     ctx.unplace(c)
             ctx.place(y, b)
-            _fan_children(ctx, y, (r1_bits | r2_bits) & ~ctx.used, yball)
+            ctx.seat_children(y, yball, r1_bits | r2_bits, "r1")
             slots = core.neighbor_bits(ctx.f[x], -1) & ~ctx.used
             ctx.require("Bii:iii-refill", slots.bit_count() >= len(n_x))
             for c, s in zip(sorted(n_x), sorted(bits_of(slots))):
@@ -1106,38 +1037,10 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
             if c in yball or c == y or c in displaced:
                 ctx.unplace(c)
         ctx.place(y, b)
-        _fan_children(ctx, y, (r1_bits | _mask(take)) & ~ctx.used, yball)
-        slots = d.neighbor_bits(ctx.f[x], +1) & ~ctx.used
-        non_leaf = [c for c in displaced if t.deg[c] > 1]
-        core_slots = slots & ctx.core_bits
-        ctx.require(
-            "Bii:2x-count",
-            core_slots.bit_count() >= len(non_leaf) and slots.bit_count() >= len(displaced),
-        )
-        it_core = iter(sorted(bits_of(core_slots)))
-        for c in sorted(non_leaf):
-            ctx.place(c, next(it_core))
-        rest = sorted(bits_of(d.neighbor_bits(ctx.f[x], +1) & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
-        it = iter(rest)
-        for c in sorted(c for c in displaced if t.deg[c] == 1):
-            ctx.place(c, next(it))
+        ctx.seat_children(y, yball, r1_bits | _mask(take), "r1")
+        ctx.seat_children(x, displaced, d.neighbor_bits(ctx.f[x], +1), "Bii:2x")
         return _bii_done(ctx, broom)
     return False
-
-
-def _fan_children(ctx: _Ctx, y: int, slot_bits: int, yball):
-    t = ctx.t
-    kids = sorted(yball)
-    non_leaf = [c for c in kids if t.deg[c] > 1]
-    leaf = [c for c in kids if t.deg[c] == 1]
-    core_slots = slot_bits & ctx.core_bits
-    ctx.require("r1-core", core_slots.bit_count() >= len(non_leaf), have=core_slots.bit_count())
-    for c, s in zip(non_leaf, sorted(bits_of(core_slots))):
-        ctx.place(c, s)
-    rest = sorted(bits_of(slot_bits & ~ctx.used), key=lambda q: ((ctx.core_bits >> q) & 1, q))
-    ctx.require("r1-capacity", len(rest) >= len(leaf), have=len(rest))
-    for c, s in zip(leaf, rest):
-        ctx.place(c, s)
 
 
 def _bii_done(ctx: _Ctx, broom) -> bool:
@@ -1154,26 +1057,22 @@ def extend_from_broom(d: Digraph, sel: SelectionResult, t: AntiTree, partial: di
     k = case.params["k"]
     if case.branch in ("BroomA", "BroomB_II"):
         mode = "core" if case.branch == "BroomA" else "suitable"
-        mapping = _with_net(lambda ch: _claim_oc(d, sel.sub, t, partial, case, mode, k, ch, trace))
+        fn = lambda ch: _claim_oc(d, sel.sub, t, partial, case, mode, k, ch, trace)
     else:
         r = case.params["r"]
         delta = case.params["delta"]
         if r == k - delta and r < (5 * k + 11) // 12:
-            mapping = _with_net(lambda ch: _bi_big_delta(sel.sub, t, sel, k, case, ch, trace))
+            fn = lambda ch: _bi_big_delta(sel.sub, t, sel, k, case, ch, trace)
         else:
-            mapping = _with_net(lambda ch: _bi_small_delta(sel.sub, t, partial, k, case, ch, trace))
-    if not validate_embedding(t, d, mapping):
-        raise InternalAssertion("extend-validate", trace=trace)
-    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
+            fn = lambda ch: _bi_small_delta(sel.sub, t, partial, k, case, ch, trace)
+    return _net_embedding(fn, t, d, "extend-validate", trace, case)
 
 
 def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, mode: str, k: int, ch: _Chooser, trace: list) -> dict[int, int]:
     """Maximal extension beyond the broom with the leaf-relocation exchange."""
     u, v = case.params["u"], case.params["v"]
     ctx = _Ctx(t, core if mode == "core" else d, core, mode, root=u, trace=trace)
-    for v2, h in partial.items():
-        ctx.f[v2] = h
-        ctx.used |= 1 << h
+    ctx.reset_to(partial)
     full = set(range(t.n))
     guard = 0
     while True:
@@ -1202,9 +1101,7 @@ def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], c
             if ctx.core_bound(xv):
                 re &= ctx.core_bits
             if re:
-                old = ctx.f[xv]
-                ctx.move(xv, min(bits_of(re)))
-                ctx.place(wprime, old)
+                ctx.hand_over(xv, re, wprime)
                 moved = True
                 break
         if not moved:
@@ -1213,10 +1110,7 @@ def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], c
                 hq = ctx.f.get(q)
                 if hq is not None and all(hq != p0 for p0, _ in probes) and len(probes) < 3:
                     probes.append((hq, t.sign[q]))
-            if len(probes) == 3:
-                rep = k4_bound_check(d, (k + 11) // 12, list(ctx.f.values()), probes, k=k)
-                trace.append({"event": "k4-report", "report": rep.__dict__})
-            ctx.require("claim-oc", False, stalled=(w, wprime))
+            ctx.stalled(d, k, probes, "claim-oc", stalled=(w, wprime))
 
 
 def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case: CaseTag, ch: _Chooser, trace: list) -> dict[int, int]:
@@ -1238,17 +1132,10 @@ def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case
     ctx.note("eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
     opens = ctx.greedy(part1 | {u})
     ctx.require("BIbig:part1", not opens, open=len(opens))
-    free = core.neighbor_bits(a, +1) & ~ctx.used
-    slots = sorted(bits_of(free), key=lambda c: (0 if core.sign_deg(c, -1) > 0 else 1, c))
-    ctx.require("BIbig:part2", len(slots) >= len(heavy))
-    for c, s in zip(sorted(heavy), slots):
-        ctx.place(c, s)
+    ctx.seat_children(u, heavy, core.neighbor_bits(a, +1), "BIbig:part2")
     opens = ctx.greedy(set(range(t.n)) - leaves_u)
     ctx.require("BIbig:Du", not opens, open=len(opens))
-    slots = sorted(bits_of(core.neighbor_bits(a, +1) & ~ctx.used))
-    ctx.require("BIbig:leaves", len(slots) >= len(leaves_u))
-    for c, s in zip(sorted(leaves_u), slots):
-        ctx.place(c, s)
+    ctx.seat_children(u, leaves_u, core.neighbor_bits(a, +1), "BIbig:leaves")
     return dict(ctx.f)
 
 
@@ -1260,9 +1147,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
     prof = degree_profile(core)
     ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
     ctx.note("eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
-    for v2, h in partial.items():
-        ctx.f[v2] = h
-        ctx.used |= 1 << h
+    ctx.reset_to(partial)
     full = set(range(t.n))
     broom_set = set(partial)
     path_uv = set(t.path(u, v))
@@ -1349,6 +1234,15 @@ def _refusal(kind: str, trace: list, **data) -> EmbedOutcome:
     return EmbedOutcome(embedding=None, trace=trace, failure={"kind": kind, **data})
 
 
+def _oracle_after(d: Digraph, t: AntiTree, budget: int | None, trace: list) -> EmbedOutcome:
+    """The exact oracle's outcome, its trace led by the events that sent the
+    run there.  ``oracle_fallback`` is looked up here at call time, so a
+    wrapper installed on the module sees every fallback."""
+    fb = oracle_fallback(d, t, budget)
+    fb.trace[:0] = trace
+    return fb
+
+
 def oracle_fallback(d: Digraph, t: AntiTree, budget: int | None = None) -> EmbedOutcome:
     stats = oracle_embed(d, t, budget)
     trace = [{"event": "oracle", "verdict": stats.verdict, "nodes": stats.nodes_expanded}]
@@ -1373,11 +1267,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
     trace: list = []
     if d.a() <= (k - 1) * d.n:
         out = _refusal("density", trace, arcs=d.a(), need=(k - 1) * d.n + 1)
-        if force_oracle:
-            fb = oracle_fallback(d, t, budget)
-            fb.trace[:0] = trace
-            return fb
-        return out
+        return _oracle_after(d, t, budget, trace) if force_oracle else out
     if k == 1:
         # a single arc needs no forbidden-subgraph hypothesis, and the choice
         # below is invariant under reversing host and tree together
@@ -1402,36 +1292,31 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
             witness={"a": free.a, "b": free.b, "sign_a": free.sign_a,
                      "sign_b": free.sign_b, "common": sorted(free.common)},
         )
-        if force_oracle:
-            fb = oracle_fallback(d, t, budget)
-            fb.trace[:0] = trace
-            return fb
-        return out
+        return _oracle_after(d, t, budget, trace) if force_oracle else out
     try:
         out = _dispatch(d, t, k, trace)
     except InternalAssertion as exc:
         trace.append({"event": "internal-assertion", "tag": exc.tag, "data": exc.data})
-        fb = oracle_fallback(d, t, budget)
-        fb.trace[:0] = trace
-        return fb
+        return _oracle_after(d, t, budget, trace)
     if not validate_embedding(t, d, out.embedding.map):
         trace.append({"event": "internal-assertion", "tag": "final-validate"})
-        fb = oracle_fallback(d, t, budget)
-        fb.trace[:0] = trace
-        return fb
+        return _oracle_after(d, t, budget, trace)
     return out
 
 
+def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:
+    """The pair as given when the least-index maximum-degree vertex of t is an
+    out-vertex, else both reversed (logged).  An embedding of the reversed
+    tree into the reversed host is the same map, so this is the one place
+    where orientation is chosen."""
+    if t.sign[t.deg.index(max(t.deg))] > 0:
+        return d, t
+    trace.append({"event": "normalize", "reversed": True})
+    return reverse(d), reverse_antitree(t)
+
+
 def _dispatch(d: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
-    stats = degree_stats(t)
-    witness = min(v for v in range(t.n) if t.deg[v] == stats.delta)
-    if t.sign[witness] < 0:
-        trace.append({"event": "normalize", "reversed": True})
-        return _dispatch_oriented(reverse(d), reverse_antitree(t), k, trace)
-    return _dispatch_oriented(d, t, k, trace)
-
-
-def _dispatch_oriented(d: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
+    d, t = _oriented(d, t, trace)
     stats = degree_stats(t)
     if stats.delta2 <= k // 4 + 2:
         if 4 * stats.delta <= k:

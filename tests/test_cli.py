@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import antembed as ae
 from antembed.cli import main
 from antembed.digraph import Digraph, to_arclist
@@ -97,6 +99,44 @@ def test_sweep_cli(tmp_path, capsys):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["schema"] == 1 and report["ok"]
+    capsys.readouterr()
+
+
+def test_sweep_report_echoes_every_param(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["sweep", "--suite", "reversal-metamorphic", "--param", "count=3", "--param", "pg_count=0",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["params"] == {"count": 3, "pg_count": 0, "seed": 909}
+    capsys.readouterr()
+
+
+def _sweep_error(capsys, param):
+    assert main(["sweep", "--suite", "burr-tightness", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "ok=" not in captured.out  # rejected before the run
+    return captured.err
+
+
+def test_sweep_param_without_a_value_exits_2(capsys):
+    assert "'kmax'" in _sweep_error(capsys, "kmax")
+
+
+def test_sweep_param_that_is_not_an_integer_exits_2(capsys):
+    assert "kmax='x'" in _sweep_error(capsys, "kmax=x")
+
+
+def test_sweep_unknown_param_exits_2(capsys):
+    assert "'kmaxx'" in _sweep_error(capsys, "kmaxx=3")
+
+
+def test_global_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "gen", "random", "--n", "6", "--k", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["gen", "random", "--n", "6", "--k", "2", "--seed", "5"]) == 0
     capsys.readouterr()
 
 

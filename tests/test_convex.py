@@ -26,16 +26,28 @@ def random_digraph(rng, n, p=None):
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
 
 
-def test_side_sets_examples():
-    c = ae.ConvexDigraph(Digraph(4, [(0, 2), (0, 1)]))
-    s = ae.side_sets(c, (0, 2))
-    assert s.left == {1} and s.right == {3}
-    s = ae.side_sets(c, (0, 1))
-    assert s.left == set() and s.right == {2, 3}
-    for x in range(4):
-        for y in range(4):
-            if x != y:
-                assert ae.side_sets(c, (x, y)).left == ae.side_sets(c, (y, x)).right
+def test_side_condition_matches_the_clockwise_interval():
+    # random circular orders, injective maps and spines of both parities: the
+    # side condition holds exactly when the interval the chord cuts off,
+    # strictly clockwise from one end to the other, holds no image
+    c = ae.ConvexDigraph(Digraph(4, []))
+    assert c.interval(0, 2) == {1} and c.interval(2, 0) == {3} and c.interval(0, 1) == set()
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(500):
+        n = rng.randint(3, 8)
+        order = list(range(n))
+        rng.shuffle(order)
+        c = ae.ConvexDigraph(Digraph(n, []), order)
+        images = rng.sample(range(n), rng.randint(2, n))
+        mapping = dict(enumerate(images))
+        spine = list(range(rng.randint(2, len(images))))
+        x, y = mapping[spine[-1]], mapping[spine[-2]]
+        zone = c.interval(x, y) if len(spine) % 2 == 1 else c.interval(y, x)
+        holds = not zone & set(images)
+        assert check_side_condition(c, None, mapping, spine) == holds
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_good_arcs_k1_all():

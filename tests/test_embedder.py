@@ -14,7 +14,6 @@ from antembed.tree_embedder import (
     embed_double_broom,
     embed_low_delta,
     embed_mid_delta,
-    embed_radius_two,
     embed_wide_star,
     extend_from_broom,
     oracle_fallback,
@@ -140,18 +139,16 @@ def test_radius_two_and_wide_star():
     host = bidirected_complete(12)
     k = 8
     star = T(k + 1, [(0, i) for i in range(1, k + 1)])
-    out = embed_radius_two(host, host, star, k, anchor=0)
+    out = embed_wide_star(host, host, star, k, anchor=0)
     assert out.ok and ae.validate_embedding(star, host, out.embedding.map)
     # spider of radius two: hub with three children, each with one child
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
     spider = T(7, arcs)
-    out = embed_radius_two(host, host, spider, 6, anchor=3)
+    out = embed_wide_star(host, host, spider, 6, anchor=3)
     assert out.ok and ae.validate_embedding(spider, host, out.embedding.map)
     # non-leaf images stay inside the core
     assert all(out.embedding.map[x] < 12 for x in range(7) if spider.deg[x] > 1)
-    with pytest.raises(ae.HypothesisViolated):
-        embed_radius_two(host, host, antipath(6), 6, anchor=0)  # radius 3
-    # deeper trees go through the layered embedder
+    # deeper trees, layer by layer
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
     deep = T(7, arcs)
     out = embed_wide_star(host, host, deep, 6, anchor=0)
@@ -178,7 +175,7 @@ def test_pu_exchange_fixture():
     # frozen host where the radius-2 greedy stalls and the depth-2 swap runs
     d = Digraph(6, PU_EXCHANGE_HOST)
     spider = T(6, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2)])
-    out = embed_radius_two(d, d, spider, 5, anchor=0)
+    out = embed_wide_star(d, d, spider, 5, anchor=0)
     assert out.ok and ae.validate_embedding(spider, d, out.embedding.map)
     assert any(e.get("tag") == "pu:y" and e.get("holds") for e in out.trace)
     assert ae.oracle_embed(d, spider).verdict == "Embeds"
@@ -449,6 +446,33 @@ def test_orientation_normalization():
     assert o1.embedding.map == o2.embedding.map
 
 
+def test_direct_branch_calls_share_the_orientation_rule():
+    # seeded trees whose least-index maximum-degree vertex is an in-vertex
+    # while another maximum-degree vertex is an out-vertex: a direct call on
+    # the pair and one on the reversed pair normalize to the same orientation
+    host = ae.gen_incidence(25)
+    rng = random.Random(3)
+    calls = []
+    for i in range(200):
+        t = ae.sample_antitree(13, rng) if i % 2 == 0 else sample_antitree_heavy(13, rng, 6)
+        st = ae.degree_stats(t)
+        tops = [v for v in range(t.n) if t.deg[v] == st.delta]
+        if t.sign[tops[0]] > 0 or all(t.sign[v] < 0 for v in tops):
+            continue
+        if st.delta2 >= 13 // 4 + 3:
+            fn = embed_big_delta2
+        elif 4 * st.delta > 13:
+            fn = embed_mid_delta
+        else:
+            continue
+        o1 = fn(host, t, 13)
+        o2 = fn(ae.reverse(host), ae.reverse_antitree(t), 13)
+        assert o1.ok and o2.ok and o1.case.branch == o2.case.branch
+        assert o1.embedding.map == o2.embedding.map
+        calls.append(fn)
+    assert calls.count(embed_mid_delta) == 3 and calls.count(embed_big_delta2) == 21
+
+
 def test_differential_mini():
     rng = random.Random(77)
     for trial in range(150):
@@ -526,7 +550,7 @@ def test_host_memo_has_no_cycle_and_skips_seeded_and_ordered_calls():
     ConvexDigraph(d, list(reversed(range(d.n))))
     with pytest.raises(ae.HypothesisViolated):
         ae.select_subdigraph(d, 5, 2)
-    assert d._memo is None
+    assert set(d._memo) == {("profile",)}  # the seeded selection profiles d itself
     assert ae.select_subdigraph(d, k, 2).sub.arcs == sel.sub.arcs
     assert ConvexDigraph(d).cw_list(0, +1) == ConvexDigraph(host).cw_list(0, +1)
-    assert sorted(d._memo) == [("convex",), ("select", k, 2)]
+    assert sorted(d._memo) == [("convex",), ("profile",), ("select", k, 2)]
