@@ -27,12 +27,10 @@ from .digraph import (
     DegreeProfile,
     Digraph,
     degree_profile,
-    induced_subdigraph,
     parse_arclist,
     plus_minus_sets,
     reverse,
     to_arclist,
-    to_dot,
 )
 from .embedding import Embedding, validate_embedding
 from .errors import (
@@ -56,11 +54,9 @@ from .oracle_gen import (
     sample_antitree,
 )
 from .subdigraph import (
-    BipartiteGraph,
     SelectionResult,
     prune_pseudo,
     select_subdigraph,
-    split_bipartite,
 )
 from .tree_embedder import (
     CaseTag,

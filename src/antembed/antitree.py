@@ -4,14 +4,24 @@ decomposition, double brooms, rooted views, and exhaustive enumeration.
 An antidirected tree has no directed path of length two, so every vertex is a
 pure source (sign +) or a pure sink (sign -), and its whole neighborhood is
 its sign-typed neighborhood.
+
+This module is the one place that walks, colours, centres or spines a tree:
+``_bfs`` is its only breadth-first walk, ``from_edges`` its only two-colouring
+and ``centroids`` its only centre search.  An AntiTree value is immutable and
+carries the same lazy memo as ``Digraph`` (``digraph.memoized``): its degree
+statistics, its spine decomposition, its reversal and its rooted views are
+computed once per tree, and no memo entry references the tree that holds it.
+The spine search takes three rooted views and one greedy descent, so it is
+linear in the tree's size.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
-from .digraph import Digraph
+from .digraph import Digraph, memoized, reverse
 from .errors import NotACaterpillar, NotAntidirected, NotATree, AntembedError
 
 PLUS = 1
@@ -25,7 +35,7 @@ class AntiTree:
     the sorted tuple of tree neighbors (equal to the sign-typed neighborhood).
     """
 
-    __slots__ = ("tree", "k", "sign", "adj", "deg", "_hash")
+    __slots__ = ("tree", "k", "sign", "adj", "deg", "_hash", "_memo")
 
     def __init__(self, tree: Digraph, sign: tuple[int, ...], adj: tuple[tuple[int, ...], ...]):
         self.tree = tree
@@ -34,19 +44,15 @@ class AntiTree:
         self.adj = adj
         self.deg = tuple(len(a) for a in adj)
         self._hash = None
+        self._memo = None
+
+    def __reduce__(self):
+        # a pickled tree leaves its memo behind; the entries are rebuilt on demand
+        return AntiTree, (self.tree, self.sign, self.adj)
 
     @property
     def n(self) -> int:
         return self.tree.n
-
-    def vertices(self) -> range:
-        return range(self.tree.n)
-
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.deg[v] == 1]
-
-    def non_leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.deg[v] > 1]
 
     def plus_minus(self) -> tuple[set[int], set[int]]:
         """(T+, T-)."""
@@ -57,22 +63,10 @@ class AntiTree:
 
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path, endpoints included."""
-        if u == v:
-            return [u]
-        prev = {u: None}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    q.append(y)
-        out = [v]
-        while out[-1] != u:
-            out.append(prev[out[-1]])
-        out.reverse()
+        parent = rooted_view(self, v).parent
+        out = [u]
+        while out[-1] != v:
+            out.append(parent[out[-1]])
         return out
 
     def __eq__(self, other):
@@ -85,6 +79,21 @@ class AntiTree:
 
     def __repr__(self):
         return f"AntiTree(k={self.k}, arcs={sorted(self.tree.arcs)})"
+
+
+def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root`` over the neighbor lists ``adj``, and
+    each vertex's parent: the root is its own parent, an unreached vertex has
+    parent -1."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
 
 
 def validate_antitree(d: Digraph) -> AntiTree:
@@ -104,16 +113,9 @@ def validate_antitree(d: Digraph) -> AntiTree:
             raise NotATree(f"both arcs between {u} and {v}")
         adj[u].add(v)
         adj[v].add(u)
+    adj = tuple(tuple(sorted(a)) for a in adj)
     # connectivity; with exactly n-1 edges this also rules out cycles
-    seen = {0}
-    q = deque([0])
-    while q:
-        x = q.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                q.append(y)
-    if len(seen) != d.n:
+    if len(_bfs(adj, 0)[0]) != d.n:
         raise NotATree("underlying graph is disconnected")
     sign = []
     for v in range(d.n):
@@ -123,7 +125,22 @@ def validate_antitree(d: Digraph) -> AntiTree:
             y = next(w for u, w in d.arcs if u == v)
             raise NotAntidirected((x, v, y))
         sign.append(PLUS if d.out_bits[v] else MINUS)
-    return AntiTree(d, tuple(sign), tuple(tuple(sorted(a)) for a in adj))
+    return AntiTree(d, tuple(sign), adj)
+
+
+def from_edges(n: int, edges, source_colour: int) -> AntiTree:
+    """The antidirected tree on the undirected ``edges`` of a tree on n
+    vertices whose colour class ``source_colour`` (0 holds vertex 0) is the
+    source side; each edge, in the given order, becomes one arc."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order, parent = _bfs(adj, 0)
+    colour = [0] * n
+    for y in order[1:]:
+        colour[y] = 1 - colour[parent[y]]
+    return validate_antitree(Digraph(n, [(a, b) if colour[a] == source_colour else (b, a) for a, b in edges]))
 
 
 @dataclass(frozen=True)
@@ -132,87 +149,68 @@ class DegreeStats:
     delta2: int
     argmax_u: int
     argmax2_v: int
-    leaves: frozenset[int]
-    non_leaves: frozenset[int]
-    leaf_nbrs: tuple[tuple[int, ...], ...]      # L_x: leaf neighbors of x
-    nonleaf_nbrs: tuple[tuple[int, ...], ...]   # Lbar_x
 
 
 def degree_stats(t: AntiTree) -> DegreeStats:
-    """Delta, Delta_2 (with distinct least-id witnesses) and the leaf partitions."""
+    """Delta and Delta_2 with distinct least-id witnesses, memoized on ``t``."""
+    return memoized(t, ("degrees",), lambda: _degree_stats(t))
+
+
+def _degree_stats(t: AntiTree) -> DegreeStats:
     degs = t.deg
     u = max(range(t.n), key=lambda v: (degs[v], -v))
-    rest = [v for v in range(t.n) if v != u]
-    v2 = max(rest, key=lambda v: (degs[v], -v))
-    leaves = frozenset(t.leaves())
-    return DegreeStats(
-        delta=degs[u],
-        delta2=degs[v2],
-        argmax_u=u,
-        argmax2_v=v2,
-        leaves=leaves,
-        non_leaves=frozenset(range(t.n)) - leaves,
-        leaf_nbrs=tuple(tuple(w for w in t.adj[x] if w in leaves) for x in range(t.n)),
-        nonleaf_nbrs=tuple(tuple(w for w in t.adj[x] if w not in leaves) for x in range(t.n)),
-    )
+    v2 = max((v for v in range(t.n) if v != u), key=lambda v: (degs[v], -v))
+    return DegreeStats(delta=degs[u], delta2=degs[v2], argmax_u=u, argmax2_v=v2)
 
 
 @dataclass(frozen=True)
 class SpineDecomposition:
     spine: tuple[int, ...]
-    leaves_at: dict[int, tuple[int, ...]] = field(compare=False)
+    leaves_at: Mapping[int, tuple[int, ...]] = field(compare=False)  # read-only
     final_vertex: int = 0
     final_arc: tuple[int, int] = (0, 0)
 
 
-def _bfs_far(t: AntiTree, src: int):
-    dist = {src: 0}
-    prev = {src: None}
-    q = deque([src])
-    order = []
-    while q:
-        x = q.popleft()
-        order.append(x)
-        for y in t.adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                prev[y] = x
-                q.append(y)
-    return dist, prev, order
-
-
-def _longest_paths(t: AntiTree) -> list[tuple[int, ...]]:
-    """All diameter paths, each direction listed separately."""
-    d0, _, _ = _bfs_far(t, 0)
-    diam = 0
-    per_source = {}
-    for s in range(t.n):
-        dist, prev, _ = _bfs_far(t, s)
-        per_source[s] = (dist, prev)
-        diam = max(diam, max(dist.values()))
-    paths = []
-    for s in range(t.n):
-        dist, prev = per_source[s]
-        for e, de in dist.items():
-            if de == diam:
-                seq = [e]
-                while seq[-1] != s:
-                    seq.append(prev[seq[-1]])
-                seq.reverse()
-                paths.append(tuple(seq))
-    return paths
-
-
 def caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
-    """Spine decomposition with the lexicographically least longest path.
+    """Spine decomposition with the lexicographically least longest path,
+    memoized on ``t``.
 
     Fails with NotACaterpillar (witness: a vertex at distance >= 2 from the
     chosen longest path) when some vertex is not a leaf hanging off the spine.
     A star decomposes with its 2-edge diameter path as the spine; the single
     arc is its own spine.
     """
-    paths = _longest_paths(t)
-    spine = min(paths)
+    return memoized(t, ("spine",), lambda: _caterpillar_decompose(t))
+
+
+def _least_diameter_path(t: AntiTree) -> tuple[int, ...]:
+    """The lexicographically least diameter path, in linear time.
+
+    The far end a of a walk from 0 and the far end b of a walk from a span a
+    diameter, so the eccentricity of v is max(dist_a[v], dist_b[v]).  The
+    least path starts at the least v of eccentricity diam and, rooted there,
+    steps each time to the least child c still on a diameter path, that is,
+    with depth[c] + height[c] = diam."""
+    a = rooted_view(t, 0).bfs_order[-1]
+    rva = rooted_view(t, a)
+    b = rva.bfs_order[-1]
+    diam = rva.depth[b]
+    dist_b = rooted_view(t, b).depth
+    start = next(v for v in range(t.n) if max(rva.depth[v], dist_b[v]) == diam)
+    rv = rooted_view(t, start)
+    height = [0] * t.n
+    for x in reversed(rv.bfs_order):
+        if x != start:
+            p = rv.parent[x]
+            height[p] = max(height[p], height[x] + 1)
+    path = [start]
+    while len(path) <= diam:
+        path.append(next(c for c in rv.children[path[-1]] if rv.depth[c] + height[c] == diam))
+    return tuple(path)
+
+
+def _caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
+    spine = _least_diameter_path(t)
     on = set(spine)
     inner = set(spine[1:-1])
     leaves_at: dict[int, list[int]] = {p: [] for p in spine}
@@ -228,7 +226,7 @@ def caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
     arc = (other, final) if t.sign[other] > 0 else (final, other)
     return SpineDecomposition(
         spine=spine,
-        leaves_at={p: tuple(sorted(ls)) for p, ls in leaves_at.items()},
+        leaves_at=MappingProxyType({p: tuple(sorted(ls)) for p, ls in leaves_at.items()}),
         final_vertex=final,
         final_arc=arc,
     )
@@ -263,7 +261,6 @@ def double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
 
 @dataclass(frozen=True)
 class RootedAntiTree:
-    base: AntiTree
     root: int
     parent: tuple[int | None, ...]
     depth: tuple[int, ...]
@@ -272,31 +269,26 @@ class RootedAntiTree:
 
 
 def rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
-    """Parent/depth arrays for the tree rooted at ``root``.
+    """Parent/depth arrays for the tree rooted at ``root``, memoized on ``t``
+    for each root.
 
     Since the tree is antidirected, the parent of x automatically lies in
     N^{sign(x)}(x); no extra convention is needed.
     """
     if not (0 <= root < t.n):
         raise AntembedError("vertex not in tree")
-    parent: list[int | None] = [None] * t.n
+    return memoized(t, ("rooted", root), lambda: _rooted_view(t, root))
+
+
+def _rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
+    order, parent = _bfs(t.adj, root)
     depth = [0] * t.n
     children = [[] for _ in range(t.n)]
-    order = []
-    seen = {root}
-    q = deque([root])
-    while q:
-        x = q.popleft()
-        order.append(x)
-        for y in t.adj[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                children[x].append(y)
-                q.append(y)
+    for y in order[1:]:
+        depth[y] = depth[parent[y]] + 1
+        children[parent[y]].append(y)
+    parent[root] = None
     return RootedAntiTree(
-        base=t,
         root=root,
         parent=tuple(parent),
         depth=tuple(depth),
@@ -305,7 +297,34 @@ def rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
     )
 
 
+def reverse_antitree(t: AntiTree) -> AntiTree:
+    """t with every arc flipped: the signs flip and nothing is re-checked.
+
+    Memoized on ``t`` (so ``reverse_antitree(t) is reverse_antitree(t)``), but
+    not the other way round: the double reversal is a new value equal to
+    ``t``, since a back-link would make the two trees a reference cycle."""
+    return memoized(t, ("reverse",), lambda: AntiTree(reverse(t.tree), tuple(-s for s in t.sign), t.adj))
+
+
 # -- enumeration -------------------------------------------------------
+
+
+def centroids(t: AntiTree) -> list[int]:
+    """The one or two vertices left when leaf layers are peeled off until at
+    most two remain (the centre of the tree), in increasing order."""
+    deg = list(t.deg)
+    layer = [v for v in range(t.n) if deg[v] == 1]
+    left = t.n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in t.adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return sorted(layer)
 
 
 def canonical_form(t: AntiTree):
@@ -316,49 +335,11 @@ def canonical_form(t: AntiTree):
     are isomorphic as digraphs.
     """
 
-    def centroid(adj, n):
-        if n == 1:
-            return [0]
-        deg = [len(a) for a in adj]
-        lay = [v for v in range(n) if deg[v] == 1]
-        removed = 0
-        while n - removed > 2:
-            nxt = []
-            for v in lay:
-                removed += 1
-                for w in adj[v]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-            lay = nxt
-        return sorted(lay)
+    def enc(x, p):
+        subs = sorted(enc(y, x) for y in t.adj[x] if y != p)
+        return (t.sign[x], tuple(subs))
 
-    def encode(root):
-        def enc(x, p):
-            subs = sorted(enc(y, x) for y in t.adj[x] if y != p)
-            return (t.sign[x], tuple(subs))
-
-        return enc(root, -1)
-
-    cents = centroid(t.adj, t.n)
-    return min(encode(c) for c in cents)
-
-
-def _bipartition(edges: list[tuple[int, int]], n: int) -> list[int]:
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    color = [-1] * n
-    color[0] = 0
-    q = deque([0])
-    while q:
-        x = q.popleft()
-        for y in adj[x]:
-            if color[y] < 0:
-                color[y] = 1 - color[x]
-                q.append(y)
-    return color
+    return min(enc(c, -1) for c in centroids(t))
 
 
 def enumerate_antitrees(k: int, max_k: int = 8) -> list[AntiTree]:
@@ -378,24 +359,11 @@ def enumerate_antitrees(k: int, max_k: int = 8) -> list[AntiTree]:
     seen = set()
     for g in nx.nonisomorphic_trees(k + 1):
         edges = [tuple(e) for e in g.edges()]
-        color = _bipartition(edges, k + 1)
-        for source_color in (0, 1):
-            arcs = []
-            for a, b in edges:
-                if color[a] == source_color:
-                    arcs.append((a, b))
-                else:
-                    arcs.append((b, a))
-            t = validate_antitree(Digraph(k + 1, arcs))
+        for source_colour in (0, 1):
+            t = from_edges(k + 1, edges, source_colour)
             key = canonical_form(t)
             if key not in seen:
                 seen.add(key)
                 out.append(t)
     out.sort(key=canonical_form)
     return out
-
-
-def reverse_antitree(t: AntiTree) -> AntiTree:
-    from .digraph import reverse as rev
-
-    return validate_antitree(rev(t.tree))

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import accumulate, compress, count
 from operator import itemgetter
 
-from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
+from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose, reverse_antitree
 from .digraph import Digraph, bits_of, memoized, neighbor_lists, plus_minus_sets, reverse
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
@@ -360,20 +360,11 @@ def _validated(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, arc: Arc) -> 
     return Embedding(map=mapping)
 
 
-def embed_caterpillar(d: Digraph, t: AntiTree, order=None, fallback_oracle: bool = False) -> Embedding:
+def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
     """Embed a k-arc antidirected caterpillar into any digraph with more than
-    (k-1)n arcs, via the convex good-arc construction.
-
-    With ``fallback_oracle`` a density refusal is retried by exact search,
-    which may still find an embedding below the guaranteed threshold."""
+    (k-1)n arcs, via the convex good-arc construction."""
     k = t.k
     if d.a() <= (k - 1) * d.n:
-        if fallback_oracle:
-            from .oracle_gen import oracle_embed
-
-            st = oracle_embed(d, t)
-            if st.verdict == "Embeds":
-                return Embedding(map=st.witness)
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     c = ConvexDigraph(d, order)
     table = good_arcs(c, t)
@@ -382,7 +373,7 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None, fallback_oracle: bool
     return _validated(c, t, table, _least_good_arc(table))
 
 
-def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None, _allow_reverse: bool = True) -> Embedding:
+def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
     """Sign-balanced caterpillar embedding.
 
     Needs 2 a(D) > (k-1)(|D+| + |D-|) and matching sign balance: |D+| <= |D-|
@@ -396,19 +387,17 @@ def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None, _allow_reverse
         raise HypothesisViolated(
             "density", arcs=d.a(), sides=(len(dplus), len(dminus)), k=k
         )
-    if len(dplus) <= len(dminus) and len(tplus) <= len(tminus):
-        c = ConvexDigraph(d, order)
-        table = good_arcs_mindeg(c, t)
-        if not table.count:
-            raise InternalAssertion("empty-good-set-mindeg")
-        return _validated(c, t, table, _least_good_arc(table))
-    if len(dplus) >= len(dminus) and len(tplus) >= len(tminus) and _allow_reverse:
-        from .antitree import reverse_antitree
-
-        emb = embed_caterpillar_mindeg(reverse(d), reverse_antitree(t), order, _allow_reverse=False)
-        if not validate_embedding(t, d, emb.map):
-            raise InternalAssertion("reversal-map-invalid")
-        return emb
-    raise HypothesisViolated(
-        "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
-    )
+    flip = not (len(dplus) <= len(dminus) and len(tplus) <= len(tminus))
+    if flip and not (len(dplus) >= len(dminus) and len(tplus) >= len(tminus)):
+        raise HypothesisViolated(
+            "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
+        )
+    c = ConvexDigraph(reverse(d) if flip else d, order)
+    tt = reverse_antitree(t) if flip else t
+    table = good_arcs_mindeg(c, tt)
+    if not table.count:
+        raise InternalAssertion("empty-good-set-mindeg")
+    emb = _validated(c, tt, table, _least_good_arc(table))
+    if flip and not validate_embedding(t, d, emb.map):
+        raise InternalAssertion("reversal-map-invalid")
+    return emb

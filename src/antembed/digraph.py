@@ -13,7 +13,7 @@ gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
 iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
-host work (its reversal, its degree profile and vertex mask, its
+host work (its reversal, its degree profile, vertex mask and sign sides, its
 pseudo-degree core, its selections and its convex tables, see ``memoized``),
 so reusing one value across embeds does that work once; no memo entry ever
 references the digraph that holds it.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -129,19 +130,21 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
 
-_OWNER = object()  # stored in a memo entry in place of the digraph that holds the memo
+_OWNER = object()  # stored in a memo entry in place of the value that holds the memo
 _MISS = object()
 
 
-def memoized(d: Digraph, key: tuple, compute: Callable[[], object]):
+def memoized(d, key: tuple, compute: Callable[[], object]):
     """``compute()``, run once for each ``key`` on ``d`` and kept in ``d``'s memo.
 
-    ``compute`` must depend only on ``d`` and ``key``.  The memo is created
-    on first use, so a digraph never asked for derived work carries none.  A
-    result that is ``d``, or a tuple item that is ``d``, is stored as a
-    sentinel: no entry references its owner, so a dropped digraph is freed at
-    once instead of waiting for a cycle collection.  A call that raises
-    stores nothing and is recomputed next time.
+    ``d`` is any immutable value with a ``_memo`` slot that starts as None: a
+    ``Digraph`` or an ``antitree.AntiTree``.  ``compute`` must depend only on
+    ``d`` and ``key``.  The memo is created on first use, so a value never
+    asked for derived work carries none.  A result that is ``d``, or a tuple
+    item that is ``d``, is stored as a sentinel: no entry references its
+    owner, so a dropped value is freed at once instead of waiting for a cycle
+    collection.  A call that raises stores nothing and is recomputed next
+    time.
     """
     if d._memo is not None:
         val = d._memo.get(key, _MISS)
@@ -215,11 +218,11 @@ def _degree_profile(d: Digraph) -> DegreeProfile:
     )
 
 
-def plus_minus_sets(d: Digraph) -> tuple[set[int], set[int]]:
-    """(D+, D-): vertices of positive out-degree and of positive in-degree."""
-    plus = {v for v in range(d.n) if d.out_bits[v]}
-    minus = {v for v in range(d.n) if d.in_bits[v]}
-    return plus, minus
+def plus_minus_sets(d: Digraph) -> tuple[frozenset[int], frozenset[int]]:
+    """(D+, D-): vertices of positive out-degree and of positive in-degree,
+    memoized on ``d``."""
+    sides = lambda: (frozenset(compress(range(d.n), d.out_bits)), frozenset(compress(range(d.n), d.in_bits)))
+    return memoized(d, ("sides",), sides)
 
 
 def reverse(d: Digraph) -> Digraph:
@@ -230,24 +233,6 @@ def reverse(d: Digraph) -> Digraph:
     because a back-link would make the two digraphs a reference cycle."""
     flipped = lambda: Digraph._of(d.n, tuple((v, u) for u, v in d.arcs), d.in_bits, d.out_bits)
     return memoized(d, ("reverse",), flipped)
-
-
-def induced_subdigraph(d: Digraph, keep_arcs: Iterable[Arc], drop_isolated: bool = False):
-    """Digraph on the same vertex set with arc set ``keep_arcs``.
-
-    With ``drop_isolated`` the vertices untouched by keep_arcs are removed and
-    a remap table old_id -> new_id is returned alongside the digraph.
-    """
-    keep = list(dict.fromkeys(tuple(a) for a in keep_arcs))
-    for a in keep:
-        if not d.has_arc(*a):
-            raise AntembedError(f"arc {a} not present in digraph")
-    if not drop_isolated:
-        return Digraph(d.n, keep)
-    touched = sorted({u for u, _ in keep} | {v for _, v in keep})
-    remap = {old: new for new, old in enumerate(touched)}
-    sub = Digraph(len(touched), [(remap[u], remap[v]) for u, v in keep])
-    return sub, remap
 
 
 def core_member_bits(d: Digraph) -> int:
@@ -306,11 +291,3 @@ def to_json_obj(d: Digraph) -> dict:
 
 def from_json_obj(obj: dict) -> Digraph:
     return Digraph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["arcs"]])
-
-
-def to_dot(d: Digraph, name: str = "D") -> str:
-    body = "\n".join(f"  {u} -> {v};" for u, v in sorted(d.arcs))
-    isolated = [v for v in range(d.n) if not d.out_bits[v] and not d.in_bits[v]]
-    iso = "\n".join(f"  {v};" for v in isolated)
-    parts = [f"digraph {name} {{", iso, body, "}"]
-    return "\n".join(p for p in parts if p) + "\n"

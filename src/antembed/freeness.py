@@ -79,7 +79,8 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     n = d.n
     # indexed by sign: [1] is the out-side, [-1] the in-side
     bits = (None, d.out_bits, d.in_bits)
-    # A scan that ends at a small a walks the bits of only the rows it folds.
+    # A scan that ends at a small a walks the bits of only the rows it folds,
+    # each (a, sign) row once: the two sign pairs that share sa reuse its list.
     # Walking every row so costs about twice one pass over ``arcs`` that
     # builds lists for the whole host, so those lists take over once the
     # walked rows hold a(D)/16 arcs, which bounds what a free scan pays extra.
@@ -88,6 +89,7 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     steps = range(s - 1, 0, -1)
     for a in range(n):
         best = None
+        rows_of_a = {}
         for sa, sb in _SIGN_PAIRS:
             if bits[sa][a].bit_count() < s:
                 continue
@@ -98,9 +100,11 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
                 adj = (None, *neighbor_lists(d))
             if adj:
                 nbrs = adj[sa][a]
+            elif sa in rows_of_a:
+                nbrs = rows_of_a[sa]
             else:
-                nbrs = bits_of(bits[sa][a])
-                walked += bits[sa][a].bit_count()
+                nbrs = rows_of_a[sa] = list(bits_of(bits[sa][a]))
+                walked += len(nbrs)
             rows = bits[-sb]
             c = [0] * s
             for w in nbrs:

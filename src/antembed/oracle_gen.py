@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .antitree import AntiTree, caterpillar_decompose, rooted_view, validate_antitree
+from .antitree import AntiTree, caterpillar_decompose, centroids, degree_stats, from_edges, rooted_view
 from .convex import ConvexDigraph
 from .digraph import Digraph, bits_of
 from .errors import AntembedError
@@ -45,30 +45,10 @@ class SearchStats:
     elapsed: float
 
 
-def _centroid(t: AntiTree) -> int:
-    if t.n == 1:
-        return 0
-    deg = list(t.deg)
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    left = t.n
-    last = sorted(layer)
-    while left > 2:
-        nxt = []
-        for v in layer:
-            left -= 1
-            for w in t.adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-        last = sorted(layer) or last
-    return min(last)
-
-
 def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchStats:
     """Exact decision of "t embeds in d", exhaustive when budget is None."""
     t0 = time.perf_counter()
-    rv = rooted_view(t, _centroid(t))
+    rv = rooted_view(t, min(centroids(t)))
     order = rv.bfs_order
     # candidate host vertices must carry the full sign-degree of the tree vertex
     eligible = []
@@ -131,7 +111,7 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
 
 def all_embeddings(d: Digraph, t: AntiTree):
     """Yield every embedding of t in d (desk scale only)."""
-    rv = rooted_view(t, _centroid(t))
+    rv = rooted_view(t, min(centroids(t)))
     order = rv.bfs_order
     assign: dict[int, int] = {}
 
@@ -324,21 +304,7 @@ def sample_antitree(k: int, rng: random.Random) -> AntiTree:
                 heapq.heappush(leaves, x)
         last = [v for v in range(n) if deg[v] == 1]
         edges.append((last[0], last[1]))
-    color = {0: 0}
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in color:
-                color[y] = 1 - color[x]
-                stack.append(y)
-    src = rng.randrange(2)
-    arcs = [(a, b) if color[a] == src else (b, a) for a, b in edges]
-    return validate_antitree(Digraph(n, arcs))
+    return from_edges(n, edges, rng.randrange(2))
 
 
 def sample_antitree_heavy(k: int, rng: random.Random, delta2_min: int) -> AntiTree:
@@ -368,24 +334,7 @@ def sample_antitree_heavy(k: int, rng: random.Random, delta2_min: int) -> AntiTr
             edges.append((rng.choice(hosts), nxt))
             hosts.append(nxt)
             nxt += 1
-        color = [-1] * (k + 1)
-        color[0] = 0
-        adj = [[] for _ in range(k + 1)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-        src = rng.randrange(2)
-        arcs = [(a, b) if color[a] == src else (b, a) for a, b in edges]
-        t = validate_antitree(Digraph(k + 1, arcs))
-        from .antitree import degree_stats
-
+        t = from_edges(k + 1, edges, rng.randrange(2))
         if degree_stats(t).delta2 >= delta2_min:
             return t
 

@@ -15,7 +15,7 @@ Thresholds compare exactly in integers: deg < k/2 iff 2 deg < k.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -74,32 +74,15 @@ def _prune_pseudo(d: Digraph, k: int) -> Digraph:
     return sub
 
 
-@dataclass
-class BipartiteGraph:
-    """Bipartite split of a digraph: a-side vertex u is u+, b-side vertex v is v-.
-
-    ``adj[u]`` is the bitmask of b-side neighbors of u+ (i.e. heads of arcs
-    from u).  Both sides are indexed by the original vertex ids 0..n-1.
-    """
-
-    n: int
-    adj: list[int] = field(default_factory=list)
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj)
-
-
-def split_bipartite(d: Digraph) -> BipartiteGraph:
-    return BipartiteGraph(n=d.n, adj=list(d.out_bits))
-
-
 def _obs_density(e: int, order: int, k: int) -> bool:
     # e(H) > (k-1)|H|/2, exact in integers
     return 2 * e > (k - 1) * order
 
 
-def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None = None):
-    """The two-loop deletion protocol.
+def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None):
+    """The two-loop deletion protocol on the bipartite double cover of d:
+    a-side vertex u is u+, adjacent to the b-side v- of every arc u->v, and
+    both sides are indexed by the vertex ids 0..n-1.
 
     Returns (alive_a, alive_b, adj, case_tag, audit) where alive_* are vertex
     id sets and adj the surviving bitmask adjacency.  Density is asserted
@@ -113,7 +96,7 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
     """
     if not (1 <= r and 2 * r <= k + 1):
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
-    n = h.n
+    n = d.n
     if shuffle_seed is None:
         prio = list(range(n))
     else:
@@ -121,12 +104,8 @@ def prune_bipartite(h: BipartiteGraph, k: int, r: int, shuffle_seed: int | None 
 
         prio = list(range(n))
         _random.Random(shuffle_seed).shuffle(prio)
-    adj = list(h.adj)
-    radj = [0] * n
-    for u in range(n):
-        bit = 1 << u
-        for w in bits_of(adj[u]):
-            radj[w] |= bit
+    adj = list(d.out_bits)
+    radj = list(d.in_bits)
     alive_a = set(range(n))
     alive_b = set(range(n))
     e = sum(m.bit_count() for m in adj)
@@ -261,8 +240,7 @@ def _select(d: Digraph, k: int, r: int, shuffle_seed: int | None):
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     if not (1 <= r and 2 * r <= k + 1):
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
-    h = split_bipartite(d)
-    alive_a, alive_b, adj, case, audit = prune_bipartite(h, k, r, shuffle_seed=shuffle_seed)
+    alive_a, alive_b, adj, case, audit = prune_bipartite(d, k, r, shuffle_seed=shuffle_seed)
     sub = d if audit["edges"] == d.a() else Digraph.from_bits(d.n, adj)
 
     # full revalidation from scratch

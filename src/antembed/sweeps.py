@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .antitree import degree_stats, is_caterpillar, enumerate_antitrees, validate_antitree
+from .antitree import degree_stats, is_caterpillar, enumerate_antitrees, reverse_antitree, validate_antitree
 from .convex import ConvexDigraph, embed_caterpillar, good_arcs, good_arcs_mindeg
 from .digraph import Digraph, degree_profile, reverse, to_json_obj
 from .embedding import validate_embedding
@@ -22,6 +22,7 @@ from .freeness import common_neighborhood, is_k2s_free
 from .oracle_gen import (
     audit_projective,
     brute_good_arcs,
+    enumerate_digraphs,
     gen_burr,
     gen_incidence,
     gen_random_dense,
@@ -31,7 +32,6 @@ from .oracle_gen import (
 )
 from .subdigraph import prune_pseudo, select_subdigraph
 from .tree_embedder import embed_antitree
-from .antitree import reverse_antitree
 
 SCHEMA = 1
 SUITES: dict = {}
@@ -145,11 +145,7 @@ def suite_prop3_exhaustive(params, jobs=1):
     failures = []
     counts = {}
     for n in (2, 3, 4):
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        hosts = []
-        for mask in range(1 << len(pairs)):
-            arcs = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            hosts.append(Digraph(n, arcs))
+        hosts = list(enumerate_digraphs(n))
         res = _pmap(_prop3_host, [(d, trees3) for d in hosts], jobs)
         for bad in res:
             failures.extend(bad)

@@ -664,16 +664,12 @@ def _induced_tree(t: AntiTree, verts: set[int]):
     return validate_antitree(Digraph(len(keep), arcs)), relabel
 
 
-def _uv_for_big_delta2(t: AntiTree):
-    u, stats = _pick_out_max(t)
-    rest = [v for v in range(t.n) if v != u]
-    d2 = max(t.deg[v] for v in rest)
-    v = min(x for x in rest if t.deg[x] == d2)
-    return u, v, stats.delta, d2
-
-
 def _broom_case(t: AntiTree, k: int):
-    u, v, delta, delta2 = _uv_for_big_delta2(t)
+    """The broom letter, hubs and r of an oriented tree: u is the least-index
+    maximum-degree vertex (an out-vertex after ``_oriented``), v the least
+    other vertex of maximum degree."""
+    stats = degree_stats(t)
+    u, v, delta, delta2 = stats.argmax_u, stats.argmax2_v, stats.delta, stats.delta2
     broom = double_broom(t, u, v)
     size = len(broom.vertices)
     bullet1 = 4 * size <= 3 * k

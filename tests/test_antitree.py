@@ -1,4 +1,7 @@
 import itertools
+import pickle
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -50,7 +53,8 @@ def test_degree_stats():
     path = T(5, [(0, 1), (2, 1), (2, 3), (4, 3)])
     s = ae.degree_stats(path)
     assert (s.delta, s.delta2) == (2, 2)
-    assert s.leaves == {0, 4}
+    assert (s.argmax_u, s.argmax2_v) == (1, 2)
+    assert ae.degree_stats(path) is s
 
 
 def test_spine_path_and_star():
@@ -80,11 +84,89 @@ def test_spine_double_star_frozen():
     assert dec.final_vertex == 4 and dec.final_arc == (4, 1)
 
 
+def _bfs_far(t, src):
+    dist = {src: 0}
+    prev = {src: None}
+    q = deque([src])
+    while q:
+        x = q.popleft()
+        for y in t.adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                prev[y] = x
+                q.append(y)
+    return dist, prev
+
+
+def _longest_paths(t):
+    """All diameter paths, each direction listed separately: the all-sources
+    search the linear spine search replaced, kept as its reference."""
+    per_source = {s: _bfs_far(t, s) for s in range(t.n)}
+    diam = max(max(dist.values()) for dist, _ in per_source.values())
+    paths = []
+    for s, (dist, prev) in per_source.items():
+        for e, de in dist.items():
+            if de == diam:
+                seq = [e]
+                while seq[-1] != s:
+                    seq.append(prev[seq[-1]])
+                seq.reverse()
+                paths.append(tuple(seq))
+    return paths
+
+
+def _reference_decompose(t):
+    """(spine, leaves_at, final_arc) from the least of all diameter paths, or
+    the NotACaterpillar witness vertex."""
+    spine = min(_longest_paths(t))
+    inner = set(spine[1:-1])
+    leaves_at = {p: [] for p in spine}
+    for v in range(t.n):
+        if v in spine:
+            continue
+        nb = [w for w in t.adj[v] if w in inner]
+        if t.deg[v] != 1 or not nb:
+            return v
+        leaves_at[nb[0]].append(v)
+    arc = (spine[-2], spine[-1]) if t.sign[spine[-2]] > 0 else (spine[-1], spine[-2])
+    return spine, {p: tuple(sorted(ls)) for p, ls in leaves_at.items()}, arc
+
+
+def _decompose_or_witness(t):
+    try:
+        dec = ae.caterpillar_decompose(t)
+    except ae.NotACaterpillar as exc:
+        return exc.witness
+    return dec.spine, dict(dec.leaves_at), dec.final_arc
+
+
+def test_linear_spine_matches_all_paths_reference():
+    trees = [t for k in range(1, 10) for t in ae.enumerate_antitrees(k, max_k=9)]
+    rng = random.Random(4711)
+    trees += [ae.sample_antitree(rng.randint(1, 60), rng) for _ in range(2000)]
+    for t in trees:
+        assert _decompose_or_witness(t) == _reference_decompose(t), t
+
+
+def test_spine_decomposition_is_read_only():
+    dec = ae.caterpillar_decompose(DOUBLE_STAR)
+    with pytest.raises(TypeError):
+        dec.leaves_at[0] = ()
+
+
+def test_pickled_tree_leaves_its_memo_behind():
+    # sweeps send trees to worker processes; a read-only leaves_at does not pickle
+    ae.caterpillar_decompose(DOUBLE_STAR)
+    copy = pickle.loads(pickle.dumps(DOUBLE_STAR))
+    assert copy == DOUBLE_STAR and copy._memo is None
+    assert ae.caterpillar_decompose(copy) == ae.caterpillar_decompose(DOUBLE_STAR)
+
+
 def test_caterpillar_leaf_strip_cross_check():
     # classical criterion: stripping all leaves leaves a (possibly empty) path
     for k in range(1, 6):
         for t in ae.enumerate_antitrees(k):
-            inner = [v for v in t.vertices() if t.deg[v] > 1]
+            inner = [v for v in range(t.n) if t.deg[v] > 1]
             g = nx.Graph([(a, b) for a, b in t.tree.arcs if a in inner and b in inner])
             g.add_nodes_from(inner)
             is_path = (

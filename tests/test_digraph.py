@@ -62,20 +62,6 @@ def test_construction_rejects():
         ae.Digraph(2, [(0, 2)])
 
 
-def test_induced_subdigraph():
-    same = ae.induced_subdigraph(D1, D1.arcs)
-    assert same == D1
-    empty = ae.induced_subdigraph(D1, [])
-    assert empty.a() == 0 and empty.n == 3
-    one = ae.induced_subdigraph(D1, [(0, 1)])
-    p = ae.degree_profile(one)
-    assert p.out_deg == (1, 0, 0) and p.in_deg == (0, 1, 0)
-    with pytest.raises(ae.AntembedError):
-        ae.induced_subdigraph(D1, [(1, 0)])
-    sub, remap = ae.induced_subdigraph(D1, [(0, 1)], drop_isolated=True)
-    assert sub.n == 2 and remap == {0: 0, 1: 1}
-
-
 arc_lists = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
@@ -163,8 +149,3 @@ def test_arclist_rejects_root_out_of_range():
         with pytest.raises(ae.AntembedError, match="root"):
             ae.parse_arclist(f"3 1 root {root}\n0 1\n")
     assert ae.parse_arclist("3 1 root 2\n0 1\n")[1] == 2
-
-
-def test_dot_export():
-    dot = ae.to_dot(ae.Digraph(3, [(0, 1)]))
-    assert "0 -> 1;" in dot and "2;" in dot

@@ -554,3 +554,22 @@ def test_host_memo_has_no_cycle_and_skips_seeded_and_ordered_calls():
     assert ae.select_subdigraph(d, k, 2).sub.arcs == sel.sub.arcs
     assert ConvexDigraph(d).cw_list(0, +1) == ConvexDigraph(host).cw_list(0, +1)
     assert sorted(d._memo) == [("convex",), ("profile",), ("select", k, 2)]
+
+
+def test_tree_memo_has_no_cycle_and_skips_refusals():
+    t = sample_antitree_heavy(13, random.Random(3), 6)
+    assert ae.reverse_antitree(t) is ae.reverse_antitree(t)
+    twice = ae.reverse_antitree(ae.reverse_antitree(t))
+    assert twice == t and twice is not t
+    assert ae.degree_stats(t) is ae.degree_stats(t)
+    assert ae.rooted_view(t, 5) is ae.rooted_view(t, 5)
+    ae.double_broom(t, 0, 1)
+    ae.embed_antitree(ae.gen_incidence(25), t, known_free=True)
+    assert t._memo and not _reaches(t._memo, t)
+    # a decomposition that raises stores nothing and raises again
+    spider = T(7, [(0, 1), (2, 1), (0, 3), (4, 3), (0, 5), (6, 5)])
+    for _ in range(2):
+        with pytest.raises(ae.NotACaterpillar):
+            ae.caterpillar_decompose(spider)
+        assert ("spine",) not in spider._memo
+    assert not _reaches(spider._memo, spider)

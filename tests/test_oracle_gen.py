@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -114,6 +115,19 @@ def test_sample_antitree():
         assert t.k == k
     t = sample_antitree_heavy(13, rng, 6)
     assert ae.degree_stats(t).delta2 >= 6
+
+
+def test_sampled_trees_frozen():
+    # sha256 of the arcs of the first 300 k=13 trees of each generator at
+    # seed 1302, frozen before the generators shared one two-colouring
+    def digest(draw):
+        rng = random.Random(1302)
+        return hashlib.sha256(repr([draw(rng).tree.arcs for _ in range(300)]).encode()).hexdigest()
+
+    assert digest(lambda rng: ae.sample_antitree(13, rng)) == (
+        "82a9a71163c72566b6c8bea0cd0a03acfcc51179540b391fd4cf2e4ae1ad5a87")
+    assert digest(lambda rng: sample_antitree_heavy(13, rng, 6)) == (
+        "57d9362f1db7075c1fc991459479233216dd4645bf0618da56896f7e5198f65b")
 
 
 def test_enumerate_digraphs():

@@ -5,7 +5,7 @@ import pytest
 
 import antembed as ae
 from antembed.digraph import Digraph
-from antembed.subdigraph import prune_bipartite, split_bipartite
+from antembed.subdigraph import prune_bipartite
 
 
 def bidirected_complete(n):
@@ -107,27 +107,14 @@ def test_prune_pseudo_cascade():
         assert prof.in_deg[v] == 0 or 2 * prof.in_deg[v] >= k
 
 
-def test_split_bipartite():
-    d1 = Digraph(3, [(0, 1), (2, 1)])
-    h = split_bipartite(d1)
-    assert h.edge_count() == d1.a()
-    assert h.adj[0] == 1 << 1 and h.adj[2] == 1 << 1 and h.adj[1] == 0
-    assert split_bipartite(Digraph(4, [])).edge_count() == 0
-    rng = random.Random(0)
-    for _ in range(20):
-        n = rng.randint(2, 8)
-        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
-        assert split_bipartite(Digraph(n, arcs)).edge_count() == len(arcs)
-
-
 def test_prune_bipartite_complete_fixpoint():
-    # K_{m,m} with m > k-1 survives untouched and lands in case I
+    # the bidirected complete digraph on m > k vertices, whose double cover is
+    # K_{m,m} minus a perfect matching, survives untouched and lands in case I
     m, k, r = 6, 5, 2
-    d = Digraph(m, [])
-    h = split_bipartite(d)
-    h.adj = [(1 << m) - 1 for _ in range(m)]
-    alive_a, alive_b, adj, case, audit = prune_bipartite(h, k, r)
+    d = bidirected_complete(m)
+    alive_a, alive_b, adj, case, audit = prune_bipartite(d, k, r)
     assert alive_a == set(range(m)) and alive_b == set(range(m))
+    assert adj == list(d.out_bits)
     assert case == "I" and not audit["loop2"]
 
 
@@ -202,7 +189,7 @@ def test_select_random_sweep_and_order_independence():
 
 
 def test_round_trip_reaudit():
-    # push D' back through the bipartite split: the survivors still satisfy
+    # read D' as its bipartite double cover: the survivors still satisfy
     # the degree-sum condition verbatim
     rng = random.Random(5)
     for trial in range(40):
@@ -210,11 +197,10 @@ def test_round_trip_reaudit():
         k = rng.randint(2, n - 1)
         d = ae.gen_random_dense(n, k, seed=100 + trial)
         sel = ae.select_subdigraph(d, k, (k + 1) // 2)
-        h = split_bipartite(sel.sub)
-        dega = [h.adj[u].bit_count() for u in range(n)]
+        dega = [sel.sub.out_bits[u].bit_count() for u in range(n)]
         degb = [0] * n
         for u in range(n):
-            m = h.adj[u]
+            m = sel.sub.out_bits[u]
             while m:
                 low = m & -m
                 degb[low.bit_length() - 1] += 1
