@@ -73,6 +73,10 @@ class Digraph:
         d.n, d.arcs, d.out_bits, d.in_bits, d._hash, d._memo = n, arcs, out_bits, in_bits, None, None
         return d
 
+    def __reduce__(self):
+        # a pickled digraph leaves its memo behind; the entries are rebuilt on demand
+        return Digraph._of, (self.n, self.arcs, self.out_bits, self.in_bits)
+
     @classmethod
     def from_bits(cls, n: int, out_bits: Sequence[int]) -> "Digraph":
         """Digraph from its out-rows; ``arcs`` comes out in (tail, head) order."""

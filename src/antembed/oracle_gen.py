@@ -282,6 +282,8 @@ def gen_random_dense(n: int, k: int, seed: int) -> Digraph:
 
 def sample_antitree(k: int, rng: random.Random) -> AntiTree:
     """Random k-arc antidirected tree: random labeled tree, random source side."""
+    if k < 1:
+        raise AntembedError(f"a tree needs at least one arc, got k={k}")
     n = k + 1
     if n == 2:
         edges = [(0, 1)]
@@ -311,6 +313,8 @@ def sample_antitree_heavy(k: int, rng: random.Random, delta2_min: int) -> AntiTr
     """Random k-arc antidirected tree with second-highest degree >= delta2_min:
     two hubs joined by a short path, leaves split between them, leftovers
     attached uniformly."""
+    if k < 1 or delta2_min > (k + 1) // 2:
+        raise AntembedError(f"no {k}-arc tree has second-highest degree {delta2_min} or more")
     while True:
         d2v = rng.randint(delta2_min, (k + 1) // 2)
         plen = rng.randint(1, 3)
@@ -339,32 +343,11 @@ def sample_antitree_heavy(k: int, rng: random.Random, delta2_min: int) -> AntiTr
             return t
 
 
-def enumerate_digraphs(n: int, min_arcs: int = 0, max_n: int = 5, dedup: bool = False):
-    """Stream all labeled digraphs on n vertices with at least min_arcs arcs."""
+def enumerate_digraphs(n: int, max_n: int = 5):
+    """Stream all labeled digraphs on n vertices."""
     if n > max_n:
         raise AntembedError(f"n={n} above the guard {max_n}; pass max_n to override")
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     npairs = len(pairs)
-    seen = set()
     for mask in range(1 << npairs):
-        if mask.bit_count() < min_arcs:
-            continue
-        arcs = [pairs[i] for i in range(npairs) if (mask >> i) & 1]
-        d = Digraph(n, arcs)
-        if dedup:
-            key = _canon_digraph(d)
-            if key in seen:
-                continue
-            seen.add(key)
-        yield d
-
-
-def _canon_digraph(d: Digraph):
-    from itertools import permutations
-
-    best = None
-    for perm in permutations(range(d.n)):
-        key = tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
-        if best is None or key < best:
-            best = key
-    return best
+        yield Digraph(n, [pairs[i] for i in range(npairs) if (mask >> i) & 1])

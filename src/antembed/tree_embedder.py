@@ -12,10 +12,10 @@ reversed together.  The dispatcher and the public ``embed_mid_delta`` and
 reach the same branch code with the same inputs and return equal maps.
 
 Each branch follows its constructive argument step by step.  Greedy maximal
-extension alternates with the argument's exchange moves; the argument's
-displayed inequalities are evaluated at their steps and logged under the tags
-used here, and a step whose guaranteed candidate set comes up empty raises
-InternalAssertion after a bounded re-choice net has retried nearby decisions.
+extension (``_Ctx.grow``) alternates with the argument's exchange moves; the
+argument's displayed inequalities are evaluated at their steps and logged
+under the tags used here.  Every choice point takes its first candidate, and
+a step whose guaranteed candidate set comes up empty raises InternalAssertion.
 When that happens at the top level the exact oracle is consulted, so a run
 still reports ground truth next to the bug trace.
 """
@@ -23,6 +23,7 @@ still reports ground truth next to the bug trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .antitree import (
     AntiTree,
@@ -69,58 +70,16 @@ class EmbedOutcome:
         return [e for e in self.trace if e.get("event") == "internal-assertion"]
 
 
-# -- bounded re-choice net -----------------------------------------------------
+def _first(tag: str, options: list):
+    """The first candidate at a choice point; ``<tag>:no-candidates`` when there is none."""
+    if not options:
+        raise InternalAssertion(tag + ":no-candidates")
+    return options[0]
 
 
-class _Chooser:
-    def __init__(self, overrides):
-        self.overrides = overrides
-        self.log = []
-
-    def pick(self, tag, options):
-        if not options:
-            raise InternalAssertion(tag + ":no-candidates")
-        pos = len(self.log)
-        idx = self.overrides[pos] if pos < len(self.overrides) else 0
-        idx = min(idx, len(options) - 1)
-        self.log.append((tag, len(options), idx))
-        return options[idx]
-
-
-_NET_WIDTH = 3  # alternatives tried at one choice point
-_NET_REPLAYS = 24  # replays before the assertion propagates
-
-
-def _with_net(fn):
-    """Replay ``fn(chooser)``, advancing the deepest advanceable choice point
-    after each InternalAssertion, at most ``_NET_WIDTH`` alternatives per
-    point and ``_NET_REPLAYS`` replays in all."""
-    overrides: list[int] = []
-    attempt = 0
-    while True:
-        ch = _Chooser(overrides)
-        try:
-            return fn(ch)
-        except InternalAssertion:
-            attempt += 1
-            if attempt > _NET_REPLAYS:
-                raise
-            log = ch.log
-            i = len(log) - 1
-            while i >= 0:
-                tag, nopt, idx = log[i]
-                if idx + 1 < min(nopt, _NET_WIDTH):
-                    overrides = [e[2] for e in log[:i]] + [idx + 1]
-                    break
-                i -= 1
-            if i < 0:
-                raise
-
-
-def _net_embedding(fn, t: AntiTree, d: Digraph, tag: str, trace: list, case=None) -> EmbedOutcome:
-    """Run ``fn`` under the re-choice net and return its map as a validated
-    embedding of t into d; InternalAssertion ``tag`` when it is not one."""
-    mapping = _with_net(fn)
+def _outcome(mapping: dict[int, int], t: AntiTree, d: Digraph, tag: str, trace: list, case=None) -> EmbedOutcome:
+    """``mapping`` as a validated embedding of t into d; InternalAssertion
+    ``tag`` when it is not one."""
     if not validate_embedding(t, d, mapping):
         raise InternalAssertion(tag, trace=trace)
     return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
@@ -245,6 +204,12 @@ class _Ctx:
         for c, s in zip(leaf, sorted(bits_of(rest), key=lambda q: ((self.core_bits >> q) & 1, q))):
             self.place(c, s)
 
+    def fill(self, kids, slots: int):
+        """Seat ``kids`` in the given order on the free vertices of ``slots``,
+        least first: plain slot order, not ``seat_children``'s ranking."""
+        for c, s in zip(kids, bits_of(slots & ~self.used)):
+            self.place(c, s)
+
     # traversal ---------------------------------------------------------
 
     def greedy(self, scope: set[int], blocked: int = 0):
@@ -270,6 +235,22 @@ class _Ctx:
                 if y in scope and y not in self.f:
                     out.append((x, y))
         return out
+
+    def grow(self, scope: set[int], tag: str, limit: int):
+        """Greedy rounds inside ``scope``, each logged as ``<tag>:loop-guard``
+        and failing it after ``limit`` rounds: yields the open pairs of every
+        round that stalls, for the caller's exchange move, and stops at the
+        first round that leaves none."""
+        for rounds in count(1):
+            self.require(tag + ":loop-guard", rounds <= limit)
+            opens = self.greedy(scope)
+            if not opens:
+                return
+            yield opens
+
+    def holders(self, bits: int) -> list[int]:
+        """The placed tree vertices whose images lie in ``bits``."""
+        return [x for x, h in self.f.items() if (bits >> h) & 1]
 
     def subtree(self, x: int) -> set[int]:
         out = set()
@@ -311,11 +292,11 @@ def embed_low_delta(d_core: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
     Works entirely inside the pruned core whose pseudo-semidegree reaches
     k/2; applies when the tree's maximum degree stays below k/4."""
     trace: list = []
-    return _net_embedding(lambda ch: _low_delta_impl(d_core, t, k, ch, trace), t, d_core,
-                          "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
+    return _outcome(_low_delta_impl(d_core, t, k, trace), t, d_core,
+                    "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
 
 
-def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: list) -> dict[int, int]:
+def _low_delta_impl(core: Digraph, t: AntiTree, k: int, trace: list) -> dict[int, int]:
     prof = degree_profile(core)
     if 2 * prof.delta0_bar < k:
         raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
@@ -340,12 +321,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
     ctx.rv = rooted_view(t, w)
     sw = t.sign[w]
     slot_bits = core.neighbor_bits(f0[w], sw)
-    inv = {h: x for x, h in f0.items()}
-    Y = sorted(
-        inv[h]
-        for h in bits_of(slot_bits & ctx.used)
-        if inv[h] != w and inv[h] not in t.adj[w]
-    )
+    Y = sorted(x for x in ctx.holders(slot_bits) if x != w and x not in t.adj[w])
     ctx.note("63:Y-size", len(Y) >= (k + 1) // 2 - k // 4, size=len(Y))
     ctx.require("63:Y", bool(Y))
     depth = ctx.rv.depth
@@ -358,7 +334,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
             if core.neighbor_bits(f0[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
         ]
         ctx.require("63:cond-b", bool(cands))
-    y = ch.pick("63:y", cands)
+    y = _first("63:y", cands)
 
     # seed the exchange family: keep the w-side component, w' takes f(y),
     # and y itself reseats next to its parent when it sat at depth two
@@ -372,13 +348,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
         ctx.place(y, min(bits_of(yslots)))
 
     last_dist = -1
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("63:loop-guard", guard <= 2 * (k + 3))
-        open_pairs = ctx.greedy(full)
-        if not open_pairs:
-            return dict(ctx.f)
+    for open_pairs in ctx.grow(full, "63", 2 * (k + 3)):
         zcands = sorted(
             (x for x, _ in open_pairs if x != w),
             key=lambda x: (-ctx.rv.depth[x], x),
@@ -397,7 +367,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
         bbits = core.neighbor_bits(ctx.f[pz], -sz) & ~ctx.used
         if not bbits:
             ctx.stalled(core, k, [(ctx.f[w], sw), (ctx.f[z], sz), (ctx.f[pz], -sz)], "allhappy63")
-        b = ch.pick("63:b", sorted(bits_of(bbits)))
+        b = _first("63:b", sorted(bits_of(bbits)))
         X = core.neighbor_bits(b, sz) & ~ctx.used & ~(1 << b)
         kids = list(ctx.rv.children[z])
         ctx.note("63:X-size", X.bit_count() >= k // 4 - 1, size=X.bit_count())
@@ -407,9 +377,8 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, ch: _Chooser, trace: lis
             if v in ctx.f:
                 ctx.unplace(v)
         ctx.move(z, b)
-        slots = sorted(bits_of(core.neighbor_bits(b, sz) & ~ctx.used))
-        for child, slot in zip(kids, slots):
-            ctx.place(child, slot)
+        ctx.fill(kids, core.neighbor_bits(b, sz))
+    return dict(ctx.f)
 
 
 # -- the layered wide-star embedder ------------------------------------------------
@@ -433,13 +402,7 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
     ctx.place(u, anchor)
     ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(anchor, +1), "pu:anchor")
 
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("pu:loop-guard", guard <= 2 * (k + 3))
-        open_pairs = ctx.greedy(scope)
-        if not open_pairs:
-            return
+    for open_pairs in ctx.grow(scope, "pu", 2 * (k + 3)):
         w, wprime = min(open_pairs)
         sw = t.sign[w]
         slot_bits = core.neighbor_bits(ctx.f[w], sw)
@@ -448,12 +411,7 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
             (slot_bits & ctx.used).bit_count() * 2 >= k,
             used=(slot_bits & ctx.used).bit_count(),
         )
-        inv = {h: x for x, h in ctx.f.items()}
-        ys = sorted(
-            inv[h]
-            for h in bits_of(slot_bits & ctx.used)
-            if ctx.rv.depth[inv[h]] == 2 and ctx.rv.parent[inv[h]] != w
-        )
+        ys = sorted(y for y in ctx.holders(slot_bits) if ctx.rv.depth[y] == 2 and ctx.rv.parent[y] != w)
         ctx.require("pu:y", bool(ys))
         moved = False
         for y in ys:
@@ -467,7 +425,7 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
             ctx.stalled(d, k, [(anchor, +1), (ctx.f[w], sw), (ctx.f[ctx.rv.parent[y]], -t.sign[y])], "pu:k4")
 
 
-def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
+def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int):
     """Attach all children of w, via the stall-and-exchange cascade: full
     reseat of w next to its parent, metric-improving swaps, or a rebuilt
     embedding that frees slots below w's image."""
@@ -478,12 +436,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
     path = t.path(u, pw)
     path_imgs = _mask(ctx.f[v] for v in path)
     scope = set(ctx.f) | set(kids)
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("case3b:loop-guard", guard <= 4 * (k + 3))
-        if not ctx.greedy(scope):
-            return
+    for _ in ctx.grow(scope, "case3b", 4 * (k + 3)):
         b1 = ctx.f[w]
         placed = [c for c in kids if c in ctx.f]
         ctx.note("eq:a_out", (d.neighbor_bits(anchor, +1) & ctx.used).bit_count() > k // 4)
@@ -499,9 +452,7 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
                 for c in placed:
                     ctx.unplace(c)
                 ctx.move(w, b)
-                slots = sorted(bits_of(core.neighbor_bits(b, sw) & ~ctx.used))
-                for c, s in zip(kids, slots):
-                    ctx.place(c, s)
+                ctx.fill(kids, core.neighbor_bits(b, sw))
                 return
         for b in B:
             ctx.note(
@@ -528,14 +479,13 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
         # whose image blocks w, re-grow it elsewhere, and reserve the freed
         # slots for w's children
         R = set(path) | set(placed) | {w}
-        inv = {h: x for x, h in ctx.f.items()}
         outside = sorted(
-            (inv[h] for h in bits_of(core.neighbor_bits(b1, sw) & ctx.used) if inv[h] not in R),
+            (y for y in ctx.holders(core.neighbor_bits(b1, sw)) if y not in R),
             key=lambda y: (-ctx.rv.depth[y], y),
         )
         if not outside:
             ctx.require("eq:R-order", False, note="slots saturated inside R")
-        y = ch.pick("case3b:y", outside)
+        y = _first("case3b:y", outside)
         reserved = _mask(ctx.f[c] for c in placed) | (1 << ctx.f[y])
         sub_y = ctx.subtree(y) & set(ctx.f)
         old = dict(ctx.f)
@@ -555,13 +505,13 @@ def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int, ch: _Chooser):
             ctx.require("case3b:Q", False, open=len(opens))
 
 
-def _wide_star_impl(d, core, t, k, anchor, u, ch, trace) -> dict[int, int]:
+def _wide_star_impl(d, core, t, k, anchor, u, trace) -> dict[int, int]:
     ctx = _Ctx(t, d, core, "pu", root=u, u_root=u, trace=trace)
     ball = {x for x in range(t.n) if ctx.rv.depth[x] <= 2}
     _pu_place_ball(ctx, u, anchor, k, ball)
     steps = [w for w in ctx.rv.bfs_order if ctx.rv.depth[w] >= 2 and ctx.rv.children[w]]
     for w in steps:
-        _case3b_step(ctx, w, u, anchor, k, ch)
+        _case3b_step(ctx, w, u, anchor, k)
     return dict(ctx.f)
 
 
@@ -582,8 +532,8 @@ def embed_wide_star(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: in
     if strict and stats.delta2 > k // 4 + 2:
         raise HypothesisViolated("delta2-too-big", delta2=stats.delta2, k=k)
     trace: list = []
-    return _net_embedding(lambda ch: _wide_star_impl(d, d_core, t, k, anchor, u, ch, trace), t, d,
-                          "wide-star-validate", trace, CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
+    return _outcome(_wide_star_impl(d, d_core, t, k, anchor, u, trace), t, d,
+                    "wide-star-validate", trace, CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
 
 
 # -- the middle branch -----------------------------------------------------------
@@ -647,9 +597,7 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r
         mapping[leaf] = s
     trace.extend(inner.trace)
     trace.append({"event": "strip-reattach", "stripped": strip, "kprime": kprime})
-    if not validate_embedding(t, d, mapping):
-        raise InternalAssertion("strip-validate", trace=trace)
-    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace)
+    return _outcome(mapping, t, d, "strip-validate", trace)
 
 
 # -- the double-broom branch -------------------------------------------------------
@@ -722,11 +670,11 @@ def embed_double_broom(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, ca
         if case.params.get("padded"):
             mapping = _broom_a_padded(sel.sub, t, broom, k, case, trace)
         else:
-            mapping = _with_net(lambda ch: _broom_a_greedy(sel.sub, t, broom, k, case, ch, trace))
+            mapping = _broom_a_greedy(sel.sub, t, broom, k, case, trace)
     elif case.branch == "BroomB_I":
         mapping = _broom_catmindeg(sel.sub, t, broom, k, trace)
     else:
-        mapping = _with_net(lambda ch: _broom_b2(d, sel, t, broom, k, case, ch, trace))
+        mapping = _broom_b2(d, sel, t, broom, k, case, trace)
     if not validate_partial(t, d, mapping) or set(mapping) != set(broom.vertices):
         raise InternalAssertion("broom-validate", trace=trace)
     return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
@@ -755,7 +703,7 @@ def _broom_a_padded(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, tr
     return {w: emb.map[relabel[w]] for w in broom.vertices}
 
 
-def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, ch: _Chooser, trace: list) -> dict[int, int]:
+def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
     """Case A with a small broom: hub anywhere in the core, greedy, and a
     blocked vertex steals the slot of a leaf hanging off the hub."""
     u = case.params["u"]
@@ -763,28 +711,22 @@ def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, ch
     scope = set(broom.vertices)
     prof = degree_profile(core)
     starts = sorted(c for c in range(core.n) if prof.out_deg[c] > 0)
-    a = ch.pick("A-I:anchor", starts)
+    a = _first("A-I:anchor", starts)
     ctx.require("A-I:anchor-degree", core.out_deg(a) >= t.deg[u], have=core.out_deg(a))
     ctx.place(u, a)
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("A-I:loop-guard", guard <= 2 * (k + 3))
-        opens = ctx.greedy(scope)
-        if not opens:
-            return dict(ctx.f)
+    for opens in ctx.grow(scope, "A-I", 2 * (k + 3)):
         z, zprime = min(opens)
         sz = t.sign[z]
-        inv = {h: x for x, h in ctx.f.items()}
         hs = [
-            inv[h]
-            for h in bits_of(core.neighbor_bits(ctx.f[z], sz) & ctx.used)
-            if inv[h] in t.adj[u] and inv[h] not in broom.path_uv and ctx.embedded_leaf(inv[h])
+            c
+            for c in ctx.holders(core.neighbor_bits(ctx.f[z], sz))
+            if c in t.adj[u] and c not in broom.path_uv and ctx.embedded_leaf(c)
         ]
         ctx.require("A-I:h", bool(hs), z=z)
         re = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
         ctx.require("A-I:reembed", re != 0)
         ctx.hand_over(min(hs), re, zprime)
+    return dict(ctx.f)
 
 
 def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, trace: list):
@@ -806,7 +748,7 @@ def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, tr
     return v, u, 3
 
 
-def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case: CaseTag, ch: _Chooser, trace: list) -> dict[int, int]:
+def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
     core = sel.sub
     u, v = case.params["u"], case.params["v"]
     delta, delta2 = case.params["delta"], case.params["delta2"]
@@ -821,7 +763,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         # every core source sees more than delta arcs in the host, and every
         # other extension step keeps ~5k/12 slack: plain greedy suffices
         ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
-        a = ch.pick("Bii:bigdelta-anchor", plus_members)
+        a = _first("Bii:bigdelta-anchor", plus_members)
         ctx.place(u, a)
         ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
         opens = ctx.greedy(scope)
@@ -833,15 +775,14 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         # a double-star: u goes on an in-neighbor of the heavy sink
         ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
         ins = sorted(bits_of(core.neighbor_bits(b_vertex, -1)))
-        a = ch.pick("Bii:dstar-anchor", ins)
+        a = _first("Bii:dstar-anchor", ins)
         ctx.place(u, a)
         ctx.place(v, b_vertex)
         ctx.seat_children(u, [c for c in ctx.rv.children[u] if c != v], d.neighbor_bits(a, +1), "hub")
-        slots = sorted(bits_of(core.neighbor_bits(b_vertex, -1) & ~ctx.used))
+        slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
         vkids = [c for c in t.adj[v] if c != u]
-        ctx.require("Bii:dstar-capacity", len(slots) >= len(vkids))
-        for c, s in zip(vkids, slots):
-            ctx.place(c, s)
+        ctx.require("Bii:dstar-capacity", slots.bit_count() >= len(vkids))
+        ctx.fill(vkids, slots)
         return dict(ctx.f)
 
     _note(trace, "notdoublestar", True)
@@ -849,14 +790,13 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
     ctx = _Ctx(t, d, core, "suitable", root=x, trace=trace)
     if case_no == 3:
         ctx.place(x, b_vertex)
-        slots = [s for s in sorted(bits_of(core.neighbor_bits(b_vertex, -1))) if not (ctx.used >> s) & 1]
+        slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
         kids = sorted(ctx.rv.children[x])
-        ctx.require("Bii:iii-capacity", len(slots) >= len(kids))
-        for c, s in zip(kids, slots):
-            ctx.place(c, s)
+        ctx.require("Bii:iii-capacity", slots.bit_count() >= len(kids))
+        ctx.fill(kids, slots)
         ctx.note("eq:degree-k", prof.in_deg[b_vertex] >= k)
     else:
-        a = ch.pick("Bii:anchor", plus_members)
+        a = _first("Bii:anchor", plus_members)
         ctx.note("degaD'712", 12 * d.out_deg(a) >= 7 * k)
         ctx.place(x, a)
         ctx.seat_children(x, ctx.rv.children[x], d.neighbor_bits(a, +1), "hub")
@@ -864,13 +804,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
 
     path_xy = t.path(x, y)
     n_x = [c for c in t.adj[x] if c not in path_xy]
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("Bii:loop-guard", guard <= 4 * (k + 3))
-        opens = ctx.greedy(scope)
-        if not opens:
-            return dict(ctx.f)
+    for opens in ctx.grow(scope, "Bii", 4 * (k + 3)):
         if _bii_eqqqq_escape(ctx, opens, x, n_x):
             continue
         ctx.require("claim:maximum-i", 4 * len(ctx.f) > 3 * k, size=len(ctx.f))
@@ -882,9 +816,10 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         yprime = missing[0]
         if _bii_intersection_escape(ctx, x, y, yprime, n_x, case_no, k):
             continue
-        if _bii_r1r2_finish(ctx, x, y, yprime, n_x, case_no, k, broom, ch):
+        if _bii_r1r2_finish(ctx, x, y, yprime, n_x, case_no, k, broom):
             return dict(ctx.f)
         ctx.require("thirdpart2:final", False)
+    return dict(ctx.f)
 
 
 def _bii_eqqqq_escape(ctx: _Ctx, opens, x: int, n_x) -> bool:
@@ -982,14 +917,14 @@ def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
     return True
 
 
-def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> bool:
+def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom) -> bool:
     """The endgame around the parent of y: park y on a fresh core slot and fan
     its neighbors into the freed region, possibly displacing hub children."""
     t, d, core = ctx.t, ctx.d, ctx.core
     py = ctx.rv.parent[y]
     bbits = core.neighbor_bits(ctx.f[py], -t.sign[y]) & ~ctx.used
     ctx.require("thirdpart2:pyb", bbits != 0)
-    b = ch.pick("thirdpart2:b", sorted(bits_of(bbits)))
+    b = _first("thirdpart2:b", sorted(bits_of(bbits)))
     gy = d if t.deg[yprime] == 1 else core
     nb = gy.neighbor_bits(b, t.sign[y])
     yball = {c for c in t.adj[y] if c != py}
@@ -1017,8 +952,7 @@ def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom, ch) -> boo
             ctx.seat_children(y, yball, r1_bits | r2_bits, "r1")
             slots = core.neighbor_bits(ctx.f[x], -1) & ~ctx.used
             ctx.require("Bii:iii-refill", slots.bit_count() >= len(n_x))
-            for c, s in zip(sorted(n_x), sorted(bits_of(slots))):
-                ctx.place(c, s)
+            ctx.fill(sorted(n_x), slots)
             return _bii_done(ctx, broom)
         lx = sum(1 for c in t.adj[x] if t.deg[c] == 1)
         ctx.require("Bii:2x-small", 12 * lx >= k, lx=lx)
@@ -1050,46 +984,34 @@ def _bii_done(ctx: _Ctx, broom) -> bool:
 
 def extend_from_broom(d: Digraph, sel: SelectionResult, t: AntiTree, partial: dict[int, int], case: CaseTag) -> EmbedOutcome:
     trace: list = []
-    k = case.params["k"]
+    k, r = case.params["k"], case.params["r"]
     if case.branch in ("BroomA", "BroomB_II"):
         mode = "core" if case.branch == "BroomA" else "suitable"
-        fn = lambda ch: _claim_oc(d, sel.sub, t, partial, case, mode, k, ch, trace)
+        mapping = _claim_oc(d, sel.sub, t, partial, case, mode, k, trace)
+    elif r == k - case.params["delta"] and r < (5 * k + 11) // 12:
+        mapping = _bi_big_delta(sel.sub, t, sel, k, case, trace)
     else:
-        r = case.params["r"]
-        delta = case.params["delta"]
-        if r == k - delta and r < (5 * k + 11) // 12:
-            fn = lambda ch: _bi_big_delta(sel.sub, t, sel, k, case, ch, trace)
-        else:
-            fn = lambda ch: _bi_small_delta(sel.sub, t, partial, k, case, ch, trace)
-    return _net_embedding(fn, t, d, "extend-validate", trace, case)
+        mapping = _bi_small_delta(sel.sub, t, partial, k, case, trace)
+    return _outcome(mapping, t, d, "extend-validate", trace, case)
 
 
-def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, mode: str, k: int, ch: _Chooser, trace: list) -> dict[int, int]:
+def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, mode: str, k: int, trace: list) -> dict[int, int]:
     """Maximal extension beyond the broom with the leaf-relocation exchange."""
     u, v = case.params["u"], case.params["v"]
     ctx = _Ctx(t, core if mode == "core" else d, core, mode, root=u, trace=trace)
     ctx.reset_to(partial)
     full = set(range(t.n))
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("claim-oc:loop-guard", guard <= 2 * (k + 3))
-        opens = ctx.greedy(full)
-        if not opens:
-            return dict(ctx.f)
+    for opens in ctx.grow(full, "claim-oc", 2 * (k + 3)):
         w, wprime = min(opens)
         sw = t.sign[w]
         ctx.note("eq:neighbors-ww", core.neighbor_bits(ctx.f[w], sw) & ~ctx.used == 0)
         slot_bits = ctx.arc_graph(wprime).neighbor_bits(ctx.f[w], sw)
         if ctx.core_bound(wprime):
             slot_bits &= ctx.core_bits
-        inv = {h: q for q, h in ctx.f.items()}
         xs = sorted(
-            inv[h]
-            for h in bits_of(slot_bits & ctx.used)
-            if ctx.rv.parent[inv[h]] is not None
-            and ctx.rv.parent[inv[h]] != w
-            and ctx.embedded_leaf(inv[h])
+            q
+            for q in ctx.holders(slot_bits)
+            if ctx.rv.parent[q] is not None and ctx.rv.parent[q] != w and ctx.embedded_leaf(q)
         )
         moved = False
         for xv in xs:
@@ -1107,16 +1029,17 @@ def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], c
                 if hq is not None and all(hq != p0 for p0, _ in probes) and len(probes) < 3:
                     probes.append((hq, t.sign[q]))
             ctx.stalled(d, k, probes, "claim-oc", stalled=(w, wprime))
+    return dict(ctx.f)
 
 
-def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case: CaseTag, ch: _Chooser, trace: list) -> dict[int, int]:
+def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case: CaseTag, trace: list) -> dict[int, int]:
     """Case B-I with a huge hub: embed the trimmed tree in a fixed order from
     scratch, leaves of the hub last."""
     u, v = case.params["u"], case.params["v"]
     ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
     prof = degree_profile(core)
     anchors = sorted(a for a in range(core.n) if prof.out_deg[a] >= k)
-    a = ch.pick("BIbig:anchor", anchors)
+    a = _first("BIbig:anchor", anchors)
     ctx.place(u, a)
     path = set(t.path(u, v))
     leaves_u = {c for c in t.adj[u] if t.deg[c] == 1}
@@ -1135,7 +1058,7 @@ def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case
     return dict(ctx.f)
 
 
-def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int, case: CaseTag, ch: _Chooser, trace: list) -> dict[int, int]:
+def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int, case: CaseTag, trace: list) -> dict[int, int]:
     """Case B-I at the 5k/12 pseudo-degree: grow from the broom; a stall
     sacrifices a path-maximal branch to free a slot, preferring sacrifices
     that preserve broom coverage, with the hub-leaf relocation as the endgame."""
@@ -1147,13 +1070,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
     full = set(range(t.n))
     broom_set = set(partial)
     path_uv = set(t.path(u, v))
-    guard = 0
-    while True:
-        guard += 1
-        ctx.require("BI:loop-guard", guard <= 4 * (k + 3))
-        opens = ctx.greedy(full)
-        if not opens:
-            return dict(ctx.f)
+    for opens in ctx.grow(full, "BI", 4 * (k + 3)):
         w, wprime = min(opens)
         ctx.require("BI:w-not-uv", w not in (u, v), w=w)
         ctx.note("eq:neighbors-w", core.neighbor_bits(ctx.f[w], t.sign[w]) & ~ctx.used == 0)
@@ -1163,9 +1080,8 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
             route.append(ctx.rv.parent[route[-1]])
         r_w = set(route) | set(t.adj[w])
         ctx.note("BI:Rw", 4 * len(r_w) <= k + 8, size=len(r_w))
-        inv = {h: q for q, h in ctx.f.items()}
         slot_bits = core.neighbor_bits(ctx.f[w], t.sign[w])
-        X = sorted(inv[h] for h in bits_of(slot_bits & ctx.used) if inv[h] not in r_w and inv[h] != w)
+        X = sorted(q for q in ctx.holders(slot_bits) if q not in r_w and q != w)
         ctx.require("BI:X", bool(X))
         paths = {xv: tuple(t.path(w, xv)) for xv in X}
         xstar_set = [
@@ -1178,7 +1094,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
         ]
         ctx.require("BI:Xstar", bool(xstar_set))
         xstar_set.sort(key=lambda xv: (len(ctx.subtree(xv) & broom_set), xv))
-        xstar = ch.pick("BI:xstar", xstar_set)
+        xstar = _first("BI:xstar", xstar_set)
         drop = ctx.subtree(xstar) & set(ctx.f)
         old = dict(ctx.f)
         old_cover = len(set(old) & broom_set)
@@ -1220,6 +1136,7 @@ def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int,
             continue
         ctx.reset_to(old)
         ctx.require("BI:progress", False, stalled=(w, wprime))
+    return dict(ctx.f)
 
 
 # -- top level -----------------------------------------------------------------

@@ -31,6 +31,7 @@ def test_validate_examples():
     s = out_star(4)
     plus, minus = s.plus_minus()
     assert plus == {0} and minus == {1, 2, 3, 4}
+    assert s.plus_minus()[1] is minus  # memoized on the tree
 
 
 def test_validate_rejections():

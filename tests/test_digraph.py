@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,3 +151,12 @@ def test_arclist_rejects_root_out_of_range():
         with pytest.raises(ae.AntembedError, match="root"):
             ae.parse_arclist(f"3 1 root {root}\n0 1\n")
     assert ae.parse_arclist("3 1 root 2\n0 1\n")[1] == 2
+
+
+def test_pickled_digraph_leaves_its_memo_behind():
+    # sweeps send hosts to worker processes; a selection's read-only audit does not pickle
+    d = ae.gen_random_dense(10, 3, seed=0)
+    ae.select_subdigraph(d, 3, 1)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and copy.arcs == d.arcs and copy.in_bits == d.in_bits
+    assert d._memo and copy._memo is None

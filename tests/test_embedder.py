@@ -434,6 +434,64 @@ def test_oracle_fallback_op():
     assert not out.ok and out.failure["kind"] == "budget-exhausted"
 
 
+# host draw 105,670 (counting skipped draws) of the k = 6..16 random dense-host
+# loop at random.Random(7): not K_{2,s}-free, and the B-I big-hub step stalls
+# at its first anchor
+BIBIG_STALL_HOST = [
+    (15, 5), (17, 11), (0, 10), (6, 0), (8, 1), (0, 13), (7, 1), (10, 18),
+    (14, 6), (11, 15), (9, 2), (5, 17), (17, 2), (7, 5), (2, 19), (18, 6),
+    (13, 2), (14, 10), (14, 4), (6, 1), (5, 11), (13, 9), (17, 6), (7, 16),
+    (10, 15), (3, 8), (10, 2), (7, 4), (19, 11), (12, 13), (19, 12),
+    (18, 16), (0, 5), (0, 4), (18, 10), (0, 1), (5, 19), (7, 18), (14, 11),
+    (3, 1), (19, 15), (14, 12), (2, 17), (7, 17), (11, 13), (18, 12),
+    (12, 17), (17, 14), (5, 1), (12, 0), (19, 1), (3, 11), (2, 8), (13, 7),
+    (4, 15), (19, 5), (9, 1), (5, 7), (0, 7), (14, 17), (15, 4), (7, 12),
+    (4, 10), (16, 2), (16, 0), (0, 15), (0, 17), (9, 3), (9, 6), (0, 8),
+    (12, 16), (15, 17), (4, 14), (8, 5), (13, 0), (1, 10), (12, 4), (17, 1),
+    (6, 3), (12, 19), (13, 15), (5, 0), (13, 5), (19, 17), (14, 15),
+    (15, 12), (14, 3), (1, 2), (11, 10), (14, 13), (2, 14), (7, 11),
+    (8, 10), (19, 18), (9, 13), (7, 0), (16, 3), (4, 11), (18, 0), (13, 17),
+    (5, 9), (11, 6), (2, 12), (15, 3), (6, 8), (9, 10), (1, 8), (11, 3),
+    (2, 10), (12, 2), (17, 10), (10, 17), (2, 3), (9, 11), (5, 18), (1, 4),
+    (5, 16), (15, 1), (19, 2), (19, 6), (9, 8), (16, 9), (7, 14), (18, 17),
+    (8, 18), (5, 15), (2, 7), (0, 12), (6, 10), (7, 8), (15, 13), (4, 8),
+    (8, 2), (4, 3), (7, 9), (8, 17), (18, 2), (1, 5), (19, 14), (5, 8),
+    (17, 9), (3, 0), (0, 3), (12, 3), (1, 14), (2, 15), (1, 18), (18, 3),
+    (1, 9), (16, 18), (16, 19), (17, 4), (14, 8), (6, 14), (13, 19), (0, 6),
+    (17, 3), (4, 17), (10, 8), (19, 13), (13, 6), (9, 0), (14, 5), (10, 1),
+    (7, 10), (17, 7), (9, 14), (4, 19), (9, 17), (8, 12), (1, 12), (9, 4),
+    (11, 4), (2, 18), (15, 18), (11, 0), (4, 12), (6, 11), (13, 8),
+    (13, 11), (10, 19), (6, 7), (16, 7),
+]
+BIBIG_STALL_TREE = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (1, 7), (1, 8), (1, 9), (1, 10)]
+
+
+def test_branch_assertion_falls_back_to_the_oracle():
+    d = Digraph(20, BIBIG_STALL_HOST)
+    t = T(11, BIBIG_STALL_TREE)
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed_big_delta2(d, t, 10)
+    assert exc.value.tag == "BIbig:part1"
+    out = ae.embed_antitree(d, t, 10, known_free=True)
+    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
+    assert [e["tag"] for e in out.assertion_events()] == ["BIbig:part1"]
+    assert out.trace[-1]["event"] == "oracle" and out.trace[-1]["verdict"] == "Embeds"
+
+
+def test_final_validation_failure_falls_back_to_the_oracle(monkeypatch):
+    host = bidirected_complete(6)
+    t = T(4, [(0, 1), (0, 2), (3, 1)])
+
+    def bogus(d, t, k, trace):
+        return ae.EmbedOutcome(embedding=ae.Embedding(map={v: 0 for v in range(t.n)}), trace=trace)
+
+    monkeypatch.setattr(ae.tree_embedder, "_dispatch", bogus)
+    out = ae.embed_antitree(host, t, known_free=True)
+    assert out.trace[-2] == {"event": "internal-assertion", "tag": "final-validate"}
+    assert out.trace[-1]["event"] == "oracle" and out.trace[-1]["verdict"] == "Embeds"
+    assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
+
+
 def test_orientation_normalization():
     host = ae.gen_incidence(25)
     rng = random.Random(8)

@@ -132,14 +132,20 @@ def test_sampled_trees_frozen():
 
 def test_enumerate_digraphs():
     assert sum(1 for _ in ae.enumerate_digraphs(2)) == 4
-    assert sum(1 for _ in ae.enumerate_digraphs(2, min_arcs=2)) == 1
     assert sum(1 for _ in ae.enumerate_digraphs(3)) == 64
     assert sum(1 for _ in ae.enumerate_digraphs(4)) == 4096
     with pytest.raises(ae.AntembedError):
         next(ae.enumerate_digraphs(6))
-    # dedup mode returns representatives only
-    deduped = sum(1 for _ in ae.enumerate_digraphs(2, dedup=True))
-    assert deduped == 3  # empty, single arc, both arcs
+
+
+def test_samplers_reject_impossible_arguments():
+    rng = random.Random(0)
+    with pytest.raises(ae.AntembedError):
+        ae.sample_antitree(0, rng)
+    with pytest.raises(ae.AntembedError):
+        sample_antitree_heavy(0, rng, 1)
+    with pytest.raises(ae.AntembedError):
+        sample_antitree_heavy(6, rng, 4)  # no 6-arc tree has two vertices of degree 4
 
 
 def test_n3_containment_recount():

@@ -42,9 +42,9 @@ def test_emptiness_helper():
 
 
 def test_big_delta2_fuzz_soundness():
-    # sparse-ish hosts that satisfy density but stall the greedy paths: every
-    # outcome is either a validated embedding or a tagged internal assertion,
-    # never a bogus map
+    # small random hosts just above the density bound (all 120 embed as
+    # BroomB_I): every outcome is either a validated embedding or a tagged
+    # internal assertion, never a bogus map
     rng = random.Random(99)
     succ = asserts = 0
     for trial in range(120):
