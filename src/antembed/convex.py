@@ -28,6 +28,13 @@ No arc stores a predecessor: the arc one stage back sits at clockwise index
 idx + m or idx - m in the same block.  Tracing an arc back stage by stage
 stays inside its blocks exactly when the arc is good, since every arc is
 alive at the first stage, and the same trace replays a witness embedding.
+
+The construction depends only on the convex digraph and the step tuple, not
+on the rest of the tree, so it is memoized in the digraph's ``_cache``: each
+stage's bit set under its step prefix ``steps[:i]`` (one a(D)-bit int per
+distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc under
+``("least", steps)``.  Trees that share a prefix share its stages, and a
+tree seen before runs no shift and no relayout.
 """
 
 from __future__ import annotations
@@ -55,9 +62,13 @@ class ConvexDigraph:
     The clockwise tables and arc layouts of the default order (vertex ids
     ascending) are memoized on the digraph; an explicit order builds its own.
     Tables indexed by sign hold the out-side at [1] and the in-side at [-1].
-    ``_cache`` is filled on first use: the stage mask of each (sign, m, even)
-    under that key, and under each sign the getter that moves a set into
-    that sign's layout."""
+    ``_cache`` is filled on first use, so it too is per digraph for the
+    default order and per instance otherwise.  It holds the stage mask of
+    each (sign, m, even) under that key (one a(D)-bit int), under each sign
+    the getter that moves a set into that sign's layout (a(D) indices), the
+    good-arc stage of each step prefix under that prefix (one a(D)-bit int)
+    and the least good arc of each step tuple under ("least", steps) (one
+    arc)."""
 
     __slots__ = ("d", "order", "pos", "_cw", "_out_starts", "_cache")
 
@@ -222,7 +233,8 @@ class _StageArcs(Sequence):
 
 
 def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTable:
-    """The staged construction, one whole-set shift per stage.
+    """The staged construction, one whole-set shift per stage, each stage
+    read from ``c._cache`` under its step prefix and computed only on a miss.
 
     A shift moves every surviving arc inside its own block, so no two arcs
     ever land on one position: the stage maps are injective by construction
@@ -235,11 +247,15 @@ def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTa
     layout = steps[0][0] if steps else 1
     cur = (1 << c.d.a()) - 1
     stages = [cur]
-    for sign, m, even in steps:
-        if sign != layout:
-            cur, layout = c._relayout(cur, sign), sign
-        cur = cur & c._mask(sign, m, even)
-        cur = cur >> m if even else cur << m
+    memo = c._cache
+    for i, (sign, m, even) in enumerate(steps, start=1):
+        nxt = memo.get(steps[:i])
+        if nxt is None:
+            if sign != layout:
+                cur = c._relayout(cur, sign)
+            cur = cur & c._mask(sign, m, even)
+            nxt = memo[steps[:i]] = cur >> m if even else cur << m
+        cur, layout = nxt, sign
         stages.append(cur)
     d = c.d
     k = t.k
@@ -291,15 +307,19 @@ def _trace(c: ConvexDigraph, steps, arc: Arc) -> list[Arc] | None:
 
 
 def _least_good_arc(table: GoodArcTable) -> Arc:
-    """The least good arc in (tail, head) order, read from the final bit set."""
-    c = table.c
-    bits = table.stages[-1]
-    if table.steps and table.steps[-1][0] < 0:
-        bits = c._relayout(bits, 1)
-    starts = c._out_starts
-    x = bisect_right(starts, (bits & -bits).bit_length() - 1) - 1
-    lst = c.cw_list(x, 1)
-    return x, min(lst[i] for i in bits_of((bits >> starts[x]) & ((1 << len(lst)) - 1)))
+    """The least good arc in (tail, head) order, read from the final bit set
+    once per step tuple."""
+    c, key = table.c, ("least", table.steps)
+    arc = c._cache.get(key)
+    if arc is None:
+        bits = table.stages[-1]
+        if table.steps and table.steps[-1][0] < 0:
+            bits = c._relayout(bits, 1)
+        starts = c._out_starts
+        x = bisect_right(starts, (bits & -bits).bit_length() - 1) - 1
+        lst = c.cw_list(x, 1)
+        arc = c._cache[key] = x, min(lst[i] for i in bits_of((bits >> starts[x]) & ((1 << len(lst)) - 1)))
+    return arc
 
 
 def reconstruct_witness(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, final_arc: Arc) -> dict[int, int]:

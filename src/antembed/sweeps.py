@@ -137,6 +137,16 @@ def _prop3_host(args):
     return bad
 
 
+_PAIRS5 = [(u, v) for u in range(5) for v in range(5) if u != v]
+
+
+def _prop3_mask(args):
+    """``_prop3_host`` on the n=5 host whose arcs are the set bits of a
+    20-bit mask over ``_PAIRS5``, built here so that it dies with the call."""
+    mask, trees = args
+    return _prop3_host((Digraph(5, [_PAIRS5[i] for i in range(20) if (mask >> i) & 1]), trees))
+
+
 @_suite("prop3-exhaustive", sample5=100_000, seed=20260810)
 def suite_prop3_exhaustive(params, jobs=1):
     sample5, seed = params["sample5"], params["seed"]
@@ -151,12 +161,7 @@ def suite_prop3_exhaustive(params, jobs=1):
             failures.extend(bad)
         counts[f"n{n}"] = len(hosts)
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(5) for v in range(5) if u != v]
-    hosts5 = []
-    for _ in range(sample5):
-        mask = rng.getrandbits(20)
-        hosts5.append(Digraph(5, [pairs[i] for i in range(20) if (mask >> i) & 1]))
-    res = _pmap(_prop3_host, [(d, trees4) for d in hosts5], jobs)
+    res = _pmap(_prop3_mask, [(rng.getrandbits(20), trees4) for _ in range(sample5)], jobs)
     for bad in res:
         failures.extend(bad)
     counts["n5_sample"] = sample5

@@ -288,18 +288,27 @@ def assert_matches_reference(c, t, witnesses=None):
             reconstruct_witness(c, t, table, arc)
 
 
-def random_caterpillar(rng, spine_len, max_leaves):
-    first = rng.choice((1, -1))
+def spine_caterpillar(first, leaves):
+    """The caterpillar on spine 0, 1, ..., len(leaves) + 1, vertex 0 of sign
+    ``first``, with leaves[i - 1] leaves on inner spine vertex i.  Its spine
+    decomposes as 0, 1, ..., so its DP steps are, in order, one per entry of
+    ``leaves``: a longer ``leaves`` with the same start extends the steps."""
+    spine_len = len(leaves) + 2
     sign = [first * (-1) ** i for i in range(spine_len)]
     arcs = []
     for i in range(spine_len - 1):
         arcs.append((i, i + 1) if sign[i] > 0 else (i + 1, i))
     n = spine_len
-    for i in range(1, spine_len - 1):
-        for _ in range(rng.randint(0, max_leaves)):
+    for i, count in enumerate(leaves, start=1):
+        for _ in range(count):
             arcs.append((i, n) if sign[i] > 0 else (n, i))
             n += 1
     return ae.validate_antitree(Digraph(n, arcs))
+
+
+def random_caterpillar(rng, spine_len, max_leaves):
+    first = rng.choice((1, -1))
+    return spine_caterpillar(first, [rng.randint(0, max_leaves) for _ in range(spine_len - 2)])
 
 
 def test_bitset_dp_matches_reference_on_small_hosts():
@@ -342,3 +351,140 @@ def test_bitset_dp_edge_hosts():
     table = ae.good_arcs(ae.ConvexDigraph(d), single)
     assert table.steps == () and table.count == 3
     assert list(table.stage_arcs) == [dict.fromkeys(d.arcs)]
+
+
+# -- the good-arc memo: per (convex digraph, step prefix) ----------------------
+
+
+def prefix_keys(c):
+    """The step prefixes whose stage is memoized on c."""
+    return {key for key in c._cache if type(key) is tuple and key and type(key[0]) is tuple}
+
+
+def fresh(d, order=None):
+    """A ConvexDigraph on a memo-free copy of d."""
+    return ae.ConvexDigraph(Digraph(d.n, d.arcs), order)
+
+
+def test_dp_memo_second_call_runs_no_relayout(monkeypatch):
+    calls = []
+    relayout = convex.ConvexDigraph._relayout
+
+    def counted(self, bits, sign):
+        calls.append(sign)
+        return relayout(self, bits, sign)
+
+    monkeypatch.setattr(convex.ConvexDigraph, "_relayout", counted)
+    host = ae.gen_incidence(7)
+    order = list(range(host.n))
+    random.Random(5).shuffle(order)
+    t = spine_caterpillar(-1, [2, 0, 1, 3, 1, 2])
+    for c in (ae.ConvexDigraph(host), ae.ConvexDigraph(host, order)):
+        first = ae.good_arcs(c, t)
+        least = convex._least_good_arc(first)
+        # signs alternate: one relayout per stage after the first, and one
+        # back to the out-major layout for the least arc (the last step is in-major)
+        assert first.count and first.steps[-1][0] < 0 and len(calls) == len(first.steps)
+        del calls[:]
+        again = ae.good_arcs(c, t)
+        assert convex._least_good_arc(again) == least
+        assert ae.good_arcs_mindeg(c, t).stages == again.stages == first.stages
+        assert calls == []
+    # the default order's memo lives on the host: a new view of it is warm
+    assert convex._least_good_arc(ae.good_arcs(ae.ConvexDigraph(host), t))
+    assert calls == []
+
+
+def test_dp_memo_one_entry_per_new_step():
+    host = ae.gen_incidence(7)
+    short = spine_caterpillar(1, [1, 0, 2])
+    long = spine_caterpillar(1, [1, 0, 2, 1, 0, 3])
+    c = ae.ConvexDigraph(host)
+    steps = ae.good_arcs(c, short).steps
+    assert len(steps) == 3 and prefix_keys(c) == {steps[:i] for i in (1, 2, 3)}
+    table = ae.good_arcs(c, long)
+    assert table.steps[:3] == steps
+    assert prefix_keys(c) == {table.steps[:i] for i in range(1, 7)}
+    # a tree with a step tuple already met adds nothing
+    ae.good_arcs(c, spine_caterpillar(1, [1, 0]))
+    assert len(prefix_keys(c)) == 6
+
+
+def memo_trees(rng, count, spine_max, max_leaves):
+    """Caterpillars with many shared step prefixes: leaf counts from a small
+    range, two starting signs."""
+    return [
+        spine_caterpillar(rng.choice((1, -1)), [rng.randint(0, max_leaves) for _ in range(rng.randint(0, spine_max))])
+        for _ in range(count)
+    ]
+
+
+def assert_memo_matches_fresh(d, trees, order=None):
+    """Warm one ConvexDigraph with the trees in forward, then in reverse
+    order; every table equals a memo-free one's, and the reference DP's."""
+    refs = {}
+    for seq in (trees, trees[::-1]):
+        c = fresh(d, order)
+        seen = set()
+        for t in seq:
+            table = ae.good_arcs(c, t)
+            seen.add(table.steps)
+            base = ae.good_arcs(fresh(d, order), t)
+            assert table.steps == base.steps and table.stages == base.stages
+            assert table.count == base.count
+            if id(t) not in refs:
+                refs[id(t)] = reference_run_dp(c, t, caterpillar_decompose(t))[-1]
+            assert table.stage_arcs[-1] == refs[id(t)] == base.stage_arcs[-1]
+            assert ae.good_arcs_mindeg(c, t).stages == base.stages
+            if table.count:
+                assert convex._least_good_arc(table) == convex._least_good_arc(base) == min(refs[id(t)])
+        # one entry per distinct prefix, shared by all trees that have it
+        assert prefix_keys(c) == {steps[:i] for steps in seen for i in range(1, len(steps) + 1)}
+    return seen
+
+
+def test_dp_memo_matches_fresh_host_on_incidence_hosts():
+    rng = random.Random(17)
+    for q in (7, 13):
+        host = ae.gen_incidence(q)
+        order = list(range(host.n))
+        rng.shuffle(order)
+        trees = memo_trees(rng, 12, 6, (q + 1) // 4)
+        for d in (host, ae.reverse(host)):
+            seen = assert_memo_matches_fresh(d, trees)
+        # the trees do share prefixes
+        assert len({steps[:i] for steps in seen for i in range(1, len(steps) + 1)}) < sum(map(len, seen))
+        assert_memo_matches_fresh(host, trees, order)
+
+
+def test_dp_memo_matches_fresh_host_on_small_hosts():
+    rng = random.Random(19)
+    trees = caterpillars(4) + memo_trees(rng, 10, 4, 1)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        d = random_digraph(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        fits = [t for t in trees if t.n <= n]
+        assert_memo_matches_fresh(d, fits)
+        assert_memo_matches_fresh(d, fits, order)
+
+
+def test_dp_memo_explicit_order_has_its_own_cache():
+    host = ae.gen_incidence(7)
+    t = spine_caterpillar(1, [2, 1, 0, 2])
+    default = ae.ConvexDigraph(host)
+    ae.good_arcs(default, t)
+    assert ae.ConvexDigraph(host)._cache is default._cache
+    before = dict(default._cache)
+    # the identity order, given explicitly, builds the same tables but a cache of its own
+    same = ae.ConvexDigraph(host, range(host.n))
+    assert same._cache is not default._cache and not prefix_keys(same)
+    assert ae.good_arcs(same, t).stages == ae.good_arcs(default, t).stages
+    order = list(range(host.n))
+    random.Random(23).shuffle(order)
+    shuffled = ae.ConvexDigraph(host, order)
+    table = ae.good_arcs(shuffled, t)
+    assert table.stages != ae.good_arcs(default, t).stages
+    assert table.stages == ae.good_arcs(fresh(host, order), t).stages
+    assert default._cache == before and not prefix_keys(ae.ConvexDigraph(host, order))
