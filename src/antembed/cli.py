@@ -6,12 +6,15 @@ lines, ``#`` comments); ``--json`` switches machine-readable output on.
 
 Exit codes for ``embed``: 0 success, 2 certified refusal, 3 inconclusive,
 4 internal assertion encountered.  ``check-free`` exits 1 when a witness is
-found.
+found.  Every subcommand exits 2 with one ``error: ...`` line on an input file
+it cannot read or parse and on a bad flag value (a negative ``--budget``, an
+``--order`` other than ``id`` or ``random:<seed>``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -28,8 +31,12 @@ from .tree_embedder import embed_antitree
 
 
 def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_arclist(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AntembedError(f"cannot read {path!r}: {exc}") from None
+    return parse_arclist(text)
 
 
 def _load_tree(path):
@@ -48,12 +55,16 @@ def _emit(obj, as_json):
 def _order_from_flag(flag, n):
     if flag is None or flag == "id":
         return None
-    if flag.startswith("random:"):
-        rng = random.Random(int(flag.split(":", 1)[1]))
-        order = list(range(n))
-        rng.shuffle(order)
-        return order
-    raise AntembedError(f"bad --order value {flag!r}")
+    head, _, seed = flag.partition(":")
+    try:
+        rng = random.Random(int(seed)) if head == "random" else None
+    except ValueError:
+        rng = None
+    if rng is None:
+        raise AntembedError(f"bad --order value {flag!r}: expected 'id' or 'random:<integer seed>'")
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
 
 
 def cmd_embed(args) -> int:
@@ -192,6 +203,16 @@ def cmd_sweep(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="antembed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -202,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tree", required=True)
     s.add_argument("--host", required=True)
     s.add_argument("--force-oracle", action="store_true")
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_budget, default=None)
     s.add_argument("--trace", default=None)
     s.set_defaults(fn=cmd_embed)
 
@@ -248,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("oracle", help="exact backtracking embedding oracle")
     s.add_argument("--tree", required=True)
     s.add_argument("--host", required=True)
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_budget, default=None)
     s.set_defaults(fn=cmd_oracle)
 
     s = sub.add_parser("sweep", help="run a registered acceptance suite")
@@ -259,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except AntembedError as exc:

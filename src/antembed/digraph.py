@@ -21,10 +21,11 @@ references the digraph that holds it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AntembedError
@@ -248,14 +249,65 @@ def core_member_bits(d: Digraph) -> int:
 # -- file formats ------------------------------------------------------
 
 
+# The bulk format: every line is two ASCII-digit tokens.  The first line is
+# matched; every later one is checked by searching for a line break not
+# followed by such a line (or by the end), which keeps no state per line.
+_FIRST_LINE = re.compile(r"[0-9]+[ \t]+[0-9]+(?:\n|\Z)")
+_BAD_LINE = re.compile(r"\n(?!\Z|[0-9]+[ \t]+[0-9]+(?:\n|\Z))")
+
+
 def parse_arclist(text: str):
     """Parse the arc-list format.
 
     First line ``n m`` (optionally ``n m root r``), then exactly m lines
-    ``u v``; lines starting with ``#`` are ignored.  Returns (Digraph, root
-    or None).  A missing or surplus arc line, a token that is not an integer
-    and a root outside 0..n-1 raise AntembedError.
+    ``u v``; lines starting with ``#`` are ignored, and so are blank lines
+    and whitespace around a line.  A token is whatever ``int`` reads (so
+    ``+1`` and ``1_0`` are integers).  Returns (Digraph, root or None).  A
+    missing or surplus arc line, a token that is not an integer, a root
+    outside 0..n-1 and every arc ``Digraph`` rejects (out of range, loop,
+    duplicate; the first such arc in input order is named) raise
+    AntembedError.
+
+    A text with no ``#`` whose header is ``n m`` in ASCII digits, and whose
+    every following line is two ASCII-digit tokens separated by spaces or
+    tabs (``\n`` line ends, the last one optional), is read in bulk: one
+    ``split``, then rows OR-ed from a ``1 << v`` table.  Any other text, and a
+    bulk read that fails a check, goes through the per-line reader, so the
+    result and every error message are the same either way.
     """
+    parsed = _parse_bulk(text)
+    return parsed if parsed is not None else _parse_lines(text)
+
+
+def _parse_bulk(text: str):
+    """(Digraph, None) for the plain format described in ``parse_arclist``,
+    or None when the text is not in it or fails a check."""
+    if not _FIRST_LINE.match(text) or _BAD_LINE.search(text):
+        return None
+    head, _, body = text.partition("\n")
+    try:
+        n, m = map(int, head.split())
+        nums = list(map(int, body.split()))
+    except ValueError:  # a token longer than int's digit limit
+        return None
+    if len(nums) != 2 * m or (nums and max(nums) >= n):
+        return None
+    us, vs = nums[0::2], nums[1::2]
+    if any(map(eq, us, vs)):
+        return None
+    bit = {v: 1 << v for v in set(nums)}  # only the vertices the arcs name: n may be huge
+    out_bits = [0] * n
+    in_bits = [0] * n
+    for u, v in zip(us, vs):
+        out_bits[u] |= bit[v]
+        in_bits[v] |= bit[u]
+    if sum(row.bit_count() for row in out_bits) != m:  # a duplicate arc
+        return None
+    return Digraph._of(n, tuple(zip(us, vs)), tuple(out_bits), tuple(in_bits)), None
+
+
+def _parse_lines(text: str):
+    """The per-line reader: any text ``parse_arclist`` accepts, and its errors."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -8,10 +8,13 @@ than by probing every (a, b, sign-pair) triple.  For a fixed vertex a and
 sign pair (sa, sb), w ∈ N^{sb}(b) iff b ∈ N^{-sb}(w), so folding the rows
 N^{-sb}(w), w ∈ N^{sa}(a), into s bit counters marks exactly the vertices b
 with |N^{sa}(a) ∩ N^{sb}(b)| >= s in the last counter.  Loops are rejected by
-``Digraph``, so a and b never count towards their own common set.  The cost is
-Σ_a Σ_pairs deg^{sa}(a)·s big-int operations on n-bit rows; a vertex with
-deg^{sa}(a) < s is skipped outright.  The witness returned is the one the
-exhaustive probe in (a, b, sign pair) order finds first.
+``Digraph``, so a and b never count towards their own common set.  Only a
+vertex w with N^{-sb}(w) non-empty can be counted, so a pair whose a has fewer
+than s such w in N^{sa}(a) is not folded.  The cost is Σ_a Σ_pairs
+deg^{sa}(a)·s big-int operations on n-bit rows over the pairs not skipped: on
+an incidence digraph, where points have only out-arcs and lines only in-arcs,
+that is one pair per vertex.  The witness returned is the one the exhaustive
+probe in (a, b, sign pair) order finds first.
 
 The triple-probe bound used by the embedders (any three sign-typed
 neighborhoods meet a k-set in < 5k/4 vertices in a free digraph) lives here
@@ -21,7 +24,9 @@ as a checkable report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 from .digraph import Digraph, bits_of, neighbor_lists
 from .errors import AntembedError
@@ -64,11 +69,13 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
 
     For each a and each sign pair (sa, sb) with deg^{sa}(a) >= s, b = a+1 is
     probed directly first: a hit there cannot be beaten by a later pair, so
-    the scan of a dense host ends at once.  Otherwise the rows N^{-sb}(w),
-    w ∈ N^{sa}(a), are folded into s saturating counters; the last one, cut
-    to b > a+1, marks every b sharing at least s such neighbors with a.  The
-    least b over the four pairs wins, ties going to the earlier pair.  The
-    cost is Σ_a Σ_pairs deg^{sa}(a)·s big-int operations.
+    the scan of a dense host ends at once.  Otherwise the pair is skipped when
+    fewer than s vertices w of N^{sa}(a) have N^{-sb}(w) non-empty, as no b
+    can share s of them with a; else the rows N^{-sb}(w), w ∈ N^{sa}(a), are
+    folded into s saturating counters, and the last one, cut to b > a+1,
+    marks every b sharing at least s such neighbors with a.  The least b over
+    the four pairs wins, ties going to the earlier pair.  The cost is Σ_a
+    Σ_pairs deg^{sa}(a)·s big-int operations over the pairs not skipped.
 
     ``prune`` is kept for its callers: the exhaustive probe it replaced
     skipped pairs with a sign-degree below s under it, which this scan always
@@ -87,6 +94,11 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     adj = None
     walked = 0
     steps = range(s - 1, 0, -1)
+    # live[sg]: the vertices w with N^{sg}(w) non-empty, indexed like ``bits``.
+    # A common neighbour w of a and b has b ∈ N^{-sb}(w), so w ∈ live[-sb].
+    # Built at the first fold: a scan that ends at its first probe (most
+    # scans of a small dense host) never pays for it.
+    live = None
     for a in range(n):
         best = None
         rows_of_a = {}
@@ -96,6 +108,10 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
             if a + 1 < n and (bits[sa][a] & bits[sb][a + 1]).bit_count() >= s:
                 best = (a + 1, sa, sb)
                 break
+            if live is None:
+                live = (None, reduce(or_, d.in_bits, 0), reduce(or_, d.out_bits, 0))
+            if (bits[sa][a] & live[-sb]).bit_count() < s:
+                continue
             if adj is None and walked > d.a() >> 4:
                 adj = (None, *neighbor_lists(d))
             if adj:

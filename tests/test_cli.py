@@ -186,3 +186,36 @@ def test_good_arcs_witness_of_an_arc_not_in_the_host(tmp_path, capsys):
 def test_good_arcs_witness_malformed(tmp_path, capsys):
     for value in ("0", "0,1,2", "a,b"):
         assert repr(value) in _witness_error(tmp_path, capsys, value)
+
+
+def test_unreadable_input_files_exit_2_without_traceback(tmp_path, capsys):
+    tp = _write(tmp_path, "t.txt", Digraph(2, [(0, 1)]))
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"2 1\n0 1\n# caf\xe9\n")
+    for path in (tmp_path / "missing.txt", tmp_path, not_utf8):
+        for argv in (["check-free", "--host", str(path), "--s", "1"], ["embed", "--host", str(path), "--tree", tp]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {str(path)!r}") and "Traceback" not in err
+
+
+def test_bad_order_value_exits_2(tmp_path, capsys):
+    cmd = _good_arcs_files(tmp_path)
+    for value in ("random:x", "random:", "random", "shuffle:3"):
+        for sub in ("good-arcs", "embed-cat"):
+            assert main([sub] + cmd[1:] + ["--order", value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad --order value {value!r}")
+
+
+def test_negative_budget_exits_2(tmp_path, capsys):
+    tp = _write(tmp_path, "t.txt", Digraph(2, [(0, 1)]))
+    hp = _write(tmp_path, "h.txt", Digraph(3, [(0, 1), (2, 1)]))
+    for sub in ("embed", "oracle"):
+        for value in ("-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, "--tree", tp, "--host", hp, "--budget", value])
+            assert exc.value.code == 2
+            assert "--budget: expected a non-negative integer" in capsys.readouterr().err
+    assert main(["oracle", "--tree", tp, "--host", hp, "--budget", "0"]) == 3
+    capsys.readouterr()

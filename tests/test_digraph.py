@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antembed as ae
+from antembed import digraph
 from antembed.digraph import Digraph, from_json_obj, to_json_obj
 
 D1 = ae.Digraph(3, [(0, 1), (2, 1)])
@@ -160,3 +161,105 @@ def test_pickled_digraph_leaves_its_memo_behind():
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and copy.arcs == d.arcs and copy.in_bits == d.in_bits
     assert d._memo and copy._memo is None
+
+
+def _outcome(parse, text):
+    """(arcs, out-rows, in-rows, n, root) of a parse, or the message of its AntembedError."""
+    try:
+        d, root = parse(text)
+    except ae.AntembedError as exc:
+        return "error", str(exc)
+    return d.arcs, d.out_bits, d.in_bits, d.n, root
+
+
+def assert_bulk_agrees(text):
+    """``parse_arclist`` (bulk first) gives what the per-line reader gives; returns
+    whether the bulk path took the text."""
+    want = _outcome(digraph._parse_lines, text)
+    assert _outcome(ae.parse_arclist, text) == want
+    bulk = digraph._parse_bulk(text)
+    if bulk is not None:
+        assert _outcome(lambda _: bulk, text) == want
+    return bulk is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_lists, st.sampled_from([" ", "\t", "  \t"]), st.booleans())
+def test_bulk_parse_matches_per_line_reader(d, sep, trailing_newline):
+    text = "\n".join([f"{d.n}{sep}{d.a()}"] + [f"{u}{sep}{v}" for u, v in d.arcs])
+    text += "\n" if trailing_newline else ""
+    assert assert_bulk_agrees(text)
+    assert ae.parse_arclist(text)[0].arcs == d.arcs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=8).map(lambda arcs: (n, arcs))
+), st.integers(-1, 1))
+def test_bulk_parse_rejects_like_per_line_reader(n_arcs, extra):
+    # arcs may repeat, loop or leave the range, and the header may miscount them
+    n, arcs = n_arcs
+    text = f"{n} {len(arcs) + extra}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    assert_bulk_agrees(text)
+
+
+BULK_TEXTS = [
+    "3 2\n0 1\n2 1\n",
+    "3 2\n0 1\n2 1",
+    "3 2\n0\t1\n2 \t 1\n",
+    "0 0\n",
+    "0 0",
+    "5 0\n",
+]
+PER_LINE_TEXTS = [
+    # tokens traded between lines: the per-line reader rejects both
+    "4 2\n1 2 3\n0\n",
+    "4 2\n1\n2 3 0\n",
+    "4 2\n1 2\n3\n",
+    # CRLF, surrounding blanks, blank lines, comments
+    "3 2\r\n0 1\r\n2 1\r\n",
+    " 3 2\n0 1\n2 1\n",
+    "3 2\n0 1 \n2 1\n",
+    "3 2\n\n0 1\n\n2 1\n\n",
+    "\n3 2\n0 1\n2 1\n",
+    "# head\n3 2\n0 1\n# mid\n2 1\n",
+    "3 2\n0 1 # tail\n2 1\n",
+    "3 2 root 1\n0 1\n2 1",
+    "3 2 root 3\n0 1\n2 1\n",
+    # tokens int() reads or rejects that are not ASCII digits
+    "3 2\n+0 1\n2 1\n",
+    "3 2\n0 -1\n2 1\n",
+    "3 2\n-1 0\n2 1\n",
+    "11 1\n1_0 1\n",
+    "3 1\n0 ²\n",
+    "3 1\n0 ٢\n",
+    "٣ 1\n0 1\n",
+    "3 1\n0 1 2\n",
+    "3 1\n0 1 ",
+    "3 1\n0 " + "1" * 5000 + "\n",
+    # rejected arcs, and the first of them is the one named
+    "3 3\n0 1\n2 1\n0 1\n",
+    "3 2\n0 1\n1 1\n",
+    "3 2\n2 1\n0 3\n",
+    "3 3\n0 5\n1 1\n0 1\n",
+    "3 3\n0 1\n0 1\n2 2\n",
+    # too few or too many lines
+    "3 3\n0 1\n2 1\n",
+    "3 1\n0 1\n2 1\n",
+    "3 0\n0 1\n",
+    "3 2\n",
+    "",
+    "\n",
+    "3\n",
+    "3 x\n",
+]
+
+
+@pytest.mark.parametrize("text", BULK_TEXTS)
+def test_bulk_parse_takes_plain_texts(text):
+    assert assert_bulk_agrees(text)
+
+
+@pytest.mark.parametrize("text", PER_LINE_TEXTS)
+def test_bulk_parse_leaves_other_texts_to_per_line_reader(text):
+    assert not assert_bulk_agrees(text)

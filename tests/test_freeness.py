@@ -108,6 +108,31 @@ def test_witness_matches_reference_projective(seed=7):
             assert w is not True
 
 
+def test_witness_matches_reference_with_empty_sign_sides(seed=12):
+    # hosts where many vertices have no out-arcs or no in-arcs, so whole sign
+    # pairs are skipped by the scan: bipartite orientations, sources and sinks
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.random()
+        hosts.append(Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                                 if side[u] and not side[v] and rng.random() < p]))
+        # sources, sinks and a few vertices with both sides
+        kind = [rng.choice("+-+-b") for _ in range(n)]
+        hosts.append(Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                                 if u != v and kind[u] in "+b" and kind[v] in "-b" and rng.random() < p]))
+    fano = ae.gen_incidence(7)
+    for cut in (1, 5, 20, 40):
+        kept = sorted(rng.sample(range(fano.a()), fano.a() - cut))
+        hosts.append(Digraph(fano.n, [fano.arcs[j] for j in kept]))
+    hosts.append(Digraph(fano.n, fano.arcs + tuple((v, u) for u, v in fano.arcs[:6])))
+    for d in hosts:
+        for s in (1, 2, 3, 4):
+            assert_same_witness(d, s)
+
+
 def test_free_matches_slow_and_prune(seed=9):
     rng = random.Random(seed)
     for _ in range(150):
