@@ -41,7 +41,7 @@ from .errors import (
     NotAntidirected,
     NotATree,
 )
-from .freeness import ForbiddenWitness, common_neighborhood, is_k2s_free, k4_bound_check
+from .freeness import ForbiddenWitness, common_neighborhood, is_k2s_free
 from .oracle_gen import (
     SearchStats,
     audit_projective,

@@ -7,8 +7,10 @@ lines, ``#`` comments); ``--json`` switches machine-readable output on.
 Exit codes for ``embed``: 0 success, 2 certified refusal, 3 inconclusive,
 4 internal assertion encountered.  ``check-free`` exits 1 when a witness is
 found.  Every subcommand exits 2 with one ``error: ...`` line on an input file
-it cannot read or parse and on a bad flag value (a negative ``--budget``, an
-``--order`` other than ``id`` or ``random:<seed>``).
+it cannot read or parse, on an output file (``embed --trace``, ``sweep
+--out``) it cannot open, which is opened before the work, and on a bad flag
+value (a negative ``--budget``, an ``--order`` other than ``id`` or
+``random:<seed>``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ def _order_from_flag(flag, n):
 def cmd_embed(args) -> int:
     host, _ = _load(args.host)
     tree = _load_tree(args.tree)
-    out = embed_antitree(host, tree, force_oracle=args.force_oracle, budget=args.budget)
+    with sweeps.open_output(args.trace) as fh:
+        out = embed_antitree(host, tree, force_oracle=args.force_oracle, budget=args.budget)
+        if fh is not None:
+            json.dump(out.trace, fh, indent=1, default=str)
     payload = {
         "ok": out.ok,
         "branch": out.case.branch if out.case else None,
@@ -78,9 +83,6 @@ def cmd_embed(args) -> int:
         "failure": out.failure,
         "assertions": [e.get("tag") for e in out.assertion_events()],
     }
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(out.trace, fh, indent=1, default=str)
     _emit(payload, args.json)
     if out.assertion_events():
         return 4

@@ -13,10 +13,10 @@ gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
 iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
-host work (its reversal, its degree profile, vertex mask and sign sides, its
-pseudo-degree core, its selections and its convex tables, see ``memoized``),
-so reusing one value across embeds does that work once; no memo entry ever
-references the digraph that holds it.
+host work (its reversal, its degree profile, vertex mask, sign sides and
+side masks, its pseudo-degree core, its selections and its convex tables, see
+``memoized``), so reusing one value across embeds does that work once; no
+memo entry ever references the digraph that holds it.
 """
 
 from __future__ import annotations
@@ -244,6 +244,13 @@ def core_member_bits(d: Digraph) -> int:
     """Bitmask of vertices with positive total degree (the vertex set of a
     subdigraph), memoized on ``d``."""
     return memoized(d, ("members",), lambda: reduce(or_, d.out_bits + d.in_bits, 0))
+
+
+def side_bits(d: Digraph, sign: int) -> int:
+    """Bitmask of the vertices whose ``sign`` row is non-empty (positive
+    out-degree for +1, positive in-degree for -1): the OR of the opposite
+    rows, memoized on ``d``."""
+    return memoized(d, ("side", sign), lambda: reduce(or_, d.in_bits if sign > 0 else d.out_bits, 0))
 
 
 # -- file formats ------------------------------------------------------

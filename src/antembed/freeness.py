@@ -15,10 +15,6 @@ deg^{sa}(a)·s big-int operations on n-bit rows over the pairs not skipped: on
 an incidence digraph, where points have only out-arcs and lines only in-arcs,
 that is one pair per vertex.  The witness returned is the one the exhaustive
 probe in (a, b, sign pair) order finds first.
-
-The triple-probe bound used by the embedders (any three sign-typed
-neighborhoods meet a k-set in < 5k/4 vertices in a free digraph) lives here
-as a checkable report.
 """
 
 from __future__ import annotations
@@ -139,34 +135,3 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
             picked = frozenset(islice(bits_of(common), s))
             return ForbiddenWitness(a=a, b=b, sign_a=sa, sign_b=sb, common=picked)
     return True
-
-
-@dataclass(frozen=True)
-class TripleProbeReport:
-    parts: tuple[int, int, int]
-    total: int
-    k: int
-    holds: bool  # total < 5k/4, compared exactly as 4*total < 5k
-
-
-def k4_bound_check(d: Digraph, s: int, S, probes, k: int | None = None) -> TripleProbeReport:
-    """Sum of three sign-typed neighborhood intersections with S against 5k/4.
-
-    ``probes`` is a sequence of three (vertex, sign) pairs with pairwise
-    distinct vertices.  When k is omitted it defaults to 12*s, the largest k
-    with ceil(k/12) = s.  In a free digraph with |S| <= k the bound holds;
-    the embedders use this as a debug report when a guaranteed step fails.
-    """
-    probes = list(probes)
-    if len(probes) != 3:
-        raise AntembedError("exactly three probes required")
-    if len({v for v, _ in probes}) != 3:
-        raise AntembedError("probe vertices must be pairwise distinct")
-    if k is None:
-        k = 12 * s
-    sbits = 0
-    for v in S:
-        sbits |= 1 << v
-    parts = tuple((d.neighbor_bits(v, sg) & sbits).bit_count() for v, sg in probes)
-    total = sum(parts)
-    return TripleProbeReport(parts=parts, total=total, k=k, holds=4 * total < 5 * k)

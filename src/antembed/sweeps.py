@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -497,12 +498,28 @@ def suite_reversal(params, jobs=1):
     return _report("reversal-metamorphic", params, failures, {"instances": count})
 
 
+def open_output(path: str | None):
+    """``path`` opened for writing (a null context when there is none); a path
+    that cannot be opened raises AntembedError, so a caller that opens its
+    output before the work fails at once, not after it."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise AntembedError(f"cannot write {path!r}: {exc}") from None
+
+
 def run_sweep(cfg: SweepConfig) -> dict:
+    """Run a suite and return its report, written to ``cfg.out`` too when set.
+    The suite name and parameters are checked, and the report file opened,
+    before the run."""
     if cfg.suite not in SUITES:
         raise HypothesisViolated("unknown-suite", suite=cfg.suite)
-    report = SUITES[cfg.suite](cfg.params, jobs=cfg.jobs)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    params = _resolve_params(cfg.suite, cfg.params)
+    with open_output(cfg.out) as fh:
+        report = SUITES[cfg.suite](params, jobs=cfg.jobs)
+        if fh is not None:
             json.dump(report, fh, indent=1)
             fh.write("\n")
     return report

@@ -12,7 +12,11 @@ reversed together.  The dispatcher and the public ``embed_mid_delta`` and
 reach the same branch code with the same inputs and return equal maps.
 
 Each branch follows its constructive argument step by step.  Greedy maximal
-extension (``_Ctx.grow``) alternates with the argument's exchange moves; the
+extension (``_Ctx.greedy``) does the placing.  Three of the argument's
+exchange moves run between greedy rounds (``_Ctx.grow``): the low-delta
+re-seat loop, the depth-2 swap of the radius-2 ball and the case-3b cascade.
+Every other step is greedy once, and a stall there, which the argument rules
+out on a free host, raises InternalAssertion (``_Ctx.settle``).  The
 argument's displayed inequalities are evaluated at their steps and logged
 under the tags used here.  Every choice point takes its first candidate, and
 a step whose guaranteed candidate set comes up empty raises InternalAssertion.
@@ -34,10 +38,10 @@ from .antitree import (
     validate_antitree,
 )
 from .convex import embed_caterpillar_mindeg
-from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse
+from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse, side_bits
 from .embedding import Embedding, validate_embedding, validate_partial
 from .errors import HypothesisViolated, InternalAssertion
-from .freeness import is_k2s_free, k4_bound_check
+from .freeness import is_k2s_free
 from .oracle_gen import oracle_embed
 from .subdigraph import SelectionResult, prune_pseudo, select_subdigraph
 
@@ -113,6 +117,7 @@ class _Ctx:
         self.d = d
         self.core = core
         self.core_bits = core_member_bits(core)
+        self.sided = {+1: side_bits(core, +1), -1: side_bits(core, -1)}
         self.mode = mode
         self.u_root = u_root
         self.rv = rooted_view(t, root)
@@ -129,29 +134,29 @@ class _Ctx:
             return not (self.t.deg[x] == 1 and self.rv.parent[x] == self.u_root)
         return self.t.deg[x] > 1
 
-    def arc_graph(self, x: int) -> Digraph:
-        return self.core if self.core_bound(x) else self.d
-
     def cand_mask(self, x: int) -> int:
         p = self.rv.parent[x]
         if p is None or p not in self.f:
             raise InternalAssertion("cand-no-parent", vertex=x)
-        bits = self.arc_graph(x).neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used
         if self.core_bound(x):
-            bits &= self.core_bits
-        return bits
+            return self.core.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used & self.core_bits
+        return self.d.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used
 
-    def cand_list(self, x: int) -> list[int]:
+    def pick(self, x: int, blocked: int = 0) -> int | None:
+        """The first vertex of ``ranked`` over x's candidates outside
+        ``blocked`` (of all candidates, least first, when x is a leaf); None
+        when there is none."""
+        bits = self.cand_mask(x) & ~blocked
         if self.t.deg[x] > 1:
-            return self.ranked(self.cand_mask(x), self.t.sign[x])
-        return list(bits_of(self.cand_mask(x)))
+            bits = bits & self.sided[self.t.sign[x]] or bits
+        return (bits & -bits).bit_length() - 1 if bits else None
 
     def ranked(self, bits: int, sign: int) -> list[int]:
         """The vertices of ``bits`` in increasing order, those of positive core
         sign-degree first: a non-leaf of that sign seated there still needs
         sign-arcs to its own children."""
-        rows = self.core.out_bits if sign > 0 else self.core.in_bits
-        return sorted(bits_of(bits), key=lambda c: (not rows[c], c))
+        pref = self.sided[sign]
+        return [*bits_of(bits & pref), *bits_of(bits & ~pref)]
 
     # mutation ----------------------------------------------------------
 
@@ -223,9 +228,9 @@ class _Ctx:
                     continue
                 for y in self.rv.children[x]:
                     if y in scope and y not in self.f:
-                        cands = [c for c in self.cand_list(y) if not (blocked >> c) & 1]
-                        if cands:
-                            self.place(y, cands[0])
+                        c = self.pick(y, blocked)
+                        if c is not None:
+                            self.place(y, c)
                             progressed = True
         out = []
         for x in self.rv.bfs_order:
@@ -248,6 +253,14 @@ class _Ctx:
                 return
             yield opens
 
+    def settle(self, scope: set[int], tag: str):
+        """One greedy extension inside ``scope`` that must leave no open pair;
+        InternalAssertion ``tag`` otherwise.  At these steps the argument
+        rules a stall out on a free host (or answers it with an exchange move
+        that no free host was seen to need), so the oracle fallback answers."""
+        opens = self.greedy(scope)
+        self.require(tag, not opens, open=len(opens))
+
     def holders(self, bits: int) -> list[int]:
         """The placed tree vertices whose images lie in ``bits``."""
         return [x for x, h in self.f.items() if (bits >> h) & 1]
@@ -261,10 +274,6 @@ class _Ctx:
             stack.extend(self.rv.children[v])
         return out
 
-    def embedded_leaf(self, x: int) -> bool:
-        """No embedded children, so the vertex can move without breaking arcs."""
-        return all(c not in self.f for c in self.rv.children[x])
-
     # checkpoints ---------------------------------------------------------
 
     def note(self, tag: str, holds: bool, **data):
@@ -273,14 +282,6 @@ class _Ctx:
     def require(self, tag: str, holds: bool, **data):
         if not _note(self.trace, tag, holds, **data):
             raise InternalAssertion(tag, trace=self.trace, **data)
-
-    def stalled(self, host: Digraph, k: int, probes: list, tag: str, **data):
-        """Fail ``tag`` at a stall the argument rules out, after logging the
-        K4-bound report of the probes (when there are three) on the images."""
-        if len(probes) == 3:
-            rep = k4_bound_check(host, (k + 11) // 12, list(self.f.values()), probes, k=k)
-            self.trace.append({"event": "k4-report", "report": rep.__dict__})
-        self.require(tag, False, **data)
 
 
 # -- the low-maximum-degree embedder (whole tree inside the pruned core) --------
@@ -366,7 +367,7 @@ def _low_delta_impl(core: Digraph, t: AntiTree, k: int, trace: list) -> dict[int
         )
         bbits = core.neighbor_bits(ctx.f[pz], -sz) & ~ctx.used
         if not bbits:
-            ctx.stalled(core, k, [(ctx.f[w], sw), (ctx.f[z], sz), (ctx.f[pz], -sz)], "allhappy63")
+            ctx.require("allhappy63", False)
         b = _first("63:b", sorted(bits_of(bbits)))
         X = core.neighbor_bits(b, sz) & ~ctx.used & ~(1 << b)
         kids = list(ctx.rv.children[z])
@@ -413,16 +414,13 @@ def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
         )
         ys = sorted(y for y in ctx.holders(slot_bits) if ctx.rv.depth[y] == 2 and ctx.rv.parent[y] != w)
         ctx.require("pu:y", bool(ys))
-        moved = False
         for y in ys:
             re = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
             if re:
                 ctx.hand_over(y, re, wprime)
-                moved = True
                 break
-        if not moved:
-            y = ys[0]
-            ctx.stalled(d, k, [(anchor, +1), (ctx.f[w], sw), (ctx.f[ctx.rv.parent[y]], -t.sign[y])], "pu:k4")
+        else:
+            ctx.require("pu:k4", False)
 
 
 def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int):
@@ -661,8 +659,8 @@ def embed_big_delta2(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
 
 def embed_double_broom(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, case: CaseTag) -> EmbedOutcome:
     """Embed B_uv per the case: into the core for A and B-I (balanced
-    caterpillar machinery, padding, or greedy-with-exchange), suitably into
-    the host for B-II."""
+    caterpillar machinery, padding, or greedy), suitably into the host for
+    B-II (hub seating, then greedy)."""
     u, v = case.params["u"], case.params["v"]
     broom = double_broom(t, u, v)
     trace: list = []
@@ -670,7 +668,7 @@ def embed_double_broom(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, ca
         if case.params.get("padded"):
             mapping = _broom_a_padded(sel.sub, t, broom, k, case, trace)
         else:
-            mapping = _broom_a_greedy(sel.sub, t, broom, k, case, trace)
+            mapping = _broom_a_greedy(sel.sub, t, broom, case, trace)
     elif case.branch == "BroomB_I":
         mapping = _broom_catmindeg(sel.sub, t, broom, k, trace)
     else:
@@ -703,29 +701,16 @@ def _broom_a_padded(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, tr
     return {w: emb.map[relabel[w]] for w in broom.vertices}
 
 
-def _broom_a_greedy(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
-    """Case A with a small broom: hub anywhere in the core, greedy, and a
-    blocked vertex steals the slot of a leaf hanging off the hub."""
+def _broom_a_greedy(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
+    """Case A with a small broom: hub anywhere in the core, then greedy."""
     u = case.params["u"]
     ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
-    scope = set(broom.vertices)
     prof = degree_profile(core)
     starts = sorted(c for c in range(core.n) if prof.out_deg[c] > 0)
     a = _first("A-I:anchor", starts)
     ctx.require("A-I:anchor-degree", core.out_deg(a) >= t.deg[u], have=core.out_deg(a))
     ctx.place(u, a)
-    for opens in ctx.grow(scope, "A-I", 2 * (k + 3)):
-        z, zprime = min(opens)
-        sz = t.sign[z]
-        hs = [
-            c
-            for c in ctx.holders(core.neighbor_bits(ctx.f[z], sz))
-            if c in t.adj[u] and c not in broom.path_uv and ctx.embedded_leaf(c)
-        ]
-        ctx.require("A-I:h", bool(hs), z=z)
-        re = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
-        ctx.require("A-I:reembed", re != 0)
-        ctx.hand_over(min(hs), re, zprime)
+    ctx.settle(set(broom.vertices), "A-I:stall")
     return dict(ctx.f)
 
 
@@ -766,8 +751,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         a = _first("Bii:bigdelta-anchor", plus_members)
         ctx.place(u, a)
         ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
-        opens = ctx.greedy(scope)
-        ctx.require("Bii:bigdelta", not opens, open=len(opens))
+        ctx.settle(scope, "Bii:bigdelta")
         return dict(ctx.f)
 
     path = broom.path_uv
@@ -786,7 +770,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         return dict(ctx.f)
 
     _note(trace, "notdoublestar", True)
-    x, y, case_no = _relabel_xy(t, u, v, delta, delta2, k, trace)
+    x, _, case_no = _relabel_xy(t, u, v, delta, delta2, k, trace)
     ctx = _Ctx(t, d, core, "suitable", root=x, trace=trace)
     if case_no == 3:
         ctx.place(x, b_vertex)
@@ -802,233 +786,39 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case
         ctx.seat_children(x, ctx.rv.children[x], d.neighbor_bits(a, +1), "hub")
         ctx.note("eq:eeeee", 12 * d.out_deg(ctx.f[x]) >= 7 * k)
 
-    path_xy = t.path(x, y)
-    n_x = [c for c in t.adj[x] if c not in path_xy]
-    for opens in ctx.grow(scope, "Bii", 4 * (k + 3)):
-        if _bii_eqqqq_escape(ctx, opens, x, n_x):
-            continue
-        ctx.require("claim:maximum-i", 4 * len(ctx.f) > 3 * k, size=len(ctx.f))
-        ctx.require("Bii:y-in", y in ctx.f)
-        missing = [c for _, c in opens if ctx.rv.parent[c] == y]
-        others = [(z, c) for z, c in opens if z != y]
-        ctx.require("Bii:missing-shape", bool(missing) and not others, opens=opens)
-        missing.sort(key=lambda c: (t.deg[c] > 1, c))  # prefer a leaf
-        yprime = missing[0]
-        if _bii_intersection_escape(ctx, x, y, yprime, n_x, case_no, k):
-            continue
-        if _bii_r1r2_finish(ctx, x, y, yprime, n_x, case_no, k, broom):
-            return dict(ctx.f)
-        ctx.require("thirdpart2:final", False)
+    ctx.settle(scope, "Bii:stall")
     return dict(ctx.f)
-
-
-def _bii_eqqqq_escape(ctx: _Ctx, opens, x: int, n_x) -> bool:
-    """Free a child of the hub whose image can host a blocked extension."""
-    t, core = ctx.t, ctx.core
-    for z, zprime in sorted(opens):
-        sz = t.sign[z]
-        slot_ok = core.neighbor_bits(ctx.f[z], sz)
-        for w2 in sorted(c for c in n_x if c in ctx.f and ctx.embedded_leaf(c)):
-            h = ctx.f[w2]
-            if not (slot_ok >> h) & 1:
-                continue
-            if t.deg[zprime] > 1 and not (ctx.core_bits >> h) & 1:
-                continue
-            re = ctx.arc_graph(w2).neighbor_bits(ctx.f[x], -t.sign[w2]) & ~ctx.used
-            if t.deg[w2] > 1:
-                re &= ctx.core_bits
-            if re:
-                ctx.hand_over(w2, re, zprime)
-                return True
-    return False
-
-
-def _bii_intersection_escape(ctx: _Ctx, x, y, yprime, n_x, case_no, k) -> bool:
-    """Exchanges behind the empty-intersection claim; True when one applied."""
-    t, d, core = ctx.t, ctx.d, ctx.core
-    gy = d if t.deg[yprime] == 1 else core
-    nset_y = gy.neighbor_bits(ctx.f[y], t.sign[y])
-    ctx.note("eq:neighbor-y", nset_y & ~ctx.used == 0)
-    xs = [c for c in n_x if c in ctx.f and (nset_y >> ctx.f[c]) & 1 and ctx.embedded_leaf(c)]
-    if not xs:
-        return False
-    if case_no == 3:
-        slots = core.neighbor_bits(ctx.f[x], -1) & ~ctx.used
-        ctx.require("Bii:iii-slot", slots != 0)
-        ok = [c for c in xs if t.deg[yprime] == 1 or (ctx.core_bits >> ctx.f[c]) & 1]
-        ctx.require("Bii:iii-compat", bool(ok))
-        ctx.hand_over(min(ok), slots, yprime)
-        return True
-    ctx.note("eq:extra", 12 * (d.neighbor_bits(ctx.f[x], +1) & ctx.used).bit_count() < 7 * k)
-    bfree = d.neighbor_bits(ctx.f[x], +1) & ~ctx.used
-    ctx.require("Bii:bexists", bfree != 0)
-    for xprime in sorted(xs, key=lambda c: (t.deg[c] > 1, c)):
-        h = ctx.f[xprime]
-        if t.deg[yprime] > 1 and not (ctx.core_bits >> h) & 1:
-            continue
-        if t.deg[xprime] == 1:
-            ctx.hand_over(xprime, bfree, yprime)
-            return True
-        bcore = bfree & ctx.core_bits
-        if bcore:
-            ctx.hand_over(xprime, bcore, yprime)
-            return True
-    ctx.note("eq:x-neighborhood", core.neighbor_bits(ctx.f[x], +1) & ~ctx.used == 0)
-    xprime = next((c for c in sorted(xs) if t.deg[c] > 1), None)
-    if xprime is None:
-        return False
-    if case_no == 1:
-        # swap a core-seated leaf of the hub with the stuck non-leaf, then
-        # push the leaf out to a fresh host slot and recycle its position
-        leaf_core = [
-            c
-            for c in n_x
-            if c in ctx.f
-            and t.deg[c] == 1
-            and (core.neighbor_bits(ctx.f[x], +1) >> ctx.f[c]) & 1
-            and ctx.embedded_leaf(c)
-        ]
-        ctx.require("caseiLx", bool(leaf_core))
-        xstar = min(leaf_core)
-        hx, hs = ctx.f[xprime], ctx.f[xstar]
-        bfree = d.neighbor_bits(ctx.f[x], +1) & ~ctx.used
-        ctx.require("caseiLx-b", bfree != 0)
-        ctx.unplace(xprime)
-        ctx.unplace(xstar)
-        ctx.place(xprime, hs)
-        ctx.place(xstar, min(bits_of(bfree)))
-        ctx.place(yprime, hx)
-        return True
-    # case (ii)
-    ctx.require("Bii:ii-leafy", t.deg[yprime] > 1)
-    b2 = d.neighbor_bits(ctx.f[y], t.sign[y]) & ~ctx.used
-    ctx.require("Bii:ii-count2", b2 != 0)
-    b2v = min(bits_of(b2))
-    if (core.neighbor_bits(ctx.f[y], t.sign[y]) >> b2v) & 1 and (ctx.core_bits >> b2v) & 1:
-        ctx.place(yprime, b2v)
-        return True
-    ystars = [
-        c
-        for c in t.adj[y]
-        if c in ctx.f and t.deg[c] == 1 and (ctx.core_bits >> ctx.f[c]) & 1 and ctx.embedded_leaf(c)
-    ]
-    ctx.require("Bii:ii-ystar", bool(ystars))
-    ctx.hand_over(min(ystars), 1 << b2v, yprime)
-    return True
-
-
-def _bii_r1r2_finish(ctx: _Ctx, x, y, yprime, n_x, case_no, k, broom) -> bool:
-    """The endgame around the parent of y: park y on a fresh core slot and fan
-    its neighbors into the freed region, possibly displacing hub children."""
-    t, d, core = ctx.t, ctx.d, ctx.core
-    py = ctx.rv.parent[y]
-    bbits = core.neighbor_bits(ctx.f[py], -t.sign[y]) & ~ctx.used
-    ctx.require("thirdpart2:pyb", bbits != 0)
-    b = _first("thirdpart2:b", sorted(bits_of(bbits)))
-    gy = d if t.deg[yprime] == 1 else core
-    nb = gy.neighbor_bits(b, t.sign[y])
-    yball = {c for c in t.adj[y] if c != py}
-    h_img = _mask(h for v2, h in ctx.f.items() if v2 not in yball and v2 != y)
-    r1_bits = nb & ~h_img & ~(1 << b)
-    nx_img = _mask(ctx.f[c] for c in n_x if c in ctx.f)
-    r2_bits = nb & nx_img
-    r1, r2 = r1_bits.bit_count(), r2_bits.bit_count()
-    need = t.deg[y] - 1
-    ctx.note("eq:r_1<", r1 < need, r1=r1)
-    if r1 >= need:
-        for c in list(ctx.f):
-            if c in yball or c == y:
-                ctx.unplace(c)
-        ctx.place(y, b)
-        ctx.seat_children(y, yball, r1_bits, "r1")
-        return _bii_done(ctx, broom)
-    ctx.note("claim:second-optionx", r1 + r2 < need, r1=r1, r2=r2)
-    if r1 + r2 >= need:
-        if case_no == 3:
-            for c in list(ctx.f):
-                if c in yball or c == y or c in n_x:
-                    ctx.unplace(c)
-            ctx.place(y, b)
-            ctx.seat_children(y, yball, r1_bits | r2_bits, "r1")
-            slots = core.neighbor_bits(ctx.f[x], -1) & ~ctx.used
-            ctx.require("Bii:iii-refill", slots.bit_count() >= len(n_x))
-            ctx.fill(sorted(n_x), slots)
-            return _bii_done(ctx, broom)
-        lx = sum(1 for c in t.adj[x] if t.deg[c] == 1)
-        ctx.require("Bii:2x-small", 12 * lx >= k, lx=lx)
-        take = []
-        for h in sorted(bits_of(r2_bits)):
-            if len(take) + r1 >= need:
-                break
-            take.append(h)
-        owner = {ctx.f[c]: c for c in n_x if c in ctx.f}
-        displaced = [owner[h] for h in take]
-        for c in list(ctx.f):
-            if c in yball or c == y or c in displaced:
-                ctx.unplace(c)
-        ctx.place(y, b)
-        ctx.seat_children(y, yball, r1_bits | _mask(take), "r1")
-        ctx.seat_children(x, displaced, d.neighbor_bits(ctx.f[x], +1), "Bii:2x")
-        return _bii_done(ctx, broom)
-    return False
-
-
-def _bii_done(ctx: _Ctx, broom) -> bool:
-    missing = [c for c in broom.vertices if c not in ctx.f]
-    ctx.require("Bii:complete", not missing, missing=missing)
-    return True
 
 
 # -- extending a broom embedding to the whole tree --------------------------------
 
 
 def extend_from_broom(d: Digraph, sel: SelectionResult, t: AntiTree, partial: dict[int, int], case: CaseTag) -> EmbedOutcome:
+    """The broom's embedding ``partial`` extended to all of t: B-I with a huge
+    hub embeds from scratch (``_bi_big_delta``), every other case greedily
+    from ``partial`` (``_extend_greedy``)."""
     trace: list = []
     k, r = case.params["k"], case.params["r"]
-    if case.branch in ("BroomA", "BroomB_II"):
-        mode = "core" if case.branch == "BroomA" else "suitable"
-        mapping = _claim_oc(d, sel.sub, t, partial, case, mode, k, trace)
-    elif r == k - case.params["delta"] and r < (5 * k + 11) // 12:
+    if case.branch == "BroomB_I" and r == k - case.params["delta"] and r < (5 * k + 11) // 12:
         mapping = _bi_big_delta(sel.sub, t, sel, k, case, trace)
     else:
-        mapping = _bi_small_delta(sel.sub, t, partial, k, case, trace)
+        mapping = _extend_greedy(d, sel.sub, t, partial, case, trace)
     return _outcome(mapping, t, d, "extend-validate", trace, case)
 
 
-def _claim_oc(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, mode: str, k: int, trace: list) -> dict[int, int]:
-    """Maximal extension beyond the broom with the leaf-relocation exchange."""
-    u, v = case.params["u"], case.params["v"]
-    ctx = _Ctx(t, core if mode == "core" else d, core, mode, root=u, trace=trace)
+def _extend_greedy(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, trace: list) -> dict[int, int]:
+    """Maximal extension beyond the broom: inside the core for A and B-I,
+    suitably into the host for B-II.  A stall fails ``extend:stall``; the
+    argument's moves there (Claim OC's leaf relocation, B-I's sacrifice of a
+    path-maximal branch and its hub-leaf endgame) are not run."""
+    suitable = case.branch == "BroomB_II"
+    ctx = _Ctx(t, d if suitable else core, core, "suitable" if suitable else "core", root=case.params["u"], trace=trace)
+    if case.branch == "BroomB_I":
+        prof = degree_profile(core)
+        k = case.params["k"]
+        ctx.note("eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
     ctx.reset_to(partial)
-    full = set(range(t.n))
-    for opens in ctx.grow(full, "claim-oc", 2 * (k + 3)):
-        w, wprime = min(opens)
-        sw = t.sign[w]
-        ctx.note("eq:neighbors-ww", core.neighbor_bits(ctx.f[w], sw) & ~ctx.used == 0)
-        slot_bits = ctx.arc_graph(wprime).neighbor_bits(ctx.f[w], sw)
-        if ctx.core_bound(wprime):
-            slot_bits &= ctx.core_bits
-        xs = sorted(
-            q
-            for q in ctx.holders(slot_bits)
-            if ctx.rv.parent[q] is not None and ctx.rv.parent[q] != w and ctx.embedded_leaf(q)
-        )
-        moved = False
-        for xv in xs:
-            re = ctx.arc_graph(xv).neighbor_bits(ctx.f[ctx.rv.parent[xv]], -t.sign[xv]) & ~ctx.used
-            if ctx.core_bound(xv):
-                re &= ctx.core_bits
-            if re:
-                ctx.hand_over(xv, re, wprime)
-                moved = True
-                break
-        if not moved:
-            probes = [(ctx.f[w], sw)]
-            for q in (u, v):
-                hq = ctx.f.get(q)
-                if hq is not None and all(hq != p0 for p0, _ in probes) and len(probes) < 3:
-                    probes.append((hq, t.sign[q]))
-            ctx.stalled(d, k, probes, "claim-oc", stalled=(w, wprime))
+    ctx.settle(set(range(t.n)), "extend:stall")
     return dict(ctx.f)
 
 
@@ -1049,93 +839,10 @@ def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case
         d_u |= ctx.subtree(c) - {c}
     part1 = set(range(t.n)) - leaves_u - heavy - d_u - {u}
     ctx.note("eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
-    opens = ctx.greedy(part1 | {u})
-    ctx.require("BIbig:part1", not opens, open=len(opens))
+    ctx.settle(part1 | {u}, "BIbig:part1")
     ctx.seat_children(u, heavy, core.neighbor_bits(a, +1), "BIbig:part2")
-    opens = ctx.greedy(set(range(t.n)) - leaves_u)
-    ctx.require("BIbig:Du", not opens, open=len(opens))
+    ctx.settle(set(range(t.n)) - leaves_u, "BIbig:Du")
     ctx.seat_children(u, leaves_u, core.neighbor_bits(a, +1), "BIbig:leaves")
-    return dict(ctx.f)
-
-
-def _bi_small_delta(core: Digraph, t: AntiTree, partial: dict[int, int], k: int, case: CaseTag, trace: list) -> dict[int, int]:
-    """Case B-I at the 5k/12 pseudo-degree: grow from the broom; a stall
-    sacrifices a path-maximal branch to free a slot, preferring sacrifices
-    that preserve broom coverage, with the hub-leaf relocation as the endgame."""
-    u, v = case.params["u"], case.params["v"]
-    prof = degree_profile(core)
-    ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
-    ctx.note("eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
-    ctx.reset_to(partial)
-    full = set(range(t.n))
-    broom_set = set(partial)
-    path_uv = set(t.path(u, v))
-    for opens in ctx.grow(full, "BI", 4 * (k + 3)):
-        w, wprime = min(opens)
-        ctx.require("BI:w-not-uv", w not in (u, v), w=w)
-        ctx.note("eq:neighbors-w", core.neighbor_bits(ctx.f[w], t.sign[w]) & ~ctx.used == 0)
-        ctx.require("BI:k13", k >= 13, k=k)
-        route = [w]
-        while route[-1] not in path_uv:
-            route.append(ctx.rv.parent[route[-1]])
-        r_w = set(route) | set(t.adj[w])
-        ctx.note("BI:Rw", 4 * len(r_w) <= k + 8, size=len(r_w))
-        slot_bits = core.neighbor_bits(ctx.f[w], t.sign[w])
-        X = sorted(q for q in ctx.holders(slot_bits) if q not in r_w and q != w)
-        ctx.require("BI:X", bool(X))
-        paths = {xv: tuple(t.path(w, xv)) for xv in X}
-        xstar_set = [
-            xv
-            for xv in X
-            if not any(
-                xv != o and len(paths[o]) > len(paths[xv]) and paths[o][: len(paths[xv])] == paths[xv]
-                for o in X
-            )
-        ]
-        ctx.require("BI:Xstar", bool(xstar_set))
-        xstar_set.sort(key=lambda xv: (len(ctx.subtree(xv) & broom_set), xv))
-        xstar = _first("BI:xstar", xstar_set)
-        drop = ctx.subtree(xstar) & set(ctx.f)
-        old = dict(ctx.f)
-        old_cover = len(set(old) & broom_set)
-        keep = {q: old[q] for q in old if q not in drop}
-        ctx.reset_to(keep)
-        ctx.place(wprime, old[xstar])
-        opens2 = ctx.greedy(full)
-        if not opens2:
-            return dict(ctx.f)
-        new_cover = len(set(ctx.f) & broom_set)
-        if new_cover >= old_cover and len(ctx.f) > len(old):
-            continue
-        # endgame: the image sets around u and the stalled pair must be almost
-        # disjoint; an off-path child of u parked in the saturated region
-        # steps aside to a fresh out-slot of f(u)
-        z2 = min(q for q, _ in opens2)
-        W = core.neighbor_bits(ctx.f[w], t.sign[w]) if w in ctx.f else 0
-        Z = core.neighbor_bits(ctx.f[z2], t.sign[z2])
-        Yimg = _mask(ctx.f[c] for c in t.adj[u] if c in ctx.f)
-        ctx.note("second-to-last-eq", W & Yimg == 0)
-        ctx.note("last-eq", (Yimg & Z).bit_count() <= 1)
-        ycands = [
-            c
-            for c in t.adj[u]
-            if c in ctx.f and c not in path_uv and (Z >> ctx.f[c]) & 1 and ctx.embedded_leaf(c)
-        ]
-        afree = core.neighbor_bits(ctx.f[u], +1) & ~ctx.used
-        if ycands and afree:
-            yv = min(ycands)
-            old_h = ctx.f[yv]
-            ctx.move(yv, min(bits_of(afree)))
-            missing_b = [c for c in ctx.rv.children[z2] if c not in ctx.f]
-            if missing_b:
-                ctx.place(missing_b[0], old_h)
-            ctx.greedy(full)
-            if len(set(ctx.f) & broom_set) > new_cover or len(ctx.f) > len(old):
-                continue
-        if len(ctx.f) > len(old):
-            continue
-        ctx.reset_to(old)
-        ctx.require("BI:progress", False, stalled=(w, wprime))
     return dict(ctx.f)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import antembed as ae
+from antembed import cli, sweeps
 from antembed.cli import main
 from antembed.digraph import Digraph, to_arclist
 
@@ -219,3 +220,22 @@ def test_negative_budget_exits_2(tmp_path, capsys):
             assert "--budget: expected a non-negative integer" in capsys.readouterr().err
     assert main(["oracle", "--tree", tp, "--host", hp, "--budget", "0"]) == 3
     capsys.readouterr()
+
+
+def test_unwritable_output_files_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
+    tp = _write(tmp_path, "t.txt", Digraph(2, [(0, 1)]))
+    hp = _write(tmp_path, "h.txt", Digraph(3, [(0, 1), (2, 1)]))
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the work ran before the output file was opened")
+
+    monkeypatch.setattr(cli, "embed_antitree", not_reached)
+    monkeypatch.setitem(sweeps.SUITES, "burr-tightness", not_reached)
+    for argv in (["embed", "--host", hp, "--tree", tp, "--trace", missing],
+                 ["embed", "--host", hp, "--tree", tp, "--trace", str(tmp_path)],
+                 ["sweep", "--suite", "burr-tightness", "--param", "kmax=2", "--out", missing]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ") and "Traceback" not in captured.err
+        assert captured.out == ""

@@ -9,7 +9,10 @@ import antembed as ae
 from antembed.digraph import Digraph
 from antembed.convex import ConvexDigraph
 from antembed.oracle_gen import sample_antitree_heavy
+from antembed.subdigraph import SelectionResult
 from antembed.tree_embedder import (
+    CaseTag,
+    _broom_case,
     embed_big_delta2,
     embed_double_broom,
     embed_low_delta,
@@ -367,6 +370,85 @@ def test_broom_case_b2_paths():
     assert out.case.params["r"] == 5
 
 
+def _broom_tag(t, k, branch):
+    """The CaseTag ``embed_big_delta2`` builds for t, and its r."""
+    letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
+    params = {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
+              "broom_size": len(broom.vertices), "padded": padded}
+    return CaseTag(branch, params), r
+
+
+def two_cliques(s, m):
+    """A bidirected s-clique on 0..s-1, a bidirected m-clique after it, and a
+    last vertex z with arcs to the m-clique's first two vertices and from all
+    of it.  A broom branch anchors at vertex 0 and so grows inside the
+    s-clique; the oracle tries z first (least out-degree) and embeds in the
+    m-clique."""
+    arcs = [(a, b) for a in range(s) for b in range(s) if a != b]
+    arcs += [(s + a, s + b) for a in range(m) for b in range(m) if a != b]
+    z = s + m
+    arcs += [(z, s), (z, s + 1)] + [(s + a, z) for a in range(m)]
+    return Digraph(s + m + 1, arcs)
+
+
+def test_broom_a_greedy_stall_asserts():
+    # the 18-vertex broom of case A-I does not fit in the 13-clique
+    d, k = two_cliques(13, 29), 24
+    t = broomA_tree_small(k)
+    tag, r = _broom_tag(t, k, "BroomA")
+    assert d.a() > (k - 1) * d.n and not tag.params["padded"]
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed_double_broom(d, ae.select_subdigraph(d, k, r), t, k, tag)
+    assert exc.value.tag == "A-I:stall" and exc.value.data == {"open": 5}
+
+
+def test_extension_stall_asserts_and_the_oracle_answers():
+    # the broom fills the 18-clique, so the path hanging off it has no room
+    d, k = two_cliques(18, 28), 24
+    t = broomA_tree_small(k)
+    tag, r = _broom_tag(t, k, "BroomA")
+    sel = ae.select_subdigraph(d, k, r)
+    part = embed_double_broom(d, sel, t, k, tag)
+    assert set(part.embedding.map.values()) == set(range(18))
+    with pytest.raises(ae.InternalAssertion) as exc:
+        extend_from_broom(d, sel, t, part.embedding.map, tag)
+    assert exc.value.tag == "extend:stall" and exc.value.data == {"open": 1}
+    out = ae.embed_antitree(d, t, k, known_free=True)
+    assert [e["tag"] for e in out.assertion_events()] == ["extend:stall"]
+    assert out.trace[-1] == {"event": "oracle", "verdict": "Embeds", "nodes": 25}
+    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
+
+
+def test_broom_b2_stall_asserts():
+    # a hand-made case-II selection whose source 1 reaches only 8 of the 13
+    # sinks: the hub x = 0 takes six of them for its children, y lands on
+    # source 1 and finds two sinks for its five leaves
+    m, b, k = 4, 13, 13
+    d = Digraph(m + b, [(i, m + j) for i in range(m) for j in range(b) if i != 1 or j < 8])
+    sel = SelectionResult(sub=d, case_tag="II", witness_vertex=m, r=6, k=k, audit={})
+    arcs = [(0, 1), (2, 1)] + [(0, c) for c in range(3, 8)] + [(2, c) for c in range(8, 13)] + [(13, 3)]
+    t = T(14, arcs)
+    tag, r = _broom_tag(t, k, "BroomB_II")
+    assert r == 6
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed_double_broom(d, sel, t, k, tag)
+    assert exc.value.tag == "Bii:stall" and exc.value.data == {"open": 3}
+
+
+def test_low_delta_and_radius_two_stalls_fail_their_checks():
+    # trees with more vertices than their hosts: the low-delta loop finds no
+    # free re-seat slot, and neither does the radius-2 depth-2 swap
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed_low_delta(bidirected_complete(5), antipath(8), 8)
+    assert exc.value.tag == "allhappy63"
+    k6 = bidirected_complete(6)
+    spider = T(7, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)])
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed_wide_star(k6, k6, spider, 6, anchor=0, strict=False)
+    assert exc.value.tag == "pu:k4"
+    assert exc.value.trace[-1] == {"event": "check", "tag": "pu:k4", "holds": False}
+
+
 def test_broom_ops_compose():
     # embed_double_broom and extend_from_broom exposed separately
     host = lopsided(160, 13)
@@ -380,8 +462,6 @@ def test_broom_ops_compose():
         arcs.append((nxt, 3))
         nxt += 1
     t = T(k + 1, arcs)
-    from antembed.tree_embedder import CaseTag, _broom_case
-
     letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
     sel = ae.select_subdigraph(host, k, r)
     assert letter == "B" and sel.case_tag == "II"

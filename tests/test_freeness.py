@@ -176,31 +176,3 @@ def test_s1_characterization_exhaustive_n4():
             degs_ok = all(len(arc_nbrs(d, v, sg)) <= 1 for v in range(n) for sg in (1, -1))
             expected = degs_ok and not p2
             assert (ae.is_k2s_free(d, 1) is True) == expected
-
-
-def test_k4_bound_check():
-    d = Digraph(5, [])
-    rep = ae.k4_bound_check(d, 1, range(5), [(0, 1), (1, 1), (2, -1)], k=12)
-    assert rep.total == 0 and rep.holds
-
-    # sampled free hosts: the bound must hold against any k-subset
-    rng = random.Random(2)
-    host = ae.gen_incidence(3)  # K_{2,2}-free, so s=2 covers k in 13..24
-    k = 13
-    for _ in range(40):
-        S = rng.sample(range(host.n), k)
-        probes = [(v, rng.choice((1, -1))) for v in rng.sample(range(host.n), 3)]
-        rep = ae.k4_bound_check(host, 2, S, probes, k=k)
-        assert rep.holds
-
-    # and it genuinely can fail once freeness is dropped: two all-out stars
-    # over one shared leaf set
-    s = 2
-    k = 12 * s
-    leaves = list(range(3, 3 + k))
-    arcs = [(c, b) for c in (0, 1, 2) for b in leaves]
-    bad = Digraph(3 + k, arcs)
-    rep = ae.k4_bound_check(bad, s, leaves, [(0, 1), (1, 1), (2, 1)], k=k)
-    assert not rep.holds
-    with pytest.raises(ae.AntembedError):
-        ae.k4_bound_check(bad, s, leaves, [(0, 1), (0, -1), (2, 1)], k=k)
