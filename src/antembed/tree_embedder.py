@@ -11,23 +11,21 @@ reversed together.  The dispatcher and the public ``embed_mid_delta`` and
 ``embed_big_delta2`` all go through it, so a pair and its reversal always
 reach the same branch code with the same inputs and return equal maps.
 
-Each branch follows its constructive argument step by step.  Greedy maximal
-extension (``_Ctx.greedy``) does the placing.  Three of the argument's
-exchange moves run between greedy rounds (``_Ctx.grow``): the low-delta
-re-seat loop, the depth-2 swap of the radius-2 ball and the case-3b cascade.
-Every other step is greedy once, and a stall there, which the argument rules
-out on a free host, raises InternalAssertion (``_Ctx.settle``).  The
-argument's displayed inequalities are evaluated at their steps and logged
-under the tags used here.  Every choice point takes its first candidate, and
-a step whose guaranteed candidate set comes up empty raises InternalAssertion.
-When that happens at the top level the exact oracle is consulted, so a run
-still reports ground truth next to the bug trace.
+Each branch follows its constructive argument step by step: seat the hubs
+the argument fixes, extend greedily (``_Ctx.greedy``), and settle.  A greedy
+that stalls, which the argument rules out on a free host or answers with an
+exchange move that no free host was seen to need, raises InternalAssertion
+(``_Ctx.settle``).  The argument's displayed inequalities are evaluated at
+their steps and logged under the tags used here.  Every choice point takes
+its first candidate, and a step whose guaranteed candidate set comes up empty
+raises InternalAssertion.  When that happens at the top level the exact
+oracle is consulted, within ``FALLBACK_BUDGET`` nodes unless the caller gives
+a budget, so a run still reports ground truth next to the bug trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from .antitree import (
     AntiTree,
@@ -142,11 +140,10 @@ class _Ctx:
             return self.core.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used & self.core_bits
         return self.d.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used
 
-    def pick(self, x: int, blocked: int = 0) -> int | None:
-        """The first vertex of ``ranked`` over x's candidates outside
-        ``blocked`` (of all candidates, least first, when x is a leaf); None
-        when there is none."""
-        bits = self.cand_mask(x) & ~blocked
+    def pick(self, x: int) -> int | None:
+        """The first vertex of ``ranked`` over x's candidates (of all
+        candidates, least first, when x is a leaf); None when there is none."""
+        bits = self.cand_mask(x)
         if self.t.deg[x] > 1:
             bits = bits & self.sided[self.t.sign[x]] or bits
         return (bits & -bits).bit_length() - 1 if bits else None
@@ -172,21 +169,6 @@ class _Ctx:
                 raise InternalAssertion("place-arc", vertex=x, host=h)
         self.f[x] = h
         self.used |= 1 << h
-
-    def unplace(self, x: int):
-        h = self.f.pop(x)
-        self.used &= ~(1 << h)
-
-    def move(self, x: int, h: int):
-        self.unplace(x)
-        self.place(x, h)
-
-    def hand_over(self, x: int, slots: int, y: int):
-        """The exchange move: x steps to the least vertex of ``slots`` and y
-        takes the image x leaves."""
-        old = self.f[x]
-        self.move(x, min(bits_of(slots)))
-        self.place(y, old)
 
     def reset_to(self, keep: dict[int, int]):
         self.f = dict(keep)
@@ -217,7 +199,7 @@ class _Ctx:
 
     # traversal ---------------------------------------------------------
 
-    def greedy(self, scope: set[int], blocked: int = 0):
+    def greedy(self, scope: set[int]):
         """Maximal extension inside ``scope``; returns the open (parent, child)
         pairs left when nothing more fits."""
         progressed = True
@@ -228,7 +210,7 @@ class _Ctx:
                     continue
                 for y in self.rv.children[x]:
                     if y in scope and y not in self.f:
-                        c = self.pick(y, blocked)
+                        c = self.pick(y)
                         if c is not None:
                             self.place(y, c)
                             progressed = True
@@ -241,18 +223,6 @@ class _Ctx:
                     out.append((x, y))
         return out
 
-    def grow(self, scope: set[int], tag: str, limit: int):
-        """Greedy rounds inside ``scope``, each logged as ``<tag>:loop-guard``
-        and failing it after ``limit`` rounds: yields the open pairs of every
-        round that stalls, for the caller's exchange move, and stops at the
-        first round that leaves none."""
-        for rounds in count(1):
-            self.require(tag + ":loop-guard", rounds <= limit)
-            opens = self.greedy(scope)
-            if not opens:
-                return
-            yield opens
-
     def settle(self, scope: set[int], tag: str):
         """One greedy extension inside ``scope`` that must leave no open pair;
         InternalAssertion ``tag`` otherwise.  At these steps the argument
@@ -260,10 +230,6 @@ class _Ctx:
         that no free host was seen to need), so the oracle fallback answers."""
         opens = self.greedy(scope)
         self.require(tag, not opens, open=len(opens))
-
-    def holders(self, bits: int) -> list[int]:
-        """The placed tree vertices whose images lie in ``bits``."""
-        return [x for x, h in self.f.items() if (bits >> h) & 1]
 
     def subtree(self, x: int) -> set[int]:
         out = set()
@@ -288,101 +254,30 @@ class _Ctx:
 
 
 def embed_low_delta(d_core: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
-    """Greedy maximal embedding plus the distance-increasing exchange loop.
+    """Greedy maximal embedding of the whole tree from one seeded root.
 
     Works entirely inside the pruned core whose pseudo-semidegree reaches
-    k/2; applies when the tree's maximum degree stays below k/4."""
-    trace: list = []
-    return _outcome(_low_delta_impl(d_core, t, k, trace), t, d_core,
-                    "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
-
-
-def _low_delta_impl(core: Digraph, t: AntiTree, k: int, trace: list) -> dict[int, int]:
-    prof = degree_profile(core)
+    k/2; applies when the tree's maximum degree stays below k/4.  A stall
+    fails ``63:stall`` (the argument's distance-increasing re-seat loop is
+    not run)."""
+    prof = degree_profile(d_core)
     if 2 * prof.delta0_bar < k:
         raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
     stats = degree_stats(t)
     if 4 * stats.delta > k:
         raise HypothesisViolated("delta-too-big", delta=stats.delta, k=k)
-
-    ctx = _Ctx(t, core, core, "core", root=0, trace=trace)
+    trace: list = []
+    ctx = _Ctx(t, d_core, d_core, "core", root=0, trace=trace)
     ctx.note("mindeg63", 2 * prof.delta0_bar >= k)
     r0 = ctx.rv.root
-    start = next((c for c in range(core.n) if core.sign_deg(c, t.sign[r0]) > 0), None)
+    start = next((c for c in range(d_core.n) if d_core.sign_deg(c, t.sign[r0]) > 0), None)
     ctx.require("63:seed", start is not None)
     ctx.place(r0, start)
-    full = set(range(t.n))
-    open_pairs = ctx.greedy(full)
-    if not open_pairs:
-        return dict(ctx.f)
-
-    # a maximal subtree stalled; fix the stall pair and root the tree there
-    w, wprime = min(open_pairs)
-    f0 = dict(ctx.f)
-    ctx.rv = rooted_view(t, w)
-    sw = t.sign[w]
-    slot_bits = core.neighbor_bits(f0[w], sw)
-    Y = sorted(x for x in ctx.holders(slot_bits) if x != w and x not in t.adj[w])
-    ctx.note("63:Y-size", len(Y) >= (k + 1) // 2 - k // 4, size=len(Y))
-    ctx.require("63:Y", bool(Y))
-    depth = ctx.rv.depth
-    dmax = max(depth[y] for y in Y)
-    cands = sorted(y for y in Y if depth[y] == dmax)
-    if dmax == 2:
-        cands = [
-            y
-            for y in cands
-            if core.neighbor_bits(f0[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
-        ]
-        ctx.require("63:cond-b", bool(cands))
-    y = _first("63:y", cands)
-
-    # seed the exchange family: keep the w-side component, w' takes f(y),
-    # and y itself reseats next to its parent when it sat at depth two
-    sub_y = ctx.subtree(y)
-    keep = {v: f0[v] for v in f0 if v not in sub_y}
-    ctx.reset_to(keep)
-    ctx.place(wprime, f0[y])
-    if depth[y] == 2:
-        yslots = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
-        ctx.require("63:reseat-y", yslots != 0)
-        ctx.place(y, min(bits_of(yslots)))
-
-    last_dist = -1
-    for open_pairs in ctx.grow(full, "63", 2 * (k + 3)):
-        zcands = sorted(
-            (x for x, _ in open_pairs if x != w),
-            key=lambda x: (-ctx.rv.depth[x], x),
-        )
-        ctx.require("63:zF-exists", bool(zcands))
-        z = zcands[0]
-        ctx.require("pzinotw", ctx.rv.parent[z] != w)
-        ctx.require("63:progress", ctx.rv.depth[z] > last_dist, depth=ctx.rv.depth[z])
-        last_dist = ctx.rv.depth[z]
-        sz = t.sign[z]
-        pz = ctx.rv.parent[z]
-        ctx.note(
-            "eq:neighborhood-w",
-            (core.neighbor_bits(ctx.f[w], sw) & ctx.used).bit_count() >= (k + 1) // 2 - 1,
-        )
-        bbits = core.neighbor_bits(ctx.f[pz], -sz) & ~ctx.used
-        if not bbits:
-            ctx.require("allhappy63", False)
-        b = _first("63:b", sorted(bits_of(bbits)))
-        X = core.neighbor_bits(b, sz) & ~ctx.used & ~(1 << b)
-        kids = list(ctx.rv.children[z])
-        ctx.note("63:X-size", X.bit_count() >= k // 4 - 1, size=X.bit_count())
-        ctx.require("63:X-capacity", X.bit_count() >= len(kids))
-        # drop z's embedded descendants, reseat z at b, hand it all children
-        for v in sorted(ctx.subtree(z) - {z}, key=lambda q: -ctx.rv.depth[q]):
-            if v in ctx.f:
-                ctx.unplace(v)
-        ctx.move(z, b)
-        ctx.fill(kids, core.neighbor_bits(b, sz))
-    return dict(ctx.f)
+    ctx.settle(set(range(t.n)), "63:stall")
+    return _outcome(dict(ctx.f), t, d_core, "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
 
 
-# -- the layered wide-star embedder ------------------------------------------------
+# -- the wide-star embedder ---------------------------------------------------------
 
 
 def _pick_out_max(t: AntiTree, hub: int | None = None):
@@ -395,128 +290,12 @@ def _pick_out_max(t: AntiTree, hub: int | None = None):
     return (outs[0] if outs else None), stats
 
 
-def _pu_place_ball(ctx: _Ctx, u: int, anchor: int, k: int, scope: set[int]):
-    """Hub on the anchor, children in the anchor's out-neighborhood with
-    non-leaves on core vertices, then the radius-2 extension; a stall swaps a
-    depth-2 vertex aside so the blocked child can inherit its slot."""
-    t, d, core = ctx.t, ctx.d, ctx.core
-    ctx.place(u, anchor)
-    ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(anchor, +1), "pu:anchor")
-
-    for open_pairs in ctx.grow(scope, "pu", 2 * (k + 3)):
-        w, wprime = min(open_pairs)
-        sw = t.sign[w]
-        slot_bits = core.neighbor_bits(ctx.f[w], sw)
-        ctx.note(
-            "pu:w-saturated",
-            (slot_bits & ctx.used).bit_count() * 2 >= k,
-            used=(slot_bits & ctx.used).bit_count(),
-        )
-        ys = sorted(y for y in ctx.holders(slot_bits) if ctx.rv.depth[y] == 2 and ctx.rv.parent[y] != w)
-        ctx.require("pu:y", bool(ys))
-        for y in ys:
-            re = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used
-            if re:
-                ctx.hand_over(y, re, wprime)
-                break
-        else:
-            ctx.require("pu:k4", False)
-
-
-def _case3b_step(ctx: _Ctx, w: int, u: int, anchor: int, k: int):
-    """Attach all children of w, via the stall-and-exchange cascade: full
-    reseat of w next to its parent, metric-improving swaps, or a rebuilt
-    embedding that frees slots below w's image."""
-    t, d, core = ctx.t, ctx.d, ctx.core
-    sw = t.sign[w]
-    pw = ctx.rv.parent[w]
-    kids = list(ctx.rv.children[w])
-    path = t.path(u, pw)
-    path_imgs = _mask(ctx.f[v] for v in path)
-    scope = set(ctx.f) | set(kids)
-    for _ in ctx.grow(scope, "case3b", 4 * (k + 3)):
-        b1 = ctx.f[w]
-        placed = [c for c in kids if c in ctx.f]
-        ctx.note("eq:a_out", (d.neighbor_bits(anchor, +1) & ctx.used).bit_count() > k // 4)
-        ctx.note("eq:b1_out", 2 * (core.neighbor_bits(b1, sw) & ctx.used).bit_count() >= k)
-        bbits = core.neighbor_bits(ctx.f[pw], -sw) & ~ctx.used
-        ctx.require("eq:B1", bbits != 0)
-        B = sorted(bits_of(bbits))
-        ctx.note("claim:B-order", len(B) >= 2, size=len(B))
-        protected = ctx.used & ~(1 << b1) & ~_mask(ctx.f[c] for c in placed)
-        for b in B:
-            avail = core.neighbor_bits(b, sw) & ~protected & ~(1 << b)
-            if avail.bit_count() >= len(kids):
-                for c in placed:
-                    ctx.unplace(c)
-                ctx.move(w, b)
-                ctx.fill(kids, core.neighbor_bits(b, sw))
-                return
-        for b in B:
-            ctx.note(
-                "eq:bi_out",
-                2 * (core.neighbor_bits(b, sw) & protected).bit_count() >= k - 2 * t.deg[w] + 4,
-            )
-        ctx.note("eq:a_outk2", bool(core.neighbor_bits(anchor, +1) & ~ctx.used))
-
-        def m1(c):
-            return (core.neighbor_bits(c, sw) & path_imgs).bit_count()
-
-        def m2(c):
-            return (core.neighbor_bits(c, sw) & ~(protected | (1 << c))).bit_count()
-
-        cur = (m1(b1), -m2(b1))
-        better = [b for b in B if (m1(b), -m2(b)) < cur]
-        if better:
-            for c in placed:
-                ctx.unplace(c)
-            ctx.move(w, better[0])
-            continue
-
-        # the rebuilt-embedding route: sacrifice a far branch below some y
-        # whose image blocks w, re-grow it elsewhere, and reserve the freed
-        # slots for w's children
-        R = set(path) | set(placed) | {w}
-        outside = sorted(
-            (y for y in ctx.holders(core.neighbor_bits(b1, sw)) if y not in R),
-            key=lambda y: (-ctx.rv.depth[y], y),
-        )
-        if not outside:
-            ctx.require("eq:R-order", False, note="slots saturated inside R")
-        y = _first("case3b:y", outside)
-        reserved = _mask(ctx.f[c] for c in placed) | (1 << ctx.f[y])
-        sub_y = ctx.subtree(y) & set(ctx.f)
-        old = dict(ctx.f)
-        keep = {v: old[v] for v in old if v not in sub_y and v not in kids}
-        ctx.reset_to(keep)
-        if ctx.rv.parent[y] == u:
-            yslots = core.neighbor_bits(anchor, +1) & ~ctx.used & ~reserved
-        else:
-            yslots = core.neighbor_bits(ctx.f[ctx.rv.parent[y]], -t.sign[y]) & ~ctx.used & ~reserved
-        if not yslots:
-            ctx.reset_to(old)
-            ctx.require("case3b:yslot", False, y=y)
-        ctx.place(y, min(bits_of(yslots)))
-        opens = ctx.greedy(set(keep) | sub_y, blocked=reserved)
-        if opens:
-            ctx.reset_to(old)
-            ctx.require("case3b:Q", False, open=len(opens))
-
-
-def _wide_star_impl(d, core, t, k, anchor, u, trace) -> dict[int, int]:
-    ctx = _Ctx(t, d, core, "pu", root=u, u_root=u, trace=trace)
-    ball = {x for x in range(t.n) if ctx.rv.depth[x] <= 2}
-    _pu_place_ball(ctx, u, anchor, k, ball)
-    steps = [w for w in ctx.rv.bfs_order if ctx.rv.depth[w] >= 2 and ctx.rv.children[w]]
-    for w in steps:
-        _case3b_step(ctx, w, u, anchor, k)
-    return dict(ctx.f)
-
-
 def embed_wide_star(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: int,
                     strict: bool = True, hub: int | None = None) -> EmbedOutcome:
-    """Layer-by-layer embedding around a high-out-degree hub: the radius-2
-    ball first, then one vertex's children at a time."""
+    """Embedding around a high-out-degree hub: the hub on the anchor and its
+    children in the anchor's out-neighborhood (``seat_children``), then the
+    radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``).
+    The argument's depth-2 swap and case-3b cascade are not run."""
     u, stats = _pick_out_max(t, hub)
     if u is None:
         raise HypothesisViolated("no-out-max-vertex")
@@ -530,8 +309,13 @@ def embed_wide_star(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: in
     if strict and stats.delta2 > k // 4 + 2:
         raise HypothesisViolated("delta2-too-big", delta2=stats.delta2, k=k)
     trace: list = []
-    return _outcome(_wide_star_impl(d, d_core, t, k, anchor, u, trace), t, d,
-                    "wide-star-validate", trace, CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
+    ctx = _Ctx(t, d, d_core, "pu", root=u, u_root=u, trace=trace)
+    ctx.place(u, anchor)
+    ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(anchor, +1), "pu:anchor")
+    ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
+    ctx.settle(set(range(t.n)), "case3b:stall")
+    return _outcome(dict(ctx.f), t, d, "wide-star-validate", trace,
+                    CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
 
 
 # -- the middle branch -----------------------------------------------------------
@@ -863,8 +647,15 @@ def _oracle_after(d: Digraph, t: AntiTree, budget: int | None, trace: list) -> E
     return fb
 
 
+# Oracle nodes a fallback may expand when the caller gives no budget: a stall
+# on a large host with a small dense trap would otherwise search without end.
+FALLBACK_BUDGET = 1_000_000
+
+
 def oracle_fallback(d: Digraph, t: AntiTree, budget: int | None = None) -> EmbedOutcome:
-    stats = oracle_embed(d, t, budget)
+    """The exact oracle's answer as an outcome, within ``budget`` nodes
+    (``FALLBACK_BUDGET`` when None); ``budget-exhausted`` when it runs out."""
+    stats = oracle_embed(d, t, FALLBACK_BUDGET if budget is None else budget)
     trace = [{"event": "oracle", "verdict": stats.verdict, "nodes": stats.nodes_expanded}]
     if stats.verdict == "Embeds":
         return EmbedOutcome(embedding=Embedding(map=stats.witness), trace=trace)
@@ -876,7 +667,8 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
                    budget: int | None = None, known_free: bool = False) -> EmbedOutcome:
     """Decide and construct: certified refusal when a hypothesis fails, a
     validated embedding otherwise.  An internal assertion triggers the exact
-    oracle so the outcome still reports ground truth, with the event logged.
+    oracle so the outcome still reports ground truth, with the event logged;
+    ``budget`` bounds its nodes (``FALLBACK_BUDGET`` when None).
 
     ``known_free`` skips the forbidden-subgraph scan; callers running many
     trees against one audited host use it to avoid re-checking the host."""

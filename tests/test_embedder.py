@@ -108,19 +108,6 @@ LOW_DELTA_STALL_HOST = [
 ]
 
 
-def test_low_delta_stall_exchange():
-    # frozen adversarial host: the greedy pass stalls and the re-seating loop
-    # finishes the job (one progress iteration recorded in the trace)
-    d = Digraph(10, LOW_DELTA_STALL_HOST)
-    k = 8
-    t = antipath(k)
-    out = embed_low_delta(d, t, k)
-    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
-    assert any(e.get("tag") == "63:progress" for e in out.trace)
-    # ground truth agrees
-    assert ae.oracle_embed(d, t).verdict == "Embeds"
-
-
 def test_low_delta_complete_host():
     # 8-arc antidirected path (max degree 2) into the bidirected K9
     host = bidirected_complete(9)
@@ -174,24 +161,44 @@ CASE3B_EXCHANGE_HOST = [
 ]
 
 
-def test_pu_exchange_fixture():
-    # frozen host where the radius-2 greedy stalls and the depth-2 swap runs
-    d = Digraph(6, PU_EXCHANGE_HOST)
-    spider = T(6, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2)])
-    out = embed_wide_star(d, d, spider, 5, anchor=0)
-    assert out.ok and ae.validate_embedding(spider, d, out.embedding.map)
-    assert any(e.get("tag") == "pu:y" and e.get("holds") for e in out.trace)
-    assert ae.oracle_embed(d, spider).verdict == "Embeds"
+SPIDER5 = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2)]
+SPIDER7 = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
+DEEP7 = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
 
 
-def test_case3b_exchange_fixture():
-    # frozen host driving the layered step through its reseat cascade
-    d = Digraph(9, CASE3B_EXCHANGE_HOST)
-    deep = T(7, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)])
-    out = embed_wide_star(d, d, deep, 6, anchor=0, strict=False)
-    assert out.ok and ae.validate_embedding(deep, d, out.embedding.map)
-    assert any(e.get("tag") == "eq:B1" and e.get("holds") for e in out.trace)
-    assert ae.oracle_embed(d, deep).verdict == "Embeds"
+def _low_delta(d, t):
+    return embed_low_delta(d, t, t.k)
+
+
+def _wide_star(d, t):
+    return embed_wide_star(d, d, t, t.k, anchor=0, strict=False)
+
+
+@pytest.mark.parametrize("embed, d, t, tag, embeds", [
+    pytest.param(_low_delta, Digraph(10, LOW_DELTA_STALL_HOST), antipath(8), "63:stall", True, id="low-delta-fixture"),
+    pytest.param(_wide_star, Digraph(6, PU_EXCHANGE_HOST), T(6, SPIDER5), "pu:stall", True, id="pu-fixture"),
+    pytest.param(_wide_star, Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7), "case3b:stall", True, id="case3b-fixture"),
+    pytest.param(_low_delta, bidirected_complete(5), antipath(8), "63:stall", False, id="K5"),
+    pytest.param(_wide_star, bidirected_complete(6), T(7, SPIDER7), "pu:stall", False, id="K6"),
+])
+def test_low_delta_and_wide_star_stalls_fail_their_settle_step(embed, d, t, tag, embeds):
+    # frozen hosts that break the hypotheses: the greedy stalls where the
+    # argument would run an exchange move (the low-delta re-seat loop, the
+    # depth-2 swap, the case-3b cascade), and the settle step fails
+    with pytest.raises(ae.InternalAssertion) as exc:
+        embed(d, t)
+    assert exc.value.tag == tag and exc.value.data == {"open": 1}
+    assert exc.value.trace[-1] == {"event": "check", "tag": tag, "holds": False, "open": 1}
+    assert (ae.oracle_embed(d, t).verdict == "Embeds") is embeds
+
+
+def test_case3b_stall_falls_back_to_the_oracle():
+    d, t = Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7)
+    assert d.a() > (t.k - 1) * d.n
+    out = ae.embed_antitree(d, t, known_free=True)
+    assert [e["tag"] for e in out.assertion_events()] == ["case3b:stall"]
+    assert out.trace[-1] == {"event": "oracle", "verdict": "Embeds", "nodes": 7}
+    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
 
 
 def test_mid_delta_star_and_sweep():
@@ -370,6 +377,46 @@ def test_broom_case_b2_paths():
     assert out.case.params["r"] == 5
 
 
+def _line_deleted_pg25(keep, seed):
+    """PG(2,25)'s incidence digraph keeping ``keep`` seeded lines, relabelled
+    0.. (points first); deleting arcs keeps it K_{2,2}-free."""
+    full = ae.gen_incidence(25)
+    n = full.n // 2
+    lines = sorted(random.Random(seed).sample(range(n, 2 * n), keep))
+    relabel = {v: i for i, v in enumerate([*range(n), *lines])}
+    return Digraph(n + keep, [(a, relabel[b]) for a, b in full.arcs if b in relabel])
+
+
+def test_free_host_reaches_every_branch_without_a_stall():
+    # the k=13 theorem2 tree mix on line-deleted PG(2,25), then adversarial
+    # rounds that each delete the arcs the last embedding used
+    d, k = _line_deleted_pg25(600, 1), 13
+    assert (d.n, d.a()) == (1251, 15600) and ae.is_k2s_free(d, 2) is True
+    rng = random.Random(2)
+    branches = set()
+
+    def run(h, i):
+        if i % 2:
+            t = sample_antitree_heavy(k, rng, 6)
+        else:
+            t = ae.sample_antitree(k, rng)
+            if ae.degree_stats(t).delta2 > 5:
+                t = ae.sample_antitree(k, rng)
+        out = ae.embed_antitree(h, t, k, known_free=True)
+        assert not out.assertion_events()
+        assert out.ok and ae.validate_embedding(t, h, out.embedding.map)
+        branches.add(out.case.branch)
+        return {(out.embedding.map[x], out.embedding.map[y]) for x, y in t.tree.arcs}
+
+    for i in range(60):
+        run(d, i)
+    for i in range(8):
+        used = run(d, i)
+        d = Digraph(d.n, [a for a in d.arcs if a not in used])
+    assert d.a() > (k - 1) * d.n
+    assert branches == {"LowDelta", "MidDelta", "BroomB_I", "BroomB_II"}
+
+
 def _broom_tag(t, k, branch):
     """The CaseTag ``embed_big_delta2`` builds for t, and its r."""
     letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
@@ -435,18 +482,18 @@ def test_broom_b2_stall_asserts():
     assert exc.value.tag == "Bii:stall" and exc.value.data == {"open": 3}
 
 
-def test_low_delta_and_radius_two_stalls_fail_their_checks():
-    # trees with more vertices than their hosts: the low-delta loop finds no
-    # free re-seat slot, and neither does the radius-2 depth-2 swap
-    with pytest.raises(ae.InternalAssertion) as exc:
-        embed_low_delta(bidirected_complete(5), antipath(8), 8)
-    assert exc.value.tag == "allhappy63"
-    k6 = bidirected_complete(6)
-    spider = T(7, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)])
-    with pytest.raises(ae.InternalAssertion) as exc:
-        embed_wide_star(k6, k6, spider, 6, anchor=0, strict=False)
-    assert exc.value.tag == "pu:k4"
-    assert exc.value.trace[-1] == {"event": "check", "tag": "pu:k4", "holds": False}
+def test_fallback_budget_ends_a_trapped_oracle(monkeypatch):
+    # two bidirected cliques with no way out: the broom stalls in the
+    # 13-clique, and the oracle, trying vertices of least degree first,
+    # searches that clique; without a default budget it runs for minutes
+    d = Digraph(42, [a for a in two_cliques(13, 29).arcs if max(a) < 42])
+    k = 24
+    assert d.a() > (k - 1) * d.n
+    monkeypatch.setattr(ae.tree_embedder, "FALLBACK_BUDGET", 1000)
+    out = ae.embed_antitree(d, broomA_tree_small(k), k, known_free=True)
+    assert [e["tag"] for e in out.assertion_events()] == ["A-I:stall"]
+    assert out.failure == {"kind": "budget-exhausted"}
+    assert out.trace[-1] == {"event": "oracle", "verdict": "Inconclusive", "nodes": 1001}
 
 
 def test_broom_ops_compose():
