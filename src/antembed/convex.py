@@ -156,18 +156,19 @@ class ConvexDigraph:
 def _convex_tables(d: Digraph, pos: tuple[int, ...]):
     """The clockwise tables of both signs, indexed by sign, the block starts
     of the out-major layout and an empty cache."""
-    n = d.n
-    outs, ins = neighbor_lists(d)
-    cw_out, cw_in = [], []
-    for x in range(n):
-        key = lambda w: (pos[w] - pos[x]) % n
-        cw_out.append(tuple(sorted(outs[x], key=key)))
-        cw_in.append(tuple(sorted(ins[x], key=key)))
-    return (
-        (None, tuple(cw_out), tuple(cw_in)),
-        tuple(accumulate(map(len, cw_out), initial=0)),
-        {},
-    )
+    at = pos.__getitem__
+    tables = [None]
+    for lists in neighbor_lists(d):
+        cw = []
+        for x, lst in enumerate(lists):
+            if len(lst) > 1:
+                # by position, then rotated to start just after x: the order of (pos[w] - pos[x]) % n
+                lst.sort(key=at)
+                i = bisect_right(lst, pos[x], key=at)
+                lst = lst[i:] + lst[:i]
+            cw.append(tuple(lst))
+        tables.append(tuple(cw))
+    return tuple(tables), tuple(accumulate(map(len, tables[1]), initial=0)), {}
 
 
 @dataclass(eq=False)

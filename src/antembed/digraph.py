@@ -5,11 +5,14 @@ both (u, v) and (v, u) may coexist, loops and duplicates are rejected.
 
 A digraph is held one way: as int bitmask rows (bit v of ``out_bits[u]`` is
 set iff the arc u->v exists, ``in_bits`` is the transpose), which is what the
-sign-typed neighborhoods N^{+/-}(v) of every algorithm are read from.  The
-``arcs`` tuple is kept beside the rows only for its insertion order, so that
-arc-list and JSON output round-trip and error witnesses name the arc the input
-gave first.  ``neighbor_lists`` builds plain per-vertex lists in one pass over
-``arcs`` for the loops that walk every neighborhood of a large host, where
+sign-typed neighborhoods N^{+/-}(v) of every algorithm are read from.  Beside
+the rows it keeps two int columns, the tails and the heads of the arcs in
+insertion order, only for that order: arc-list and JSON output round-trip and
+error witnesses name the arc the input gave first.  The ``arcs`` tuple of
+(tail, head) pairs is built from the columns on first read, so a host that is
+only parsed, scanned, reversed and embedded into never allocates a pair per
+arc.  ``neighbor_lists`` builds plain per-vertex lists in one pass over the
+columns for the loops that walk every neighborhood of a large host, where
 iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
@@ -42,12 +45,13 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 class Digraph:
-    __slots__ = ("n", "arcs", "out_bits", "in_bits", "_hash", "_memo")
+    __slots__ = ("n", "_tails", "_heads", "out_bits", "in_bits", "_arcs", "_hash", "_memo")
 
     def __init__(self, n: int, arcs: Iterable[Arc]):
         if n < 0:
             raise AntembedError("order must be non-negative")
-        ordered = []
+        tails = []
+        heads = []
         out_bits = [0] * n
         in_bits = [0] * n
         for u, v in arcs:
@@ -57,33 +61,36 @@ class Digraph:
                 raise AntembedError(f"loop at vertex {u} rejected")
             if (out_bits[u] >> v) & 1:
                 raise AntembedError(f"duplicate arc ({u},{v}) rejected")
-            ordered.append((u, v))
+            tails.append(u)
+            heads.append(v)
             out_bits[u] |= 1 << v
             in_bits[v] |= 1 << u
         self.n = n
-        self.arcs = tuple(ordered)
+        self._tails = tuple(tails)
+        self._heads = tuple(heads)
         self.out_bits = tuple(out_bits)
         self.in_bits = tuple(in_bits)
-        self._hash = None
-        self._memo = None
+        self._arcs = self._hash = self._memo = None
 
     @classmethod
-    def _of(cls, n: int, arcs: tuple, out_bits: tuple, in_bits: tuple) -> "Digraph":
-        """Wrap already consistent rows and arcs without re-validating them."""
+    def _of(cls, n: int, tails: tuple, heads: tuple, out_bits: tuple, in_bits: tuple) -> "Digraph":
+        """Wrap already consistent rows and arc columns without re-validating them."""
         d = object.__new__(cls)
-        d.n, d.arcs, d.out_bits, d.in_bits, d._hash, d._memo = n, arcs, out_bits, in_bits, None, None
+        d.n, d._tails, d._heads, d.out_bits, d.in_bits = n, tails, heads, out_bits, in_bits
+        d._arcs = d._hash = d._memo = None
         return d
 
     def __reduce__(self):
-        # a pickled digraph leaves its memo behind; the entries are rebuilt on demand
-        return Digraph._of, (self.n, self.arcs, self.out_bits, self.in_bits)
+        # a pickled digraph leaves its memo and its arcs tuple behind; both are rebuilt on demand
+        return Digraph._of, (self.n, self._tails, self._heads, self.out_bits, self.in_bits)
 
     @classmethod
     def from_bits(cls, n: int, out_bits: Sequence[int]) -> "Digraph":
         """Digraph from its out-rows; ``arcs`` comes out in (tail, head) order."""
         if len(out_bits) != n:
             raise AntembedError(f"{len(out_bits)} rows for order {n}")
-        arcs = []
+        tails = []
+        heads = []
         in_bits = [0] * n
         for u, row in enumerate(out_bits):
             if row >> n:  # also true for a negative row
@@ -92,15 +99,23 @@ class Digraph:
                 raise AntembedError(f"loop at vertex {u} rejected")
             bit = 1 << u
             for v in bits_of(row):
-                arcs.append((u, v))
+                tails.append(u)
+                heads.append(v)
                 in_bits[v] |= bit
-        return cls._of(n, tuple(arcs), tuple(out_bits), tuple(in_bits))
+        return cls._of(n, tuple(tails), tuple(heads), tuple(out_bits), tuple(in_bits))
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The (tail, head) pairs in insertion order, built on first read."""
+        if self._arcs is None:
+            self._arcs = tuple(zip(self._tails, self._heads))
+        return self._arcs
 
     # -- basic queries -------------------------------------------------
 
     def a(self) -> int:
         """Arc count a(D)."""
-        return len(self.arcs)
+        return len(self._tails)
 
     @property
     def arc_set(self) -> frozenset[Arc]:
@@ -169,14 +184,14 @@ def memoized(d, key: tuple, compute: Callable[[], object]):
 
 
 def neighbor_lists(d: Digraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-neighbor lists of every vertex, in ``arcs`` order.
+    """Out- and in-neighbor lists of every vertex, in insertion order.
 
     Not memoized: the lists are as large as the host and each caller reads
     them once per host (the clockwise tables are memoized themselves), so
     keeping them would only add memory."""
     outs = [[] for _ in range(d.n)]
     ins = [[] for _ in range(d.n)]
-    for u, v in d.arcs:
+    for u, v in zip(d._tails, d._heads):
         outs[u].append(v)
         ins[v].append(u)
     return outs, ins
@@ -231,12 +246,13 @@ def plus_minus_sets(d: Digraph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Flip every arc; order preserved.  The rows swap, so nothing is re-checked.
+    """Flip every arc; order preserved.  The rows swap and so do the tail and
+    head columns, so nothing is re-checked and no arc is visited.
 
     The result is memoized on ``d`` (so ``reverse(d) is reverse(d)``), but not
     the other way round: ``reverse(reverse(d))`` is a new value equal to ``d``,
     because a back-link would make the two digraphs a reference cycle."""
-    flipped = lambda: Digraph._of(d.n, tuple((v, u) for u, v in d.arcs), d.in_bits, d.out_bits)
+    flipped = lambda: Digraph._of(d.n, d._heads, d._tails, d.in_bits, d.out_bits)
     return memoized(d, ("reverse",), flipped)
 
 
@@ -310,7 +326,7 @@ def _parse_bulk(text: str):
         in_bits[v] |= bit[u]
     if sum(row.bit_count() for row in out_bits) != m:  # a duplicate arc
         return None
-    return Digraph._of(n, tuple(zip(us, vs)), tuple(out_bits), tuple(in_bits)), None
+    return Digraph._of(n, tuple(us), tuple(vs), tuple(out_bits), tuple(in_bits)), None
 
 
 def _parse_lines(text: str):

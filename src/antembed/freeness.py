@@ -84,7 +84,7 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     bits = (None, d.out_bits, d.in_bits)
     # A scan that ends at a small a walks the bits of only the rows it folds,
     # each (a, sign) row once: the two sign pairs that share sa reuse its list.
-    # Walking every row so costs about twice one pass over ``arcs`` that
+    # Walking every row so costs about twice one pass over the arc columns that
     # builds lists for the whole host, so those lists take over once the
     # walked rows hold a(D)/16 arcs, which bounds what a free scan pays extra.
     adj = None

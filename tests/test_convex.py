@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -202,6 +203,25 @@ def test_embed_caterpillar_mindeg_single_arc():
 def reference_clockwise(c, x, sign):
     n = c.d.n
     return sorted(bits_of(c.d.neighbor_bits(x, sign)), key=lambda w: (c.pos[w] - c.pos[x]) % n)
+
+
+def test_clockwise_tables_match_the_distance_key_sort():
+    # the tables sort each list by position and rotate it just after x; the
+    # reference sorts by the clockwise distance (pos[w] - pos[x]) % n itself
+    rng = random.Random(11)
+    hosts = [ae.gen_incidence(7)] + [random_digraph(rng, rng.randint(1, 9)) for _ in range(60)]
+    for d in hosts:
+        shuffled = list(range(d.n))
+        rng.shuffle(shuffled)
+        for pos in (tuple(range(d.n)), tuple(shuffled)):
+            tables, starts, _ = convex._convex_tables(d, pos)
+            for sign in (+1, -1):
+                want = tuple(
+                    tuple(sorted(bits_of(d.neighbor_bits(x, sign)), key=lambda w: (pos[w] - pos[x]) % d.n))
+                    for x in range(d.n)
+                )
+                assert tables[sign] == want
+            assert list(starts) == [0, *accumulate(map(len, tables[+1]))]
 
 
 def reference_run_dp(c, t, dec):

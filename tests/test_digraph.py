@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import antembed as ae
 from antembed import digraph
 from antembed.digraph import Digraph, from_json_obj, to_json_obj
+from antembed.oracle_gen import sample_antitree_heavy
 
 D1 = ae.Digraph(3, [(0, 1), (2, 1)])
 
@@ -65,13 +67,14 @@ def test_construction_rejects():
         ae.Digraph(2, [(0, 2)])
 
 
-arc_lists = st.integers(1, 6).flatmap(
+arc_inputs = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
         max_size=n * (n - 1),
         unique=True,
-    ).map(lambda arcs: ae.Digraph(n, arcs))
+    ).map(lambda arcs: (n, arcs))
 )
+arc_lists = arc_inputs.map(lambda n_arcs: ae.Digraph(*n_arcs))
 
 
 @settings(max_examples=120, deadline=None)
@@ -106,8 +109,25 @@ def test_from_bits_rejects():
 def test_reverse_swaps_rows(d):
     r = ae.reverse(d)
     assert r.out_bits == d.in_bits and r.in_bits == d.out_bits
-    assert r.arcs == tuple((v, u) for u, v in d.arcs)
+    assert r.arcs == tuple((v, u) for u, v in d.arcs) and r.a() == d.a()
     assert ae.reverse(r) == d and ae.reverse(r).arcs == d.arcs
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_inputs)
+def test_arcs_keep_insertion_order_on_every_construction_path(n_arcs):
+    n, arcs = n_arcs
+    want = tuple(arcs)
+    text = "\n".join([f"{n} {len(arcs)}"] + [f"{u} {v}" for u, v in arcs]) + "\n"
+    bulk = digraph._parse_bulk(text)
+    assert bulk is not None
+    built = [ae.Digraph(n, arcs), bulk[0], digraph._parse_lines(text)[0], ae.parse_arclist("# per line\n" + text)[0]]
+    for d in built:
+        assert d.arcs == want and d.a() == len(want)
+        assert digraph.neighbor_lists(d) == ([[v for u, v in arcs if u == x] for x in range(n)],
+                                             [[u for u, v in arcs if v == x] for x in range(n)])
+    rows = Digraph.from_bits(n, built[0].out_bits)
+    assert rows.arcs == tuple(sorted(arcs)) and rows.a() == len(arcs)
 
 
 def test_not_antidirected_witness_follows_input_order():
@@ -161,6 +181,32 @@ def test_pickled_digraph_leaves_its_memo_behind():
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and copy.arcs == d.arcs and copy.in_bits == d.in_bits
     assert d._memo and copy._memo is None
+    # the arcs tuple stays behind too; the columns carry the order, also of a reversal
+    r = ae.reverse(d)
+    assert r.arcs and r._arcs is not None
+    for g in (d, r):
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._arcs is None and copy.a() == g.a() and copy.arcs == g.arcs
+
+
+def test_cold_host_work_builds_no_arc_pairs():
+    # parse a PG(2,25) text with seeded arc lines deleted, scan it and embed
+    # trees of three branches in both orientations (so the host is also
+    # reversed): none of it reads ``arcs``, whose pair tuple is built on first read
+    full = ae.gen_incidence(25)
+    lines = ae.to_arclist(full).splitlines()[1:]
+    gone = set(random.Random(0).sample(range(len(lines)), 600))
+    kept = [ln for j, ln in enumerate(lines) if j not in gone]
+    d, _ = ae.parse_arclist("\n".join([f"{full.n} {len(kept)}", *kept]) + "\n")
+    assert ae.is_k2s_free(d, 2) is True
+    rng = random.Random(0)
+    trees = {"MidDelta": ae.sample_antitree(13, rng), "BroomB_I": sample_antitree_heavy(13, rng, 6),
+             "LowDelta": ae.sample_antitree(13, random.Random(6))}
+    for branch, t in trees.items():
+        for tree in (t, ae.reverse_antitree(t)):
+            out = ae.embed_antitree(d, tree)
+            assert out.ok and out.case.branch == branch
+    assert d._arcs is None and ae.reverse(d)._arcs is None
 
 
 def _outcome(parse, text):
