@@ -62,9 +62,5 @@ from .tree_embedder import (
     CaseTag,
     EmbedOutcome,
     embed_antitree,
-    embed_big_delta2,
-    embed_low_delta,
-    embed_mid_delta,
-    embed_wide_star,
     oracle_fallback,
 )

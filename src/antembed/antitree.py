@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .digraph import Digraph, memoized, reverse
+from .digraph import Digraph, memoized, neighbor_lists, reverse
 from .errors import NotACaterpillar, NotAntidirected, NotATree, AntembedError
 
 PLUS = 1
@@ -108,24 +108,28 @@ def validate_antitree(d: Digraph) -> AntiTree:
         raise NotATree("trees with zero arcs are rejected")
     if d.n != k + 1:
         raise NotATree(f"{d.n} vertices with {k} arcs cannot form a tree")
-    adj = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        if v in adj[u]:
-            raise NotATree(f"both arcs between {u} and {v}")
-        adj[u].add(v)
-        adj[v].add(u)
-    adj = tuple(tuple(sorted(a)) for a in adj)
+    outs, ins = neighbor_lists(d)
+    adj, sign, mixed = [], [], []
+    for v, (o, i) in enumerate(zip(outs, ins)):
+        adj.append(tuple(sorted(o + i)))
+        sign.append(PLUS if o else MINUS)
+        if o and i:
+            mixed.append(v)
+    if any(set(outs[v]).intersection(ins[v]) for v in mixed):
+        # name the first arc, in input order, whose reverse came before it
+        seen = set()
+        for u, v in d.arcs:
+            if (v, u) in seen:
+                raise NotATree(f"both arcs between {u} and {v}")
+            seen.add((u, v))
+    adj = tuple(adj)
     # connectivity; with exactly n-1 edges this also rules out cycles
     if len(_bfs(adj, 0)[0]) != d.n:
         raise NotATree("underlying graph is disconnected")
-    sign = []
-    for v in range(d.n):
-        if d.out_bits[v] and d.in_bits[v]:
-            # the first in-arc and out-arc of v in input order
-            x = next(u for u, w in d.arcs if w == v)
-            y = next(w for u, w in d.arcs if u == v)
-            raise NotAntidirected((x, v, y))
-        sign.append(PLUS if d.out_bits[v] else MINUS)
+    if mixed:
+        # the first in-arc and out-arc of the first mixed vertex, in input order
+        v = mixed[0]
+        raise NotAntidirected((ins[v][0], v, outs[v][0]))
     return AntiTree(d, tuple(sign), adj)
 
 

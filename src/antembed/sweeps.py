@@ -93,20 +93,7 @@ def _pmap(fn, items, jobs):
     if jobs <= 1:
         return [fn(x) for x in items]
     with Pool(jobs) as pool:
-        indexed = list(enumerate(items))
-        out = [None] * len(items)
-        for i, res in pool.imap_unordered(_star(fn), indexed, chunksize=64):
-            out[i] = res
-        return out
-
-
-class _star:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, pair):
-        i, x = pair
-        return i, self.fn(x)
+        return pool.map(fn, items, chunksize=64)
 
 
 # -- criterion 1: exhaustive caterpillar embedding ------------------------------
@@ -336,7 +323,7 @@ def suite_theorem2_pg(params, jobs=1):
     summary = {"n": host.n, "arcs": host.a()}
     if host.n != 1302 or host.a() != 16926:
         failures.append({"why": "host-shape", "n": host.n, "a": host.a()})
-    if is_k2s_free(host, 2, prune=True) is not True:
+    if is_k2s_free(host, 2) is not True:
         failures.append({"why": "host-not-free"})
     if not audit_projective(host):
         failures.append({"why": "projective-axioms"})
@@ -463,7 +450,7 @@ def suite_reversal(params, jobs=1):
     rng = random.Random(params["seed"])
     failures = []
     host_pg = gen_incidence(25)
-    pg_free = is_k2s_free(host_pg, 2, prune=True) is True
+    pg_free = is_k2s_free(host_pg, 2) is True
 
     def check_pair(d, t, known_free):
         o1 = embed_antitree(d, t, known_free=known_free)

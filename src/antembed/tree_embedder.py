@@ -1,26 +1,33 @@
 """The full antidirected-tree embedding pipeline.
 
-Entry point ``embed_antitree`` verifies the density and forbidden-subgraph
-hypotheses (certified refusal otherwise), normalizes orientation and
-dispatches on the second-highest degree: the low branch splits again on the
-maximum degree, the high branch runs the double-broom pipeline.
+The public surface is ``embed_antitree`` and ``oracle_fallback``.
+``embed_antitree`` verifies the density and forbidden-subgraph hypotheses
+(certified refusal otherwise) and hands the pair to ``_dispatch``, which
+splits on the second-highest degree: the low branch splits again on the
+maximum degree (``_low_delta``, ``_mid_delta``), the high branch runs the
+double-broom pipeline (``_big_delta2``).
 
-Orientation is normalized in one place, ``_oriented``: the least-index
-maximum-degree tree vertex must be an out-vertex, otherwise host and tree are
-reversed together.  The dispatcher and the public ``embed_mid_delta`` and
-``embed_big_delta2`` all go through it, so a pair and its reversal always
-reach the same branch code with the same inputs and return equal maps.
+``_dispatch`` is the one place where orientation is normalized and the hub
+taken: the least-index maximum-degree tree vertex must be an out-vertex,
+otherwise host and tree are reversed together (``_oriented``), and that
+vertex, ``degree_stats(t).argmax_u``, is the hub every branch seats.  So a
+pair and its reversal reach the same branch code with the same inputs and
+return equal maps.  Every hub anchor is the least vertex of a side mask of
+the core (``_Ctx.sided``) or of a row, filtered by degree only where the
+argument says so.
 
-Each branch follows its constructive argument step by step: seat the hubs
-the argument fixes, extend greedily (``_Ctx.greedy``), and settle.  A greedy
-that stalls, which the argument rules out on a free host or answers with an
-exchange move that no free host was seen to need, raises InternalAssertion
-(``_Ctx.settle``).  The argument's displayed inequalities are evaluated at
-their steps and logged under the tags used here.  Every choice point takes
-its first candidate, and a step whose guaranteed candidate set comes up empty
-raises InternalAssertion.  When that happens at the top level the exact
-oracle is consulted, within ``FALLBACK_BUDGET`` nodes unless the caller gives
-a budget, so a run still reports ground truth next to the bug trace.
+Each branch is a private step that appends to the one trace
+``embed_antitree`` passes down, and follows its constructive argument step by
+step: seat the hubs the argument fixes, extend greedily (``_Ctx.greedy``),
+and settle.  A greedy that stalls, which the argument rules out on a free
+host or answers with an exchange move that no free host was seen to need,
+raises InternalAssertion (``_Ctx.settle``).  The argument's displayed
+inequalities are evaluated at their steps and logged under the tags used
+here.  Every choice point takes its first candidate, and a step whose
+guaranteed candidate set comes up empty raises InternalAssertion.  When that
+happens the exact oracle is consulted, within ``FALLBACK_BUDGET`` nodes
+unless the caller gives a budget, so a run still reports ground truth after
+the branch's own events.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field
 
 from .antitree import (
     AntiTree,
+    DegreeStats,
     degree_stats,
     double_broom,
     reverse_antitree,
@@ -49,6 +57,11 @@ def _mask(it) -> int:
     for v in it:
         m |= 1 << v
     return m
+
+
+def _low(bits: int) -> int:
+    """The least vertex of a non-empty mask."""
+    return (bits & -bits).bit_length() - 1
 
 
 @dataclass
@@ -72,14 +85,7 @@ class EmbedOutcome:
         return [e for e in self.trace if e.get("event") == "internal-assertion"]
 
 
-def _first(tag: str, options: list):
-    """The first candidate at a choice point; ``<tag>:no-candidates`` when there is none."""
-    if not options:
-        raise InternalAssertion(tag + ":no-candidates")
-    return options[0]
-
-
-def _outcome(mapping: dict[int, int], t: AntiTree, d: Digraph, tag: str, trace: list, case=None) -> EmbedOutcome:
+def _outcome(mapping: dict[int, int], t: AntiTree, d: Digraph, tag: str, trace: list, case: CaseTag) -> EmbedOutcome:
     """``mapping`` as a validated embedding of t into d; InternalAssertion
     ``tag`` when it is not one."""
     if not validate_embedding(t, d, mapping):
@@ -92,6 +98,12 @@ def _note(trace: list, tag: str, holds, **data):
     inequalities) with whether it holds; returns ``holds``."""
     trace.append({"event": "check", "tag": tag, "holds": bool(holds), **data})
     return holds
+
+
+def _require(trace: list, tag: str, holds, **data):
+    """``_note``, raising InternalAssertion ``tag`` when the check fails."""
+    if not _note(trace, tag, holds, **data):
+        raise InternalAssertion(tag, trace=trace, **data)
 
 
 # -- embedding context ----------------------------------------------------------
@@ -110,7 +122,7 @@ class _Ctx:
     validated against the host plus the vertex rule only.
     """
 
-    def __init__(self, t: AntiTree, d: Digraph, core: Digraph, mode: str, root: int, u_root=None, trace=None):
+    def __init__(self, t: AntiTree, d: Digraph, core: Digraph, mode: str, root: int, trace: list, u_root=None):
         self.t = t
         self.d = d
         self.core = core
@@ -121,7 +133,7 @@ class _Ctx:
         self.rv = rooted_view(t, root)
         self.f: dict[int, int] = {}
         self.used = 0
-        self.trace = trace if trace is not None else []
+        self.trace = trace
 
     # placement rules ---------------------------------------------------
 
@@ -146,7 +158,7 @@ class _Ctx:
         bits = self.cand_mask(x)
         if self.t.deg[x] > 1:
             bits = bits & self.sided[self.t.sign[x]] or bits
-        return (bits & -bits).bit_length() - 1 if bits else None
+        return _low(bits) if bits else None
 
     def ranked(self, bits: int, sign: int) -> list[int]:
         """The vertices of ``bits`` in increasing order, those of positive core
@@ -183,11 +195,11 @@ class _Ctx:
         non_leaf = [c for c in kids if t.deg[c] > 1]
         leaf = [c for c in kids if t.deg[c] == 1]
         core_free = slots & self.core_bits & ~self.used
-        self.require(tag + "-core", core_free.bit_count() >= len(non_leaf), have=core_free.bit_count())
+        _require(self.trace, tag + "-core", core_free.bit_count() >= len(non_leaf), have=core_free.bit_count())
         for c, s in zip(non_leaf, self.ranked(core_free, -t.sign[x])):
             self.place(c, s)
         rest = slots & ~self.used
-        self.require(tag + "-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
+        _require(self.trace, tag + "-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
         for c, s in zip(leaf, sorted(bits_of(rest), key=lambda q: ((self.core_bits >> q) & 1, q))):
             self.place(c, s)
 
@@ -229,7 +241,7 @@ class _Ctx:
         rules a stall out on a free host (or answers it with an exchange move
         that no free host was seen to need), so the oracle fallback answers."""
         opens = self.greedy(scope)
-        self.require(tag, not opens, open=len(opens))
+        _require(self.trace, tag, not opens, open=len(opens))
 
     def subtree(self, x: int) -> set[int]:
         out = set()
@@ -240,146 +252,81 @@ class _Ctx:
             stack.extend(self.rv.children[v])
         return out
 
-    # checkpoints ---------------------------------------------------------
 
-    def note(self, tag: str, holds: bool, **data):
-        return _note(self.trace, tag, holds, **data)
-
-    def require(self, tag: str, holds: bool, **data):
-        if not _note(self.trace, tag, holds, **data):
-            raise InternalAssertion(tag, trace=self.trace, **data)
+# -- the low-maximum-degree branch (whole tree inside the pruned core) ------------
 
 
-# -- the low-maximum-degree embedder (whole tree inside the pruned core) --------
-
-
-def embed_low_delta(d_core: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
-    """Greedy maximal embedding of the whole tree from one seeded root.
-
-    Works entirely inside the pruned core whose pseudo-semidegree reaches
-    k/2; applies when the tree's maximum degree stays below k/4.  A stall
-    fails ``63:stall`` (the argument's distance-increasing re-seat loop is
-    not run)."""
-    prof = degree_profile(d_core)
-    if 2 * prof.delta0_bar < k:
-        raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
-    stats = degree_stats(t)
-    if 4 * stats.delta > k:
-        raise HypothesisViolated("delta-too-big", delta=stats.delta, k=k)
-    trace: list = []
-    ctx = _Ctx(t, d_core, d_core, "core", root=0, trace=trace)
-    ctx.note("mindeg63", 2 * prof.delta0_bar >= k)
-    r0 = ctx.rv.root
-    start = next((c for c in range(d_core.n) if d_core.sign_deg(c, t.sign[r0]) > 0), None)
-    ctx.require("63:seed", start is not None)
-    ctx.place(r0, start)
+def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
+    """Greedy maximal embedding of the whole tree from one seeded root, inside
+    the pruned core whose pseudo-semidegree reaches k/2 (4 Delta <= k).  A
+    stall fails ``63:stall`` (the argument's distance-increasing re-seat loop
+    is not run)."""
+    ctx = _Ctx(t, core, core, "core", 0, trace)
+    _note(trace, "mindeg63", 2 * degree_profile(core).delta0_bar >= k)
+    seeds = ctx.sided[t.sign[0]]
+    _require(trace, "63:seed", seeds)
+    ctx.place(0, _low(seeds))
     ctx.settle(set(range(t.n)), "63:stall")
-    return _outcome(dict(ctx.f), t, d_core, "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
-
-
-# -- the wide-star embedder ---------------------------------------------------------
-
-
-def _pick_out_max(t: AntiTree, hub: int | None = None):
-    stats = degree_stats(t)
-    if hub is not None:
-        if t.sign[hub] <= 0 or t.deg[hub] != stats.delta:
-            raise HypothesisViolated("bad-hub", hub=hub)
-        return hub, stats
-    outs = [v for v in range(t.n) if t.deg[v] == stats.delta and t.sign[v] > 0]
-    return (outs[0] if outs else None), stats
-
-
-def embed_wide_star(d: Digraph, d_core: Digraph, t: AntiTree, k: int, anchor: int,
-                    strict: bool = True, hub: int | None = None) -> EmbedOutcome:
-    """Embedding around a high-out-degree hub: the hub on the anchor and its
-    children in the anchor's out-neighborhood (``seat_children``), then the
-    radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``).
-    The argument's depth-2 swap and case-3b cascade are not run."""
-    u, stats = _pick_out_max(t, hub)
-    if u is None:
-        raise HypothesisViolated("no-out-max-vertex")
-    prof = degree_profile(d_core)
-    if 2 * prof.delta0_bar < k:
-        raise HypothesisViolated("core-pseudo-degree", have=prof.delta0_bar, k=k)
-    if d.sign_deg(anchor, +1) < stats.delta:
-        raise HypothesisViolated("anchor-outdegree", have=d.sign_deg(anchor, +1), need=stats.delta)
-    if strict and 4 * stats.delta <= k:
-        raise HypothesisViolated("delta-too-small", delta=stats.delta, k=k)
-    if strict and stats.delta2 > k // 4 + 2:
-        raise HypothesisViolated("delta2-too-big", delta2=stats.delta2, k=k)
-    trace: list = []
-    ctx = _Ctx(t, d, d_core, "pu", root=u, u_root=u, trace=trace)
-    ctx.place(u, anchor)
-    ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(anchor, +1), "pu:anchor")
-    ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
-    ctx.settle(set(range(t.n)), "case3b:stall")
-    return _outcome(dict(ctx.f), t, d, "wide-star-validate", trace,
-                    CaseTag("MidDelta", {"k": k, "op": "wide-star"}))
+    return _outcome(ctx.f, t, core, "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
 
 
 # -- the middle branch -----------------------------------------------------------
 
 
-def embed_mid_delta(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
-    stats = degree_stats(t)
-    delta = stats.delta
-    if 4 * delta <= k or stats.delta2 > k // 4 + 2:
-        raise HypothesisViolated("mid-delta-range", delta=delta, delta2=stats.delta2, k=k)
-    if d.a() <= (k - 1) * d.n:
-        raise HypothesisViolated("density", arcs=d.a())
-    trace: list = []
-    d, t = _oriented(d, t, trace)
+def _wide_star(d: Digraph, core: Digraph, t: AntiTree, hub: int, anchor: int, trace: list) -> dict[int, int]:
+    """Embedding around a high-out-degree hub: the hub on the anchor and its
+    children in the anchor's out-neighborhood (``seat_children``), then the
+    radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``).
+    The argument's depth-2 swap and case-3b cascade are not run."""
+    ctx = _Ctx(t, d, core, "pu", hub, trace, u_root=hub)
+    ctx.place(hub, anchor)
+    ctx.seat_children(hub, ctx.rv.children[hub], d.neighbor_bits(anchor, +1), "pu:anchor")
+    ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
+    ctx.settle(set(range(t.n)), "case3b:stall")
+    return ctx.f
+
+
+def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> EmbedOutcome:
+    hub, delta = stats.argmax_u, stats.delta
     r = min((k + 1) // 2, k - delta + 1)
     sel = select_subdigraph(d, k, r)
     trace.append({"event": "select", "case": sel.case_tag, "r": r})
-    tag = CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
-    if sel.case_tag == "II":
-        prof = degree_profile(sel.sub)
-        anchor = next((a for a in range(d.n) if prof.out_deg[a] > 0 and d.out_deg(a) >= delta), None)
-        if anchor is None:
-            raise InternalAssertion("mid-no-anchor", trace=trace)
-        out = embed_wide_star(d, sel.sub, t, k, anchor)
-    elif r == (k + 1) // 2:
-        out = embed_wide_star(d, sel.sub, t, k, sel.witness_vertex)
+    if sel.case_tag == "I" and r < (k + 1) // 2 and 2 * degree_profile(sel.sub).delta0_bar < k:
+        # case I with r = k - delta + 1 on a core below the full pseudo-degree
+        mapping = _strip_and_reattach(d, sel, t, r, hub, trace)
     else:
-        # case I with r = k - delta + 1: go direct when the selected core
-        # happens to carry the full pseudo-degree anyway, else strip leaves
-        # off the hub, embed the trimmed tree, and return them to the anchor
-        prof = degree_profile(sel.sub)
-        if 2 * prof.delta0_bar >= k:
-            out = embed_wide_star(d, sel.sub, t, k, sel.witness_vertex)
-        else:
-            out = _strip_and_reattach(d, sel, t, k, r)
-    out.trace[:0] = trace
-    out.case = tag
-    return out
+        anchor = sel.witness_vertex
+        if sel.case_tag == "II":
+            anchor = next((a for a in bits_of(side_bits(sel.sub, +1)) if d.out_deg(a) >= delta), None)
+            if anchor is None:
+                raise InternalAssertion("mid-no-anchor", trace=trace)
+        mapping = _wide_star(d, sel.sub, t, hub, anchor, trace)
+    case = CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
+    return _outcome(mapping, t, d, "mid-validate", trace, case)
 
 
-def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, r: int) -> EmbedOutcome:
-    trace: list = []
-    u, stats = _pick_out_max(t)
-    leaves_u = sorted(x for x in t.adj[u] if t.deg[x] == 1)
-    strip = stats.delta - r
-    if len(leaves_u) < strip + 1:
-        raise InternalAssertion("strip-leaf-count", have=len(leaves_u), need=strip + 1, trace=trace)
-    dropped = leaves_u[:strip]
+def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, hub: int, trace: list) -> dict[int, int]:
+    """Strip Delta - r leaves off the hub, embed the trimmed tree around the
+    witness vertex (``_wide_star``), and return the leaves to its
+    out-neighborhood in the core."""
+    leaves = sorted(x for x in t.adj[hub] if t.deg[x] == 1)
+    strip = t.deg[hub] - r
+    if len(leaves) < strip + 1:
+        raise InternalAssertion("strip-leaf-count", have=len(leaves), need=strip + 1, trace=trace)
+    dropped = leaves[:strip]
     tstar, relabel = _induced_tree(t, set(range(t.n)).difference(dropped))
     kprime = 2 * r - 1
     if tstar.k != kprime:
         raise InternalAssertion("strip-arith", have=tstar.k, need=kprime, trace=trace)
     anchor = sel.witness_vertex
-    inner = embed_wide_star(d, sel.sub, tstar, kprime, anchor, strict=False, hub=relabel[u])
-    mapping = {v: inner.embedding.map[i] for v, i in relabel.items()}
-    core = sel.sub
-    slots = sorted(bits_of(core.neighbor_bits(anchor, +1) & ~_mask(mapping.values())))
-    if len(slots) < strip:
-        raise InternalAssertion("strip-reattach", have=len(slots), need=strip, trace=trace)
-    for leaf, s in zip(dropped, slots):
-        mapping[leaf] = s
-    trace.extend(inner.trace)
+    inner = _wide_star(d, sel.sub, tstar, relabel[hub], anchor, trace)
+    mapping = {v: inner[i] for v, i in relabel.items()}
+    slots = sel.sub.neighbor_bits(anchor, +1) & ~_mask(mapping.values())
+    if slots.bit_count() < strip:
+        raise InternalAssertion("strip-reattach", have=slots.bit_count(), need=strip, trace=trace)
+    mapping.update(zip(dropped, bits_of(slots)))
     trace.append({"event": "strip-reattach", "stripped": strip, "kprime": kprime})
-    return _outcome(mapping, t, d, "strip-validate", trace)
+    return mapping
 
 
 # -- the double-broom branch -------------------------------------------------------
@@ -394,75 +341,66 @@ def _induced_tree(t: AntiTree, verts: set[int]):
     return validate_antitree(Digraph(len(keep), arcs)), relabel
 
 
-def _broom_case(t: AntiTree, k: int):
-    """The broom letter, hubs and r of an oriented tree: u is the least-index
-    maximum-degree vertex (an out-vertex after ``_oriented``), v the least
-    other vertex of maximum degree."""
-    stats = degree_stats(t)
+def _broom_case(t: AntiTree, k: int, stats: DegreeStats) -> tuple[bool, dict]:
+    """Whether the oriented tree's broom B_uv falls in case A, and the case
+    parameters: u is the hub, v the least other vertex of maximum degree."""
     u, v, delta, delta2 = stats.argmax_u, stats.argmax2_v, stats.delta, stats.delta2
-    broom = double_broom(t, u, v)
-    size = len(broom.vertices)
-    bullet1 = 4 * size <= 3 * k
-    bullet2 = t.sign[v] < 0 and 12 * (delta + delta2) < 7 * k and size <= k + 1 - (delta - delta2)
-    if bullet1 or bullet2:
-        return "A", u, v, delta, delta2, broom, (k + 1) // 2, bullet2
-    return "B", u, v, delta, delta2, broom, min((5 * k + 11) // 12, k - delta), False
+    size = len(double_broom(t, u, v).vertices)
+    padded = t.sign[v] < 0 and 12 * (delta + delta2) < 7 * k and size <= k + 1 - (delta - delta2)
+    case_a = 4 * size <= 3 * k or padded
+    r = (k + 1) // 2 if case_a else min((5 * k + 11) // 12, k - delta)
+    return case_a, {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
+                    "broom_size": size, "padded": padded}
 
 
-def embed_big_delta2(d: Digraph, t: AntiTree, k: int) -> EmbedOutcome:
-    stats = degree_stats(t)
-    if stats.delta2 < k // 4 + 3:
-        raise HypothesisViolated("delta2-too-small", delta2=stats.delta2, k=k)
-    if d.a() <= (k - 1) * d.n:
-        raise HypothesisViolated("density", arcs=d.a())
-    trace: list = []
-    d, t = _oriented(d, t, trace)
-    letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
-    sel = select_subdigraph(d, k, r)
-    if letter == "A":
-        branch = "BroomA"
-    else:
-        branch = "BroomB_I" if sel.case_tag == "I" else "BroomB_II"
-    tag = CaseTag(
-        branch,
-        {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
-         "broom_size": len(broom.vertices), "padded": padded},
-    )
-    trace.append({"event": "broom-case", "branch": branch, "r": r})
-    partial = embed_double_broom(d, sel, t, k, tag)
-    trace.extend(partial.trace)
-    out = extend_from_broom(d, sel, t, partial.embedding.map, tag)
-    out.trace[:0] = trace
-    out.case = tag
+def _big_delta2(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> EmbedOutcome:
+    case_a, params = _broom_case(t, k, stats)
+    sel = select_subdigraph(d, k, params["r"])
+    branch = "BroomA" if case_a else "BroomB_I" if sel.case_tag == "I" else "BroomB_II"
+    trace.append({"event": "broom-case", "branch": branch, "r": params["r"]})
+    case = CaseTag(branch, params)
+    out = _outcome(_broom(d, sel, t, case, trace), t, d, "extend-validate", trace, case)
     if branch == "BroomB_II":
         core_bits = core_member_bits(sel.sub)
         if any(t.deg[x] > 1 and not (core_bits >> out.embedding.map[x]) & 1 for x in range(t.n)):
-            raise InternalAssertion("suitability-mask", trace=out.trace)
+            raise InternalAssertion("suitability-mask", trace=trace)
     return out
 
 
-def embed_double_broom(d: Digraph, sel: SelectionResult, t: AntiTree, k: int, case: CaseTag) -> EmbedOutcome:
-    """Embed B_uv per the case: into the core for A and B-I (balanced
+def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list) -> dict[int, int]:
+    """Embed B_uv per the case, into the core for A and B-I (balanced
     caterpillar machinery, padding, or greedy), suitably into the host for
-    B-II (hub seating, then greedy)."""
-    u, v = case.params["u"], case.params["v"]
-    broom = double_broom(t, u, v)
-    trace: list = []
-    if case.branch == "BroomA":
-        if case.params.get("padded"):
-            mapping = _broom_a_padded(sel.sub, t, broom, k, case, trace)
-        else:
-            mapping = _broom_a_greedy(sel.sub, t, broom, case, trace)
+    B-II (hub seating, then greedy); then extend it greedily to all of t.
+    B-I with a huge hub embeds the whole tree from scratch instead
+    (``_bi_big_delta``).  An extension stall fails ``extend:stall``; the
+    argument's moves there (Claim OC's leaf relocation, B-I's sacrifice of a
+    path-maximal branch and its hub-leaf endgame) are not run."""
+    p = case.params
+    k, core = p["k"], sel.sub
+    if case.branch == "BroomB_I" and p["r"] == k - p["delta"] and p["r"] < (5 * k + 11) // 12:
+        return _bi_big_delta(sel, t, case, trace)
+    broom = double_broom(t, p["u"], p["v"])
+    if case.branch == "BroomA" and p["padded"]:
+        mapping = _broom_a_padded(core, t, broom, case, trace)
+    elif case.branch == "BroomA":
+        mapping = _broom_a_greedy(core, t, broom, p["u"], trace)
     elif case.branch == "BroomB_I":
-        mapping = _broom_catmindeg(sel.sub, t, broom, k, trace)
+        mapping = _broom_catmindeg(core, t, broom, trace)
     else:
-        mapping = _broom_b2(d, sel, t, broom, k, case, trace)
+        mapping = _broom_b2(d, sel, t, broom, case, trace)
     if not validate_partial(t, d, mapping) or set(mapping) != set(broom.vertices):
         raise InternalAssertion("broom-validate", trace=trace)
-    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
+    suitable = case.branch == "BroomB_II"
+    ctx = _Ctx(t, d if suitable else core, core, "suitable" if suitable else "core", p["u"], trace)
+    if case.branch == "BroomB_I":
+        prof = degree_profile(core)
+        _note(trace, "eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
+    ctx.reset_to(mapping)
+    ctx.settle(set(range(t.n)), "extend:stall")
+    return ctx.f
 
 
-def _broom_catmindeg(core: Digraph, t: AntiTree, broom, k: int, trace: list) -> dict[int, int]:
+def _broom_catmindeg(core: Digraph, t: AntiTree, broom, trace: list) -> dict[int, int]:
     bt, relabel = _induced_tree(t, broom.vertices)
     tp, tm = bt.plus_minus()
     _note(trace, "B-I:balance", len(tp) <= len(tm))
@@ -470,32 +408,27 @@ def _broom_catmindeg(core: Digraph, t: AntiTree, broom, k: int, trace: list) -> 
     return {v: emb.map[relabel[v]] for v in broom.vertices}
 
 
-def _broom_a_padded(core: Digraph, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
-    v = case.params["v"]
-    dlt = case.params["delta"] - case.params["delta2"]
+def _broom_a_padded(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
+    p = case.params
+    dlt = p["delta"] - p["delta2"]
     bt, relabel = _induced_tree(t, broom.vertices)
-    arcs = list(bt.tree.arcs) + [(bt.n + i, relabel[v]) for i in range(dlt)]
+    arcs = list(bt.tree.arcs) + [(bt.n + i, relabel[p["v"]]) for i in range(dlt)]
     padded = validate_antitree(Digraph(bt.n + dlt, arcs))
-    _note(trace, "A-II:size", padded.n <= k + 1, size=padded.n)
+    _require(trace, "A-II:size", padded.n <= p["k"] + 1, size=padded.n)
     tp, tm = padded.plus_minus()
     _note(trace, "A-II:balance", len(tp) == len(tm))
-    if padded.n > k + 1:
-        raise InternalAssertion("A-II:size", trace=trace)
     emb = embed_caterpillar_mindeg(core, padded)
     return {w: emb.map[relabel[w]] for w in broom.vertices}
 
 
-def _broom_a_greedy(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
-    """Case A with a small broom: hub anywhere in the core, then greedy."""
-    u = case.params["u"]
-    ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
-    prof = degree_profile(core)
-    starts = sorted(c for c in range(core.n) if prof.out_deg[c] > 0)
-    a = _first("A-I:anchor", starts)
-    ctx.require("A-I:anchor-degree", core.out_deg(a) >= t.deg[u], have=core.out_deg(a))
+def _broom_a_greedy(core: Digraph, t: AntiTree, broom, u: int, trace: list) -> dict[int, int]:
+    """Case A with a small broom: hub on the least core source, then greedy."""
+    ctx = _Ctx(t, core, core, "core", u, trace)
+    a = _low(ctx.sided[+1])
+    _require(trace, "A-I:anchor-degree", core.out_deg(a) >= t.deg[u], have=core.out_deg(a))
     ctx.place(u, a)
     ctx.settle(set(broom.vertices), "A-I:stall")
-    return dict(ctx.f)
+    return ctx.f
 
 
 def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, trace: list):
@@ -517,103 +450,65 @@ def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, tr
     return v, u, 3
 
 
-def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, k: int, case: CaseTag, trace: list) -> dict[int, int]:
+def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
     core = sel.sub
-    u, v = case.params["u"], case.params["v"]
-    delta, delta2 = case.params["delta"], case.params["delta2"]
-    r = case.params["r"]
-    prof = degree_profile(core)
+    p = case.params
+    u, v, k, r = p["u"], p["v"], p["k"], p["r"]
     b_vertex = sel.witness_vertex  # in-degree >= k inside the core
-    _note(trace, "bwithindegk", prof.in_deg[b_vertex] >= k)
+    _note(trace, "bwithindegk", core.in_deg(b_vertex) >= k)
     scope = set(broom.vertices)
-    plus_members = sorted(c for c in range(d.n) if prof.out_deg[c] > 0)
 
-    if r == k - delta and r < (5 * k + 11) // 12:
+    if r == k - p["delta"] and r < (5 * k + 11) // 12:
         # every core source sees more than delta arcs in the host, and every
         # other extension step keeps ~5k/12 slack: plain greedy suffices
-        ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
-        a = _first("Bii:bigdelta-anchor", plus_members)
+        ctx = _Ctx(t, d, core, "suitable", u, trace)
+        a = _low(ctx.sided[+1])
         ctx.place(u, a)
         ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
         ctx.settle(scope, "Bii:bigdelta")
-        return dict(ctx.f)
+        return ctx.f
 
-    path = broom.path_uv
-    if len(path) == 2:
-        # a double-star: u goes on an in-neighbor of the heavy sink
-        ctx = _Ctx(t, d, core, "suitable", root=u, trace=trace)
-        ins = sorted(bits_of(core.neighbor_bits(b_vertex, -1)))
-        a = _first("Bii:dstar-anchor", ins)
+    if len(broom.path_uv) == 2:
+        # a double-star: u goes on the least in-neighbor of the heavy sink
+        ctx = _Ctx(t, d, core, "suitable", u, trace)
+        a = _low(core.neighbor_bits(b_vertex, -1))
         ctx.place(u, a)
         ctx.place(v, b_vertex)
         ctx.seat_children(u, [c for c in ctx.rv.children[u] if c != v], d.neighbor_bits(a, +1), "hub")
         slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
         vkids = [c for c in t.adj[v] if c != u]
-        ctx.require("Bii:dstar-capacity", slots.bit_count() >= len(vkids))
+        _require(trace, "Bii:dstar-capacity", slots.bit_count() >= len(vkids))
         ctx.fill(vkids, slots)
-        return dict(ctx.f)
+        return ctx.f
 
     _note(trace, "notdoublestar", True)
-    x, _, case_no = _relabel_xy(t, u, v, delta, delta2, k, trace)
-    ctx = _Ctx(t, d, core, "suitable", root=x, trace=trace)
+    x, _, case_no = _relabel_xy(t, u, v, p["delta"], p["delta2"], k, trace)
+    ctx = _Ctx(t, d, core, "suitable", x, trace)
     if case_no == 3:
         ctx.place(x, b_vertex)
         slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
         kids = sorted(ctx.rv.children[x])
-        ctx.require("Bii:iii-capacity", slots.bit_count() >= len(kids))
+        _require(trace, "Bii:iii-capacity", slots.bit_count() >= len(kids))
         ctx.fill(kids, slots)
-        ctx.note("eq:degree-k", prof.in_deg[b_vertex] >= k)
+        _note(trace, "eq:degree-k", core.in_deg(b_vertex) >= k)
     else:
-        a = _first("Bii:anchor", plus_members)
-        ctx.note("degaD'712", 12 * d.out_deg(a) >= 7 * k)
+        a = _low(ctx.sided[+1])
+        _note(trace, "degaD'712", 12 * d.out_deg(a) >= 7 * k)
         ctx.place(x, a)
         ctx.seat_children(x, ctx.rv.children[x], d.neighbor_bits(a, +1), "hub")
-        ctx.note("eq:eeeee", 12 * d.out_deg(ctx.f[x]) >= 7 * k)
+        _note(trace, "eq:eeeee", 12 * d.out_deg(ctx.f[x]) >= 7 * k)
 
     ctx.settle(scope, "Bii:stall")
-    return dict(ctx.f)
+    return ctx.f
 
 
-# -- extending a broom embedding to the whole tree --------------------------------
-
-
-def extend_from_broom(d: Digraph, sel: SelectionResult, t: AntiTree, partial: dict[int, int], case: CaseTag) -> EmbedOutcome:
-    """The broom's embedding ``partial`` extended to all of t: B-I with a huge
-    hub embeds from scratch (``_bi_big_delta``), every other case greedily
-    from ``partial`` (``_extend_greedy``)."""
-    trace: list = []
-    k, r = case.params["k"], case.params["r"]
-    if case.branch == "BroomB_I" and r == k - case.params["delta"] and r < (5 * k + 11) // 12:
-        mapping = _bi_big_delta(sel.sub, t, sel, k, case, trace)
-    else:
-        mapping = _extend_greedy(d, sel.sub, t, partial, case, trace)
-    return _outcome(mapping, t, d, "extend-validate", trace, case)
-
-
-def _extend_greedy(d: Digraph, core: Digraph, t: AntiTree, partial: dict[int, int], case: CaseTag, trace: list) -> dict[int, int]:
-    """Maximal extension beyond the broom: inside the core for A and B-I,
-    suitably into the host for B-II.  A stall fails ``extend:stall``; the
-    argument's moves there (Claim OC's leaf relocation, B-I's sacrifice of a
-    path-maximal branch and its hub-leaf endgame) are not run."""
-    suitable = case.branch == "BroomB_II"
-    ctx = _Ctx(t, d if suitable else core, core, "suitable" if suitable else "core", root=case.params["u"], trace=trace)
-    if case.branch == "BroomB_I":
-        prof = degree_profile(core)
-        k = case.params["k"]
-        ctx.note("eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
-    ctx.reset_to(partial)
-    ctx.settle(set(range(t.n)), "extend:stall")
-    return dict(ctx.f)
-
-
-def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case: CaseTag, trace: list) -> dict[int, int]:
+def _bi_big_delta(sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list) -> dict[int, int]:
     """Case B-I with a huge hub: embed the trimmed tree in a fixed order from
-    scratch, leaves of the hub last."""
-    u, v = case.params["u"], case.params["v"]
-    ctx = _Ctx(t, core, core, "core", root=u, trace=trace)
-    prof = degree_profile(core)
-    anchors = sorted(a for a in range(core.n) if prof.out_deg[a] >= k)
-    a = _first("BIbig:anchor", anchors)
+    scratch, leaves of the hub last.  The hub goes on the selection's
+    witness, the least core vertex of out-degree at least k."""
+    u, v, k = case.params["u"], case.params["v"], case.params["k"]
+    core, a = sel.sub, sel.witness_vertex
+    ctx = _Ctx(t, core, core, "core", u, trace)
     ctx.place(u, a)
     path = set(t.path(u, v))
     leaves_u = {c for c in t.adj[u] if t.deg[c] == 1}
@@ -622,12 +517,12 @@ def _bi_big_delta(core: Digraph, t: AntiTree, sel: SelectionResult, k: int, case
     for c in heavy:
         d_u |= ctx.subtree(c) - {c}
     part1 = set(range(t.n)) - leaves_u - heavy - d_u - {u}
-    ctx.note("eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
+    _note(trace, "eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
     ctx.settle(part1 | {u}, "BIbig:part1")
     ctx.seat_children(u, heavy, core.neighbor_bits(a, +1), "BIbig:part2")
     ctx.settle(set(range(t.n)) - leaves_u, "BIbig:Du")
     ctx.seat_children(u, leaves_u, core.neighbor_bits(a, +1), "BIbig:leaves")
-    return dict(ctx.f)
+    return ctx.f
 
 
 # -- top level -----------------------------------------------------------------
@@ -667,8 +562,9 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
                    budget: int | None = None, known_free: bool = False) -> EmbedOutcome:
     """Decide and construct: certified refusal when a hypothesis fails, a
     validated embedding otherwise.  An internal assertion triggers the exact
-    oracle so the outcome still reports ground truth, with the event logged;
-    ``budget`` bounds its nodes (``FALLBACK_BUDGET`` when None).
+    oracle so the outcome still reports ground truth, with the event logged
+    after the branch's own events; ``budget`` bounds its nodes
+    (``FALLBACK_BUDGET`` when None).
 
     ``known_free`` skips the forbidden-subgraph scan; callers running many
     trees against one audited host use it to avoid re-checking the host."""
@@ -695,7 +591,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
             embedding=Embedding(map=emb), trace=trace, case=CaseTag("LowDelta", {"k": 1})
         )
     s = (k + 11) // 12
-    free = True if known_free else is_k2s_free(d, s, prune=True)
+    free = True if known_free else is_k2s_free(d, s)
     if free is not True:
         out = _refusal(
             "freeness",
@@ -719,8 +615,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
 def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:
     """The pair as given when the least-index maximum-degree vertex of t is an
     out-vertex, else both reversed (logged).  An embedding of the reversed
-    tree into the reversed host is the same map, so this is the one place
-    where orientation is chosen."""
+    tree into the reversed host is the same map."""
     if t.sign[t.deg.index(max(t.deg))] > 0:
         return d, t
     trace.append({"event": "normalize", "reversed": True})
@@ -728,18 +623,15 @@ def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:
 
 
 def _dispatch(d: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
+    """Orient the pair, take the hub (``degree_stats(t).argmax_u``, an
+    out-vertex after orientation) and run the branch its degrees pick."""
     d, t = _oriented(d, t, trace)
     stats = degree_stats(t)
-    if stats.delta2 <= k // 4 + 2:
-        if 4 * stats.delta <= k:
-            trace.append({"event": "dispatch", "branch": "LowDelta"})
-            core = prune_pseudo(d, k)
-            out = embed_low_delta(core, t, k)
-        else:
-            trace.append({"event": "dispatch", "branch": "MidDelta"})
-            out = embed_mid_delta(d, t, k)
-    else:
+    if stats.delta2 > k // 4 + 2:
         trace.append({"event": "dispatch", "branch": "BigDelta2"})
-        out = embed_big_delta2(d, t, k)
-    out.trace[:0] = trace
-    return out
+        return _big_delta2(d, t, k, stats, trace)
+    if 4 * stats.delta > k:
+        trace.append({"event": "dispatch", "branch": "MidDelta"})
+        return _mid_delta(d, t, k, stats, trace)
+    trace.append({"event": "dispatch", "branch": "LowDelta"})
+    return _low_delta(prune_pseudo(d, k), t, k, trace)

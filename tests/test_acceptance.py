@@ -32,8 +32,12 @@ def test_criterion_2_good_arc_bounds_and_completeness():
     )
     assert bounds_ok, "count bounds violated"
     # The spec asserts set equality with the brute-force good set at n <= 5,
-    # k <= 3.  The construction is sound but not complete (see the ledger and
-    # test_convex.test_completeness_gap_witness_frozen), so this clause fails.
+    # k <= 3.  The construction is sound but not complete, so this clause
+    # fails: 115 of 5,764 instances, from two causes pinned in
+    # test_convex.test_completeness_gap_has_two_causes.  On 111 (definitional)
+    # the DP equals the hereditary good set, which checks every spine prefix
+    # where this brute force checks only the final chord; on 4 (exact shift)
+    # the DP's shift by exactly m misses a hereditary-good arc.
     assert eq_ok, (
         "DP good set is a strict subset of the definitional good set on "
         f"{rep['summary']['equality_failures']} of {rep['summary']['equality_checked']} "

@@ -8,7 +8,7 @@ from antembed import convex
 from antembed.antitree import caterpillar_decompose, is_caterpillar
 from antembed.convex import check_side_condition, reconstruct_witness
 from antembed.digraph import Digraph, bits_of
-from antembed.oracle_gen import brute_good_arcs, oracle_embed
+from antembed.oracle_gen import all_embeddings, brute_good_arcs, oracle_embed
 
 
 def caterpillars(kmax):
@@ -122,6 +122,44 @@ def test_completeness_gap_witness_frozen():
     assert (1, 2) in bf - dp
     f = {0: 1, 3: 2, 1: 0, 2: 3}
     assert ae.validate_embedding(t, d, f)
+
+
+def hereditary_good_arcs(c, t):
+    """Goodness checked at every spine prefix, not only the final chord: for
+    each prefix length L >= 2, the parity side of the chord f(p_{L-1})f(p_L)
+    holds no image of p_1..p_L or of the leaves of p_2..p_{L-1}."""
+    dec = caterpillar_decompose(t)
+    spine = dec.spine
+    good = set()
+    for f in all_embeddings(c.d, t):
+        for L in range(2, len(spine) + 1):
+            x, y = f[spine[L - 1]], f[spine[L - 2]]
+            zone = c.interval(x, y) if L % 2 == 1 else c.interval(y, x)
+            placed = {f[p] for p in spine[:L]} | {f[w] for p in spine[1:L - 1] for w in dec.leaves_at[p]}
+            if zone & placed:
+                break
+        else:
+            good.add((y, x) if t.sign[spine[-2]] > 0 else (x, y))
+    return good
+
+
+def test_completeness_gap_has_two_causes():
+    # Criterion 2's 115 failures on 5,764 instances split into 111
+    # definitional ones, where the DP equals the hereditary set and only the
+    # spec's final-chord brute force admits more, and 4 exact-shift ones,
+    # where the DP's shift by exactly m misses a hereditary-good arc.
+    t = ae.validate_antitree(Digraph(4, [(0, 1), (0, 3), (2, 1)]))
+    # definitional: the frozen witness above
+    d = Digraph(4, [(0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)])
+    c = ae.ConvexDigraph(d)
+    dp = set(ae.good_arcs(c, t).stage_arcs[-1])
+    assert dp == hereditary_good_arcs(c, t) and (1, 2) in brute_good_arcs(c, t) - dp
+    # exact shift
+    d = Digraph(5, [(0, 1), (0, 3), (1, 0), (1, 3), (2, 3), (2, 4), (3, 0), (3, 1), (3, 4), (4, 2)])
+    c = ae.ConvexDigraph(d, (0, 4, 2, 3, 1))
+    dp = set(ae.good_arcs(c, t).stage_arcs[-1])
+    her = hereditary_good_arcs(c, t)
+    assert dp < her and her - dp == {(3, 1)}
 
 
 def test_embed_caterpillar_examples():

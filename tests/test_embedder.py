@@ -9,18 +9,9 @@ import antembed as ae
 from antembed.digraph import Digraph
 from antembed.convex import ConvexDigraph
 from antembed.oracle_gen import sample_antitree_heavy
+from antembed import tree_embedder as te
 from antembed.subdigraph import SelectionResult
-from antembed.tree_embedder import (
-    CaseTag,
-    _broom_case,
-    embed_big_delta2,
-    embed_double_broom,
-    embed_low_delta,
-    embed_mid_delta,
-    embed_wide_star,
-    extend_from_broom,
-    oracle_fallback,
-)
+from antembed.tree_embedder import CaseTag, oracle_fallback
 
 
 def T(n, arcs):
@@ -91,10 +82,12 @@ def test_embed_antitree_refusals():
 
 
 def test_low_delta_on_incidence_host():
-    host = ae.gen_incidence(8)  # pseudo-semidegree 9
+    # a bare core: PG(2,8) has pseudo-semidegree 9 >= 16/2 but is far below
+    # the density bound, so only the private step reaches it
+    host = ae.gen_incidence(8)
     k = 16
     t = antipath(k)
-    out = embed_low_delta(host, t, k)
+    out = te._low_delta(host, t, k, [])
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
 
 
@@ -112,37 +105,28 @@ def test_low_delta_complete_host():
     # 8-arc antidirected path (max degree 2) into the bidirected K9
     host = bidirected_complete(9)
     t = antipath(8)
-    out = embed_low_delta(host, t, 8)
+    out = ae.embed_antitree(host, t, known_free=True, budget=1000)
+    assert out.case.branch == "LowDelta" and not out.assertion_events()
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
 
 
-def test_low_delta_preconditions():
-    host = bidirected_complete(5)
-    with pytest.raises(ae.HypothesisViolated):
-        embed_low_delta(host, antipath(2), 2)  # delta 2 > floor(2/4)
-    weak = Digraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ae.HypothesisViolated):
-        embed_low_delta(weak, antipath(8), 8)  # pseudo-degree 1 < 4
-
-
 def test_radius_two_and_wide_star():
+    # the wide-star step on a bare core with a given hub and anchor
     host = bidirected_complete(12)
     k = 8
     star = T(k + 1, [(0, i) for i in range(1, k + 1)])
-    out = embed_wide_star(host, host, star, k, anchor=0)
-    assert out.ok and ae.validate_embedding(star, host, out.embedding.map)
+    f = te._wide_star(host, host, star, 0, 0, [])
+    assert ae.validate_embedding(star, host, f) and f[0] == 0
     # spider of radius two: hub with three children, each with one child
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
     spider = T(7, arcs)
-    out = embed_wide_star(host, host, spider, 6, anchor=3)
-    assert out.ok and ae.validate_embedding(spider, host, out.embedding.map)
-    # non-leaf images stay inside the core
-    assert all(out.embedding.map[x] < 12 for x in range(7) if spider.deg[x] > 1)
+    f = te._wide_star(host, host, spider, 0, 3, [])
+    assert ae.validate_embedding(spider, host, f) and f[0] == 3
     # deeper trees, layer by layer
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
     deep = T(7, arcs)
-    out = embed_wide_star(host, host, deep, 6, anchor=0)
-    assert out.ok and ae.validate_embedding(deep, host, out.embedding.map)
+    f = te._wide_star(host, host, deep, 0, 0, [])
+    assert ae.validate_embedding(deep, host, f)
 
 
 PU_EXCHANGE_HOST = [
@@ -166,20 +150,20 @@ SPIDER7 = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
 DEEP7 = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
 
 
-def _low_delta(d, t):
-    return embed_low_delta(d, t, t.k)
+def low_delta_step(d, t):
+    return te._low_delta(d, t, t.k, [])
 
 
-def _wide_star(d, t):
-    return embed_wide_star(d, d, t, t.k, anchor=0, strict=False)
+def wide_star_step(d, t):
+    return te._wide_star(d, d, t, ae.degree_stats(t).argmax_u, 0, [])
 
 
 @pytest.mark.parametrize("embed, d, t, tag, embeds", [
-    pytest.param(_low_delta, Digraph(10, LOW_DELTA_STALL_HOST), antipath(8), "63:stall", True, id="low-delta-fixture"),
-    pytest.param(_wide_star, Digraph(6, PU_EXCHANGE_HOST), T(6, SPIDER5), "pu:stall", True, id="pu-fixture"),
-    pytest.param(_wide_star, Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7), "case3b:stall", True, id="case3b-fixture"),
-    pytest.param(_low_delta, bidirected_complete(5), antipath(8), "63:stall", False, id="K5"),
-    pytest.param(_wide_star, bidirected_complete(6), T(7, SPIDER7), "pu:stall", False, id="K6"),
+    pytest.param(low_delta_step, Digraph(10, LOW_DELTA_STALL_HOST), antipath(8), "63:stall", True, id="low-delta-fixture"),
+    pytest.param(wide_star_step, Digraph(6, PU_EXCHANGE_HOST), T(6, SPIDER5), "pu:stall", True, id="pu-fixture"),
+    pytest.param(wide_star_step, Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7), "case3b:stall", True, id="case3b-fixture"),
+    pytest.param(low_delta_step, bidirected_complete(5), antipath(8), "63:stall", False, id="K5"),
+    pytest.param(wide_star_step, bidirected_complete(6), T(7, SPIDER7), "pu:stall", False, id="K6"),
 ])
 def test_low_delta_and_wide_star_stalls_fail_their_settle_step(embed, d, t, tag, embeds):
     # frozen hosts that break the hypotheses: the greedy stalls where the
@@ -201,11 +185,21 @@ def test_case3b_stall_falls_back_to_the_oracle():
     assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
 
 
+def test_fallback_trace_keeps_the_branch_checkpoints():
+    # the branch appends to the trace embed_antitree passes down, so its
+    # selection and the failing settle check stay ahead of the assertion
+    out = ae.embed_antitree(Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7), known_free=True)
+    events = [e["event"] for e in out.trace]
+    stall = out.trace.index({"event": "check", "tag": "case3b:stall", "holds": False, "open": 1})
+    assert events.index("select") < stall == events.index("internal-assertion") - 1
+
+
 def test_mid_delta_star_and_sweep():
     k = 6
     host = bidirected_complete(k + 1)
     star = T(k + 1, [(0, i) for i in range(1, k + 1)])
-    out = embed_mid_delta(host, star, k)
+    out = ae.embed_antitree(host, star, known_free=True, budget=1000)
+    assert out.case.branch == "MidDelta" and not out.assertion_events()
     assert out.ok and ae.validate_embedding(star, host, out.embedding.map)
     rng = random.Random(12)
     for _ in range(25):
@@ -216,7 +210,8 @@ def test_mid_delta_star_and_sweep():
         st = ae.degree_stats(t)
         if 4 * st.delta <= k or st.delta2 > k // 4 + 2:
             continue
-        out = embed_mid_delta(host, t, k)
+        out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
+        assert out.case.branch == "MidDelta" and not out.assertion_events()
         assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
 
 
@@ -249,7 +244,8 @@ def test_mid_delta_strip_and_reattach():
         nxt += 1
     arcs += [(nxt, kids[0]), (nxt + 1, kids[0]), (nxt + 2, kids[1])]
     t = T(k + 1, arcs)
-    out = embed_mid_delta(host, t, k)
+    out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
+    assert out.case.branch == "MidDelta" and not out.assertion_events()
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
     ev = [e for e in out.trace if e.get("event") == "strip-reattach"]
     assert len(ev) == 1 and ev[0]["stripped"] == 6 and ev[0]["kprime"] == 7
@@ -276,7 +272,7 @@ def test_broom_case_a_greedy():
     broom = ae.double_broom(t, 0, 1)
     assert 4 * len(broom.vertices) <= 3 * k
     host = bidirected_complete(40)
-    out = embed_big_delta2(host, t, k)
+    out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
     assert out.case.branch == "BroomA" and not out.case.params["padded"]
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
     assert not out.assertion_events()
@@ -295,9 +291,10 @@ def test_broom_case_a_padded():
     chain_extend(arcs, 25, +1, nxt, k)
     t = T(k + 1, arcs)
     host = bidirected_complete(100)
-    out = embed_big_delta2(host, t, k)
+    out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
     assert out.case.branch == "BroomA" and out.case.params["padded"]
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
+    assert not out.assertion_events()
 
 
 def test_broom_case_b1_catmindeg():
@@ -318,7 +315,7 @@ def test_broom_case_b2_paths():
     assert host.a() > (k - 1) * host.n
 
     def run(t):
-        out = embed_big_delta2(host, t, k)
+        out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
         assert out.case.branch == "BroomB_II"
         assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
         assert not out.assertion_events()
@@ -418,11 +415,15 @@ def test_free_host_reaches_every_branch_without_a_stall():
 
 
 def _broom_tag(t, k, branch):
-    """The CaseTag ``embed_big_delta2`` builds for t, and its r."""
-    letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
-    params = {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
-              "broom_size": len(broom.vertices), "padded": padded}
-    return CaseTag(branch, params), r
+    """The CaseTag the double-broom branch builds for t, and its r."""
+    _, params = te._broom_case(t, k, ae.degree_stats(t))
+    return CaseTag(branch, params), params["r"]
+
+
+def _failed_check(out):
+    """The check event just before the outcome's internal-assertion event."""
+    i = [e["event"] for e in out.trace].index("internal-assertion")
+    return out.trace[i - 1]
 
 
 def two_cliques(s, m):
@@ -444,9 +445,9 @@ def test_broom_a_greedy_stall_asserts():
     t = broomA_tree_small(k)
     tag, r = _broom_tag(t, k, "BroomA")
     assert d.a() > (k - 1) * d.n and not tag.params["padded"]
-    with pytest.raises(ae.InternalAssertion) as exc:
-        embed_double_broom(d, ae.select_subdigraph(d, k, r), t, k, tag)
-    assert exc.value.tag == "A-I:stall" and exc.value.data == {"open": 5}
+    out = ae.embed_antitree(d, t, k, known_free=True, budget=10_000)
+    assert [e["tag"] for e in out.assertion_events()] == ["A-I:stall"]
+    assert _failed_check(out) == {"event": "check", "tag": "A-I:stall", "holds": False, "open": 5}
 
 
 def test_extension_stall_asserts_and_the_oracle_answers():
@@ -455,13 +456,12 @@ def test_extension_stall_asserts_and_the_oracle_answers():
     t = broomA_tree_small(k)
     tag, r = _broom_tag(t, k, "BroomA")
     sel = ae.select_subdigraph(d, k, r)
-    part = embed_double_broom(d, sel, t, k, tag)
-    assert set(part.embedding.map.values()) == set(range(18))
-    with pytest.raises(ae.InternalAssertion) as exc:
-        extend_from_broom(d, sel, t, part.embedding.map, tag)
-    assert exc.value.tag == "extend:stall" and exc.value.data == {"open": 1}
+    part = te._broom_a_greedy(sel.sub, t, ae.double_broom(t, 0, 1), tag.params["u"], [])
+    assert set(part.values()) == set(range(18))
     out = ae.embed_antitree(d, t, k, known_free=True)
     assert [e["tag"] for e in out.assertion_events()] == ["extend:stall"]
+    assert {"event": "check", "tag": "A-I:stall", "holds": True, "open": 0} in out.trace
+    assert _failed_check(out) == {"event": "check", "tag": "extend:stall", "holds": False, "open": 1}
     assert out.trace[-1] == {"event": "oracle", "verdict": "Embeds", "nodes": 25}
     assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
 
@@ -478,7 +478,7 @@ def test_broom_b2_stall_asserts():
     tag, r = _broom_tag(t, k, "BroomB_II")
     assert r == 6
     with pytest.raises(ae.InternalAssertion) as exc:
-        embed_double_broom(d, sel, t, k, tag)
+        te._broom(d, sel, t, tag, [])
     assert exc.value.tag == "Bii:stall" and exc.value.data == {"open": 3}
 
 
@@ -496,33 +496,6 @@ def test_fallback_budget_ends_a_trapped_oracle(monkeypatch):
     assert out.trace[-1] == {"event": "oracle", "verdict": "Inconclusive", "nodes": 1001}
 
 
-def test_broom_ops_compose():
-    # embed_double_broom and extend_from_broom exposed separately
-    host = lopsided(160, 13)
-    k = 13
-    arcs = [(0, 1), (2, 1), (2, 3)]
-    nxt = 4
-    for _ in range(5):
-        arcs.append((0, nxt))
-        nxt += 1
-    for _ in range(5):
-        arcs.append((nxt, 3))
-        nxt += 1
-    t = T(k + 1, arcs)
-    letter, u, v, delta, delta2, broom, r, padded = _broom_case(t, k)
-    sel = ae.select_subdigraph(host, k, r)
-    assert letter == "B" and sel.case_tag == "II"
-    tag = CaseTag(
-        "BroomB_II",
-        {"k": k, "r": r, "delta": delta, "delta2": delta2, "u": u, "v": v,
-         "broom_size": len(broom.vertices), "padded": padded},
-    )
-    part = embed_double_broom(host, sel, t, k, tag)
-    assert set(part.embedding.map) == set(broom.vertices)
-    out = extend_from_broom(host, sel, t, part.embedding.map, tag)
-    assert ae.validate_embedding(t, host, out.embedding.map)
-
-
 def test_extend_identity_when_broom_is_whole_tree():
     # pure double star: B_uv = T, so the extension step has nothing to add
     host = lopsided(160, 13)
@@ -538,7 +511,8 @@ def test_extend_identity_when_broom_is_whole_tree():
     t = T(k + 1, arcs)
     broom = ae.double_broom(t, 0, 1)
     assert broom.vertices == frozenset(range(t.n))
-    out = embed_big_delta2(host, t, k)
+    out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
+    assert out.case.branch == "BroomB_II" and not out.assertion_events()
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
 
 
@@ -596,12 +570,10 @@ BIBIG_STALL_TREE = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (1, 7), (1, 
 def test_branch_assertion_falls_back_to_the_oracle():
     d = Digraph(20, BIBIG_STALL_HOST)
     t = T(11, BIBIG_STALL_TREE)
-    with pytest.raises(ae.InternalAssertion) as exc:
-        embed_big_delta2(d, t, 10)
-    assert exc.value.tag == "BIbig:part1"
     out = ae.embed_antitree(d, t, 10, known_free=True)
     assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
     assert [e["tag"] for e in out.assertion_events()] == ["BIbig:part1"]
+    assert _failed_check(out)["tag"] == "BIbig:part1"
     assert out.trace[-1]["event"] == "oracle" and out.trace[-1]["verdict"] == "Embeds"
 
 
@@ -631,31 +603,26 @@ def test_orientation_normalization():
     assert o1.embedding.map == o2.embedding.map
 
 
-def test_direct_branch_calls_share_the_orientation_rule():
+def test_reversed_pairs_share_the_orientation_rule():
     # seeded trees whose least-index maximum-degree vertex is an in-vertex
-    # while another maximum-degree vertex is an out-vertex: a direct call on
-    # the pair and one on the reversed pair normalize to the same orientation
+    # while another maximum-degree vertex is an out-vertex: the pair and the
+    # reversed pair normalize to the same orientation in the dispatcher
     host = ae.gen_incidence(25)
     rng = random.Random(3)
-    calls = []
+    branches = []
     for i in range(200):
         t = ae.sample_antitree(13, rng) if i % 2 == 0 else sample_antitree_heavy(13, rng, 6)
         st = ae.degree_stats(t)
         tops = [v for v in range(t.n) if t.deg[v] == st.delta]
-        if t.sign[tops[0]] > 0 or all(t.sign[v] < 0 for v in tops):
+        if t.sign[tops[0]] > 0 or all(t.sign[v] < 0 for v in tops) or 4 * st.delta <= 13:
             continue
-        if st.delta2 >= 13 // 4 + 3:
-            fn = embed_big_delta2
-        elif 4 * st.delta > 13:
-            fn = embed_mid_delta
-        else:
-            continue
-        o1 = fn(host, t, 13)
-        o2 = fn(ae.reverse(host), ae.reverse_antitree(t), 13)
-        assert o1.ok and o2.ok and o1.case.branch == o2.case.branch
-        assert o1.embedding.map == o2.embedding.map
-        calls.append(fn)
-    assert calls.count(embed_mid_delta) == 3 and calls.count(embed_big_delta2) == 21
+        o1 = ae.embed_antitree(host, t, known_free=True, budget=1000)
+        o2 = ae.embed_antitree(ae.reverse(host), ae.reverse_antitree(t), known_free=True, budget=1000)
+        assert o1.ok and o2.ok and not o1.assertion_events() and not o2.assertion_events()
+        assert o1.case == o2.case and o1.embedding.map == o2.embedding.map
+        assert o1.trace == [{"event": "normalize", "reversed": True}, *o2.trace]
+        branches.append(o1.case.branch)
+    assert branches.count("MidDelta") == 3 and len(branches) == 24
 
 
 def test_differential_mini():

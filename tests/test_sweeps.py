@@ -5,9 +5,8 @@ import pytest
 import antembed as ae
 import antembed.sweeps as sw
 from antembed.digraph import Digraph
-from antembed.errors import HypothesisViolated, InternalAssertion
+from antembed.errors import HypothesisViolated
 from antembed.oracle_gen import sample_antitree_heavy
-from antembed.tree_embedder import embed_big_delta2, embed_mid_delta
 
 
 def test_parallel_map_matches_serial():
@@ -42,9 +41,9 @@ def test_emptiness_helper():
 
 
 def test_big_delta2_fuzz_soundness():
-    # small random hosts just above the density bound (all 120 embed as
-    # BroomB_I): every outcome is either a validated embedding or a tagged
-    # internal assertion, never a bogus map
+    # small random hosts just above the density bound, not free (all 120
+    # embed as BroomB_I): every outcome is either a validated embedding or a
+    # tagged internal assertion, never a bogus map
     rng = random.Random(99)
     succ = asserts = 0
     for trial in range(120):
@@ -56,11 +55,11 @@ def test_big_delta2_fuzz_soundness():
         if want > len(pairs):
             continue
         d = Digraph(n, rng.sample(pairs, want))
-        try:
-            out = embed_big_delta2(d, t, k)
-        except (HypothesisViolated, InternalAssertion):
+        out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+        if out.assertion_events():
             asserts += 1
             continue
+        assert out.case.branch == "BroomB_I"
         assert ae.validate_embedding(t, d, out.embedding.map)
         succ += 1
     assert succ + asserts > 0
@@ -81,10 +80,10 @@ def test_mid_delta_fuzz_soundness():
         if want > len(pairs):
             continue
         d = Digraph(n, rng.sample(pairs, want))
-        try:
-            out = embed_mid_delta(d, t, k)
-        except (HypothesisViolated, InternalAssertion):
+        out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+        if out.assertion_events():
             continue
+        assert out.case.branch == "MidDelta"
         assert ae.validate_embedding(t, d, out.embedding.map)
         succ += 1
     assert succ > 0
