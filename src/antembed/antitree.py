@@ -9,10 +9,10 @@ This module is the one place that walks, colours, centres or spines a tree:
 ``_bfs`` is its only breadth-first walk, ``from_edges`` its only two-colouring
 and ``centroids`` its only centre search.  An AntiTree value is immutable and
 carries the same lazy memo as ``Digraph`` (``digraph.memoized``): its degree
-statistics, its spine decomposition, its reversal and its rooted views are
-computed once per tree, and no memo entry references the tree that holds it.
-The spine search takes three rooted views and one greedy descent, so it is
-linear in the tree's size.
+statistics, its spine decomposition, its reversal, its rooted views and its
+double brooms are computed once per tree, and no memo entry references the
+tree that holds it.  The spine search takes three rooted views and one greedy
+descent, so it is linear in the tree's size.
 """
 
 from __future__ import annotations
@@ -254,11 +254,16 @@ class DoubleBroom:
 
 
 def double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
-    """B_uv: closed neighborhoods of u and v plus the u-v path."""
+    """B_uv: closed neighborhoods of u and v plus the u-v path, memoized on
+    ``t`` for each (u, v)."""
     if u == v:
         raise AntembedError("double broom needs two distinct vertices")
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise AntembedError("vertex not in tree")
+    return memoized(t, ("broom", u, v), lambda: _double_broom(t, u, v))
+
+
+def _double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
     path = tuple(t.path(u, v))
     verts = set(path) | {u, v} | set(t.adj[u]) | set(t.adj[v])
     return DoubleBroom(u=u, v=v, vertices=frozenset(verts), path_uv=path)

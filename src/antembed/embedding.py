@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .antitree import AntiTree
 from .digraph import Digraph
@@ -10,7 +10,7 @@ from .digraph import Digraph
 
 @dataclass(frozen=True)
 class Embedding:
-    map: dict[int, int] = field(compare=False)
+    map: dict[int, int]
 
     def __getitem__(self, v: int) -> int:
         return self.map[v]
@@ -27,15 +27,3 @@ def validate_embedding(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool
         return False
     return all(d.has_arc(mapping[u], mapping[v]) for u, v in t.tree.arcs)
 
-
-def validate_partial(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
-    """Like validate_embedding but over a subset of the tree's vertices."""
-    vals = list(mapping.values())
-    if len(set(vals)) != len(vals):
-        return False
-    dom = set(mapping)
-    return all(
-        d.has_arc(mapping[u], mapping[v])
-        for u, v in t.tree.arcs
-        if u in dom and v in dom
-    )

@@ -43,11 +43,11 @@ class InternalAssertion(AntembedError):
     """A step the underlying argument guarantees has failed; indicates a bug, not
     a mathematical impossibility, whenever the full hypotheses hold.
 
-    ``tag`` names the violated checkpoint, ``trace`` carries the decision log.
+    ``tag`` names the violated checkpoint and ``data`` its measured values;
+    the decision log stays on the trace the embedder passes down.
     """
 
-    def __init__(self, tag, trace=None, **data):
+    def __init__(self, tag, **data):
         self.tag = tag
-        self.trace = trace if trace is not None else []
         self.data = data
         super().__init__(f"internal assertion failed at [{tag}] {data if data else ''}")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .antitree import AntiTree, caterpillar_decompose, centroids, degree_stats, from_edges, rooted_view
 from .convex import ConvexDigraph
-from .digraph import Digraph, bits_of
+from .digraph import Digraph, bits_of, degree_profile
 from .errors import AntembedError
 
 _PRIME_POWERS = {
@@ -41,7 +42,6 @@ class SearchStats:
     verdict: str  # "Embeds", "NotContained", "Inconclusive"
     witness: dict[int, int] | None
     nodes_expanded: int
-    max_depth: int
     elapsed: float
 
 
@@ -50,42 +50,34 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
     t0 = time.perf_counter()
     rv = rooted_view(t, min(centroids(t)))
     order = rv.bfs_order
-    # candidate host vertices must carry the full sign-degree of the tree vertex
-    eligible = []
-    by_slack = {}
+    prof = degree_profile(d)
+    degs = {1: prof.out_deg, -1: prof.in_deg}
+    # host vertices by sign-degree, least first; a tree vertex tries only those
+    # carrying its full sign-degree, a suffix of its sign's order
+    by_slack = {sg: sorted(range(d.n), key=lambda c: (deg[c], c)) for sg, deg in degs.items()}
+    tries = []
     for x in order:
-        need = t.deg[x]
-        sg = t.sign[x]
-        mask = 0
-        for c in range(d.n):
-            if d.sign_deg(c, sg) >= need:
-                mask |= 1 << c
-        eligible.append(mask)
-        key = (x, sg)
-        by_slack[key] = sorted(range(d.n), key=lambda c: (d.sign_deg(c, sg), c))
+        slack, deg = by_slack[t.sign[x]], degs[t.sign[x]]
+        tries.append(slack[bisect_left(slack, t.deg[x], key=deg.__getitem__):])
     nodes = 0
-    max_depth = 0
     assign: dict[int, int] = {}
 
     def rec(i: int, used: int):
-        nonlocal nodes, max_depth
+        nonlocal nodes
         if i == len(order):
             return True
         if budget is not None and nodes > budget:
             return None
         x = order[i]
-        max_depth = max(max_depth, i)
         if i == 0:
-            cand_mask = eligible[0]
+            nbrs = -1
         else:
-            p = rv.parent[x]
-            hp = assign[p]
-            cand_mask = d.neighbor_bits(hp, -t.sign[x]) & eligible[i] & ~used
             # sign(x)=+ means the arc x->p, so the image must be an in-neighbor
-            # of f(p); the helper above flips accordingly
+            # of f(p); neighbor_bits flips accordingly
+            nbrs = d.neighbor_bits(assign[rv.parent[x]], -t.sign[x]) & ~used
         inconclusive = False
-        for c in by_slack[(x, t.sign[x])]:
-            if not (cand_mask >> c) & 1:
+        for c in tries[i]:
+            if not (nbrs >> c) & 1:
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
@@ -103,10 +95,10 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
     res = rec(0, 0)
     elapsed = time.perf_counter() - t0
     if res:
-        return SearchStats("Embeds", dict(assign), nodes, max_depth, elapsed)
+        return SearchStats("Embeds", dict(assign), nodes, elapsed)
     if res is None:
-        return SearchStats("Inconclusive", None, nodes, max_depth, elapsed)
-    return SearchStats("NotContained", None, nodes, max_depth, elapsed)
+        return SearchStats("Inconclusive", None, nodes, elapsed)
+    return SearchStats("NotContained", None, nodes, elapsed)
 
 
 def all_embeddings(d: Digraph, t: AntiTree):

@@ -18,10 +18,10 @@ argument says so.
 
 Each branch is a private step that appends to the one trace
 ``embed_antitree`` passes down, and follows its constructive argument step by
-step: seat the hubs the argument fixes, extend greedily (``_Ctx.greedy``),
-and settle.  A greedy that stalls, which the argument rules out on a free
-host or answers with an exchange move that no free host was seen to need,
-raises InternalAssertion (``_Ctx.settle``).  The argument's displayed
+step: seat the hubs the argument fixes, then extend greedily and settle
+(``_Ctx.settle``, one pass in BFS order).  A greedy that stalls, which the
+argument rules out on a free host or answers with an exchange move that no
+free host was seen to need, raises InternalAssertion.  The argument's displayed
 inequalities are evaluated at their steps and logged under the tags used
 here.  Every choice point takes its first candidate, and a step whose
 guaranteed candidate set comes up empty raises InternalAssertion.  When that
@@ -45,7 +45,7 @@ from .antitree import (
 )
 from .convex import embed_caterpillar_mindeg
 from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse, side_bits
-from .embedding import Embedding, validate_embedding, validate_partial
+from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free
 from .oracle_gen import oracle_embed
@@ -57,6 +57,11 @@ def _mask(it) -> int:
     for v in it:
         m |= 1 << v
     return m
+
+
+def _leaf_mask(t: AntiTree, verts) -> int:
+    """The leaves of t among ``verts``, as a bit set."""
+    return _mask(x for x in verts if t.deg[x] == 1)
 
 
 def _low(bits: int) -> int:
@@ -89,7 +94,7 @@ def _outcome(mapping: dict[int, int], t: AntiTree, d: Digraph, tag: str, trace: 
     """``mapping`` as a validated embedding of t into d; InternalAssertion
     ``tag`` when it is not one."""
     if not validate_embedding(t, d, mapping):
-        raise InternalAssertion(tag, trace=trace)
+        raise InternalAssertion(tag)
     return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
 
 
@@ -103,76 +108,51 @@ def _note(trace: list, tag: str, holds, **data):
 def _require(trace: list, tag: str, holds, **data):
     """``_note``, raising InternalAssertion ``tag`` when the check fails."""
     if not _note(trace, tag, holds, **data):
-        raise InternalAssertion(tag, trace=trace, **data)
+        raise InternalAssertion(tag, **data)
 
 
 # -- embedding context ----------------------------------------------------------
 
 
 class _Ctx:
-    """One partial embedding of t into d, with core-aware placement rules.
+    """One partial embedding of t into d, grown by ``place`` (one vertex),
+    ``seat_children`` and ``fill`` (children of a placed vertex on given
+    slots) and ``settle`` (the rest, greedily).
 
-    mode "core":     host is the core itself, every arc stays inside it.
-    mode "pu":       non-core vertices only for leaves adjacent to ``u_root``.
-    mode "suitable": non-core vertices only for leaves of t.
-
-    Candidate arcs for growing the embedding come from the core whenever the
-    vertex being placed is core-bound; seeding moves (placing a hub's children
-    into its full-host out-neighborhood) bypass candidate generation and are
-    validated against the host plus the vertex rule only.
+    ``loose`` is the bit set of tree vertices that may sit off the core: 0
+    when the host is the core itself, the hub's leaf neighbours in the middle
+    branch, all leaves in case B-II.  Every other vertex goes on a core
+    vertex, and a greedy pick reaches it by a core arc.  ``place`` checks each
+    vertex against this rule, injectivity and the host arc to its parent.
     """
 
-    def __init__(self, t: AntiTree, d: Digraph, core: Digraph, mode: str, root: int, trace: list, u_root=None):
+    def __init__(self, t: AntiTree, d: Digraph, core: Digraph, root: int, trace: list, loose: int = 0):
         self.t = t
         self.d = d
         self.core = core
         self.core_bits = core_member_bits(core)
         self.sided = {+1: side_bits(core, +1), -1: side_bits(core, -1)}
-        self.mode = mode
-        self.u_root = u_root
+        self.loose = loose
         self.rv = rooted_view(t, root)
         self.f: dict[int, int] = {}
         self.used = 0
         self.trace = trace
 
-    # placement rules ---------------------------------------------------
-
-    def core_bound(self, x: int) -> bool:
-        if self.mode == "core":
-            return True
-        if self.mode == "pu":
-            return not (self.t.deg[x] == 1 and self.rv.parent[x] == self.u_root)
-        return self.t.deg[x] > 1
-
-    def cand_mask(self, x: int) -> int:
-        p = self.rv.parent[x]
-        if p is None or p not in self.f:
-            raise InternalAssertion("cand-no-parent", vertex=x)
-        if self.core_bound(x):
-            return self.core.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used & self.core_bits
-        return self.d.neighbor_bits(self.f[p], -self.t.sign[x]) & ~self.used
-
     def pick(self, x: int) -> int | None:
-        """The first vertex of ``ranked`` over x's candidates (of all
-        candidates, least first, when x is a leaf); None when there is none."""
-        bits = self.cand_mask(x)
+        """The least free neighbour of the image of x's parent, of x's sign,
+        in the core unless x is loose, and of positive core sign-degree when
+        x is a non-leaf and one is; None when there is none."""
+        h, sign = self.f[self.rv.parent[x]], self.t.sign[x]
+        host = self.d if (self.loose >> x) & 1 else self.core
+        bits = host.neighbor_bits(h, -sign) & ~self.used
         if self.t.deg[x] > 1:
-            bits = bits & self.sided[self.t.sign[x]] or bits
+            bits = bits & self.sided[sign] or bits
         return _low(bits) if bits else None
-
-    def ranked(self, bits: int, sign: int) -> list[int]:
-        """The vertices of ``bits`` in increasing order, those of positive core
-        sign-degree first: a non-leaf of that sign seated there still needs
-        sign-arcs to its own children."""
-        pref = self.sided[sign]
-        return [*bits_of(bits & pref), *bits_of(bits & ~pref)]
-
-    # mutation ----------------------------------------------------------
 
     def place(self, x: int, h: int):
         if (self.used >> h) & 1 or x in self.f:
             raise InternalAssertion("place-collision", vertex=x, host=h)
-        if self.core_bound(x) and not (self.core_bits >> h) & 1:
+        if not (self.loose >> x) & 1 and not (self.core_bits >> h) & 1:
             raise InternalAssertion("place-noncore", vertex=x, host=h)
         p = self.rv.parent[x]
         if p is not None and p in self.f:
@@ -182,25 +162,24 @@ class _Ctx:
         self.f[x] = h
         self.used |= 1 << h
 
-    def reset_to(self, keep: dict[int, int]):
-        self.f = dict(keep)
-        self.used = _mask(keep.values())
-
     def seat_children(self, x: int, kids, slots: int, tag: str):
         """Place ``kids``, children of the placed x, on free vertices of
-        ``slots``: the non-leaves on core vertices (``ranked``), then the
-        leaves on what is left, non-core vertices first."""
+        ``slots``: the non-leaves on core vertices, those of positive core
+        sign-degree first (a non-leaf seated there still needs sign-arcs to
+        its own children), then the leaves on what is left, non-core vertices
+        first; least first within each group."""
         t = self.t
         kids = sorted(kids)
         non_leaf = [c for c in kids if t.deg[c] > 1]
         leaf = [c for c in kids if t.deg[c] == 1]
         core_free = slots & self.core_bits & ~self.used
         _require(self.trace, tag + "-core", core_free.bit_count() >= len(non_leaf), have=core_free.bit_count())
-        for c, s in zip(non_leaf, self.ranked(core_free, -t.sign[x])):
+        pref = self.sided[-t.sign[x]]
+        for c, s in zip(non_leaf, [*bits_of(core_free & pref), *bits_of(core_free & ~pref)]):
             self.place(c, s)
         rest = slots & ~self.used
         _require(self.trace, tag + "-capacity", rest.bit_count() >= len(leaf), have=rest.bit_count())
-        for c, s in zip(leaf, sorted(bits_of(rest), key=lambda q: ((self.core_bits >> q) & 1, q))):
+        for c, s in zip(leaf, [*bits_of(rest & ~self.core_bits), *bits_of(rest & self.core_bits)]):
             self.place(c, s)
 
     def fill(self, kids, slots: int):
@@ -209,48 +188,25 @@ class _Ctx:
         for c, s in zip(kids, bits_of(slots & ~self.used)):
             self.place(c, s)
 
-    # traversal ---------------------------------------------------------
-
-    def greedy(self, scope: set[int]):
-        """Maximal extension inside ``scope``; returns the open (parent, child)
-        pairs left when nothing more fits."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for x in self.rv.bfs_order:
-                if x not in self.f:
-                    continue
+    def settle(self, scope: set[int], tag: str):
+        """Seat every open vertex of ``scope`` on its ``pick``, in one pass in
+        BFS order; InternalAssertion ``tag`` when some stay open.  One pass is
+        maximal: BFS order reaches a parent before its children, and a
+        vertex's candidates only shrink as vertices are placed.  At these
+        steps the argument rules a stall out on a free host (or answers it
+        with an exchange move that no free host was seen to need), so the
+        oracle fallback answers."""
+        opens = 0
+        for x in self.rv.bfs_order:
+            if x in self.f:
                 for y in self.rv.children[x]:
                     if y in scope and y not in self.f:
-                        c = self.pick(y)
-                        if c is not None:
-                            self.place(y, c)
-                            progressed = True
-        out = []
-        for x in self.rv.bfs_order:
-            if x not in self.f:
-                continue
-            for y in self.rv.children[x]:
-                if y in scope and y not in self.f:
-                    out.append((x, y))
-        return out
-
-    def settle(self, scope: set[int], tag: str):
-        """One greedy extension inside ``scope`` that must leave no open pair;
-        InternalAssertion ``tag`` otherwise.  At these steps the argument
-        rules a stall out on a free host (or answers it with an exchange move
-        that no free host was seen to need), so the oracle fallback answers."""
-        opens = self.greedy(scope)
-        _require(self.trace, tag, not opens, open=len(opens))
-
-    def subtree(self, x: int) -> set[int]:
-        out = set()
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(self.rv.children[v])
-        return out
+                        h = self.pick(y)
+                        if h is None:
+                            opens += 1
+                        else:
+                            self.place(y, h)
+        _require(self.trace, tag, not opens, open=opens)
 
 
 # -- the low-maximum-degree branch (whole tree inside the pruned core) ------------
@@ -261,7 +217,7 @@ def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
     the pruned core whose pseudo-semidegree reaches k/2 (4 Delta <= k).  A
     stall fails ``63:stall`` (the argument's distance-increasing re-seat loop
     is not run)."""
-    ctx = _Ctx(t, core, core, "core", 0, trace)
+    ctx = _Ctx(t, core, core, 0, trace)
     _note(trace, "mindeg63", 2 * degree_profile(core).delta0_bar >= k)
     seeds = ctx.sided[t.sign[0]]
     _require(trace, "63:seed", seeds)
@@ -278,7 +234,7 @@ def _wide_star(d: Digraph, core: Digraph, t: AntiTree, hub: int, anchor: int, tr
     children in the anchor's out-neighborhood (``seat_children``), then the
     radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``).
     The argument's depth-2 swap and case-3b cascade are not run."""
-    ctx = _Ctx(t, d, core, "pu", hub, trace, u_root=hub)
+    ctx = _Ctx(t, d, core, hub, trace, _leaf_mask(t, t.adj[hub]))
     ctx.place(hub, anchor)
     ctx.seat_children(hub, ctx.rv.children[hub], d.neighbor_bits(anchor, +1), "pu:anchor")
     ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
@@ -299,7 +255,7 @@ def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list)
         if sel.case_tag == "II":
             anchor = next((a for a in bits_of(side_bits(sel.sub, +1)) if d.out_deg(a) >= delta), None)
             if anchor is None:
-                raise InternalAssertion("mid-no-anchor", trace=trace)
+                raise InternalAssertion("mid-no-anchor")
         mapping = _wide_star(d, sel.sub, t, hub, anchor, trace)
     case = CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
     return _outcome(mapping, t, d, "mid-validate", trace, case)
@@ -312,18 +268,18 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, h
     leaves = sorted(x for x in t.adj[hub] if t.deg[x] == 1)
     strip = t.deg[hub] - r
     if len(leaves) < strip + 1:
-        raise InternalAssertion("strip-leaf-count", have=len(leaves), need=strip + 1, trace=trace)
+        raise InternalAssertion("strip-leaf-count", have=len(leaves), need=strip + 1)
     dropped = leaves[:strip]
     tstar, relabel = _induced_tree(t, set(range(t.n)).difference(dropped))
     kprime = 2 * r - 1
     if tstar.k != kprime:
-        raise InternalAssertion("strip-arith", have=tstar.k, need=kprime, trace=trace)
+        raise InternalAssertion("strip-arith", have=tstar.k, need=kprime)
     anchor = sel.witness_vertex
     inner = _wide_star(d, sel.sub, tstar, relabel[hub], anchor, trace)
     mapping = {v: inner[i] for v, i in relabel.items()}
     slots = sel.sub.neighbor_bits(anchor, +1) & ~_mask(mapping.values())
     if slots.bit_count() < strip:
-        raise InternalAssertion("strip-reattach", have=slots.bit_count(), need=strip, trace=trace)
+        raise InternalAssertion("strip-reattach", have=slots.bit_count(), need=strip)
     mapping.update(zip(dropped, bits_of(slots)))
     trace.append({"event": "strip-reattach", "stripped": strip, "kprime": kprime})
     return mapping
@@ -363,7 +319,7 @@ def _big_delta2(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list
     if branch == "BroomB_II":
         core_bits = core_member_bits(sel.sub)
         if any(t.deg[x] > 1 and not (core_bits >> out.embedding.map[x]) & 1 for x in range(t.n)):
-            raise InternalAssertion("suitability-mask", trace=trace)
+            raise InternalAssertion("suitability-mask")
     return out
 
 
@@ -388,14 +344,20 @@ def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: 
         mapping = _broom_catmindeg(core, t, broom, trace)
     else:
         mapping = _broom_b2(d, sel, t, broom, case, trace)
-    if not validate_partial(t, d, mapping) or set(mapping) != set(broom.vertices):
-        raise InternalAssertion("broom-validate", trace=trace)
-    suitable = case.branch == "BroomB_II"
-    ctx = _Ctx(t, d if suitable else core, core, "suitable" if suitable else "core", p["u"], trace)
+    if set(mapping) != broom.vertices:
+        raise InternalAssertion("broom-validate")
+    if case.branch == "BroomB_II":
+        ctx = _Ctx(t, d, core, p["u"], trace, _leaf_mask(t, range(t.n)))
+    else:
+        ctx = _Ctx(t, core, core, p["u"], trace)
     if case.branch == "BroomB_I":
         prof = degree_profile(core)
         _note(trace, "eq:mindegsec7.2", 2 * prof.delta_plus_bar >= k and 12 * prof.delta_minus_bar >= 5 * k)
-    ctx.reset_to(mapping)
+    # B_uv is a subtree holding the root, so BFS order seats each broom vertex
+    # after its parent and ``place`` checks every broom arc
+    for x in ctx.rv.bfs_order:
+        if x in mapping:
+            ctx.place(x, mapping[x])
     ctx.settle(set(range(t.n)), "extend:stall")
     return ctx.f
 
@@ -423,7 +385,7 @@ def _broom_a_padded(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: lis
 
 def _broom_a_greedy(core: Digraph, t: AntiTree, broom, u: int, trace: list) -> dict[int, int]:
     """Case A with a small broom: hub on the least core source, then greedy."""
-    ctx = _Ctx(t, core, core, "core", u, trace)
+    ctx = _Ctx(t, core, core, u, trace)
     a = _low(ctx.sided[+1])
     _require(trace, "A-I:anchor-degree", core.out_deg(a) >= t.deg[u], have=core.out_deg(a))
     ctx.place(u, a)
@@ -441,7 +403,7 @@ def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, tr
         lv = sum(1 for c in t.adj[v] if t.deg[c] == 1)
         cands = [(w, l) for w, l in ((u, lu), (v, lv)) if 12 * l >= k]
         if not cands:
-            raise InternalAssertion("Bii:choose-y", trace=trace, lu=lu, lv=lv)
+            raise InternalAssertion("Bii:choose-y", lu=lu, lv=lv)
         y = max(cands, key=lambda p: (p[1], p[0] == v))[0]
         x = u if y == v else v
         trace.append({"event": "xy-case", "case": "ii", "x": x, "y": y})
@@ -457,11 +419,12 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
     b_vertex = sel.witness_vertex  # in-degree >= k inside the core
     _note(trace, "bwithindegk", core.in_deg(b_vertex) >= k)
     scope = set(broom.vertices)
+    leaves = _leaf_mask(t, range(t.n))
 
     if r == k - p["delta"] and r < (5 * k + 11) // 12:
         # every core source sees more than delta arcs in the host, and every
         # other extension step keeps ~5k/12 slack: plain greedy suffices
-        ctx = _Ctx(t, d, core, "suitable", u, trace)
+        ctx = _Ctx(t, d, core, u, trace, leaves)
         a = _low(ctx.sided[+1])
         ctx.place(u, a)
         ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
@@ -470,7 +433,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
 
     if len(broom.path_uv) == 2:
         # a double-star: u goes on the least in-neighbor of the heavy sink
-        ctx = _Ctx(t, d, core, "suitable", u, trace)
+        ctx = _Ctx(t, d, core, u, trace, leaves)
         a = _low(core.neighbor_bits(b_vertex, -1))
         ctx.place(u, a)
         ctx.place(v, b_vertex)
@@ -483,7 +446,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
 
     _note(trace, "notdoublestar", True)
     x, _, case_no = _relabel_xy(t, u, v, p["delta"], p["delta2"], k, trace)
-    ctx = _Ctx(t, d, core, "suitable", x, trace)
+    ctx = _Ctx(t, d, core, x, trace, leaves)
     if case_no == 3:
         ctx.place(x, b_vertex)
         slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
@@ -508,15 +471,16 @@ def _bi_big_delta(sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list)
     witness, the least core vertex of out-degree at least k."""
     u, v, k = case.params["u"], case.params["v"], case.params["k"]
     core, a = sel.sub, sel.witness_vertex
-    ctx = _Ctx(t, core, core, "core", u, trace)
+    ctx = _Ctx(t, core, core, u, trace)
     ctx.place(u, a)
     path = set(t.path(u, v))
     leaves_u = {c for c in t.adj[u] if t.deg[c] == 1}
     heavy = {c for c in t.adj[u] if t.deg[c] > 1 and c not in path}
-    d_u = set()
-    for c in heavy:
-        d_u |= ctx.subtree(c) - {c}
-    part1 = set(range(t.n)) - leaves_u - heavy - d_u - {u}
+    below = set(heavy)  # the heavy children and D_u, their descendants
+    for x in ctx.rv.bfs_order:
+        if ctx.rv.parent[x] in below:
+            below.add(x)
+    part1 = set(range(t.n)) - leaves_u - below - {u}
     _note(trace, "eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
     ctx.settle(part1 | {u}, "BIbig:part1")
     ctx.seat_children(u, heavy, core.neighbor_bits(a, +1), "BIbig:part2")
@@ -577,19 +541,12 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
         out = _refusal("density", trace, arcs=d.a(), need=(k - 1) * d.n + 1)
         return _oracle_after(d, t, budget, trace) if force_oracle else out
     if k == 1:
-        # a single arc needs no forbidden-subgraph hypothesis, and the choice
-        # below is invariant under reversing host and tree together
-        a, b = t.tree.arcs[0]
-        aa, bb = min(a, b), max(a, b)
-        cand = []
-        for x, y in d.arcs:
-            m = {a: x, b: y}
-            cand.append((m[aa], m[bb]))
-        xa, xb = min(cand)
-        emb = {aa: xa, bb: xb}
-        return EmbedOutcome(
-            embedding=Embedding(map=emb), trace=trace, case=CaseTag("LowDelta", {"k": 1})
-        )
+        # a single arc needs no forbidden-subgraph hypothesis; the least host
+        # arc, read from vertex 0's image to vertex 1's, is the same choice
+        # after reversing host and tree together
+        arcs = d.arcs if t.tree.arcs[0] == (0, 1) else ((y, x) for x, y in d.arcs)
+        emb = dict(enumerate(min(arcs)))
+        return EmbedOutcome(embedding=Embedding(map=emb), trace=trace, case=CaseTag("LowDelta", {"k": 1}))
     s = (k + 11) // 12
     free = True if known_free else is_k2s_free(d, s)
     if free is not True:

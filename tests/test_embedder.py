@@ -62,6 +62,12 @@ def test_embed_antitree_k1():
     assert out.ok and ae.validate_embedding(t1, d1, out.embedding.map)
 
 
+def test_embeddings_compare_by_their_maps():
+    assert ae.Embedding(map={0: 1, 1: 2}) == ae.Embedding(map={1: 2, 0: 1})
+    assert ae.Embedding(map={0: 1}) != ae.Embedding(map={5: 6})
+    assert ae.Embedding(map={0: 1}) != ae.Embedding(map={0: 2})
+
+
 def test_embed_antitree_refusals():
     k = 4
     burr = ae.gen_burr(k)
@@ -150,12 +156,12 @@ SPIDER7 = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
 DEEP7 = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
 
 
-def low_delta_step(d, t):
-    return te._low_delta(d, t, t.k, [])
+def low_delta_step(d, t, trace):
+    return te._low_delta(d, t, t.k, trace)
 
 
-def wide_star_step(d, t):
-    return te._wide_star(d, d, t, ae.degree_stats(t).argmax_u, 0, [])
+def wide_star_step(d, t, trace):
+    return te._wide_star(d, d, t, ae.degree_stats(t).argmax_u, 0, trace)
 
 
 @pytest.mark.parametrize("embed, d, t, tag, embeds", [
@@ -169,10 +175,11 @@ def test_low_delta_and_wide_star_stalls_fail_their_settle_step(embed, d, t, tag,
     # frozen hosts that break the hypotheses: the greedy stalls where the
     # argument would run an exchange move (the low-delta re-seat loop, the
     # depth-2 swap, the case-3b cascade), and the settle step fails
+    trace = []
     with pytest.raises(ae.InternalAssertion) as exc:
-        embed(d, t)
+        embed(d, t, trace)
     assert exc.value.tag == tag and exc.value.data == {"open": 1}
-    assert exc.value.trace[-1] == {"event": "check", "tag": tag, "holds": False, "open": 1}
+    assert trace[-1] == {"event": "check", "tag": tag, "holds": False, "open": 1}
     assert (ae.oracle_embed(d, t).verdict == "Embeds") is embeds
 
 
@@ -575,6 +582,68 @@ def test_branch_assertion_falls_back_to_the_oracle():
     assert [e["tag"] for e in out.assertion_events()] == ["BIbig:part1"]
     assert _failed_check(out)["tag"] == "BIbig:part1"
     assert out.trace[-1]["event"] == "oracle" and out.trace[-1]["verdict"] == "Embeds"
+
+
+def _hex_host(n, rows):
+    """A digraph from its out-rows, written as hex numbers."""
+    return Digraph.from_bits(n, [int(r, 16) for r in rows.split()])
+
+
+# Two k = 24 instances from streams of random dense hosts, each a tree
+# sample_antitree_heavy(24, rng, 9) and a uniform host on n vertices with
+# (k - 1) n + 1 + randint(0, e n) arcs.  Not K_{2,s}-free, so embedded with
+# known_free=True and budget=0: a failing step would show as an assertion.
+# Draw 770 of random.Random(11), n in 26..50, e = 2: the B-I big-hub step
+# with a non-leaf child of the hub off the u-v path, so D_u is not empty.
+BIBIG_DU_HOST = 28, """
+    ff7ffbe bef757d 7bedffb ffffe57 fff9fef cbf9fd6 fffff3f 6ed6f7f dfffeff ffebdd3
+    ffb7aff fefb5f7 5ffcfff effddb3 7bdbfff fff7f7f bbeb7bf 5e9f7fd ffbfdbe fb5ffff
+    feffbbf fcfebfb ebfd3ae f7af3ff c7ffefb df7ff7e bf3dffa 7f7bfda
+"""
+BIBIG_DU_TREE = [
+    *((c, 0) for c in range(1, 16)), *((1, c) for c in range(16, 24)), (13, 24),
+]
+# Draw 1863 of random.Random(1), n in 52..66, e = 1: case B-II relabelled by
+# rule (i).
+XY_CASE_I_HOST = 60, """
+    d01061c7d200958 70ce05a34c38cb4 23563f6818c1023 a688466841cc381 465409ec26b9406
+    530a6d888944047 a76a29d9b655012 11004d07e9c1052 57a602246313e59 d3e3bb100a69188
+    779ae743214f3d0 344d252d086272a 34e209ad0948530 180804a110080f1 26c1461402a118f
+    39434382a00283e 2232a624222cc21 8ec3d2e32844747 891372b9fdb6028 5a198ec6dc12606
+    c1a297792062dbb e2b3780eb8b054a 5f93520b1382635 e8f6986d807b8d2 7c07837465c1330
+    6c2cc0059956c20 94eb02800402039 a045be00484445b 4615de521a2d5ea 9bc2501524ad10a
+    915611d80cb1a9d 5c300920be36d14 3b20910dea28351 f0450211c2f0a22 85626a2099d2215
+    9884cb29909cf90 0b0ae0171108188 19535dc51271834 603fe141480042a 634da0479c240f0
+    12284c1cc415c14 d308403a0b45885 27542554dc96292 0aa339420a040e0 8cb021b3b5467d6
+    81a809fa6116858 48fa3b6a6687009 42044408c000008 01cd48d00413584 6900a81ae3a8145
+    628c2d90d534669 1d0076f259cc4a5 52c8838bf537f22 40d00272761ce2c c2955610072e405
+    8005dff2f04e0a5 a2cd04131baa2de 99d1140eecdf59c 0c78b060a710100 1200288c0903b70
+"""
+XY_CASE_I_TREE = [
+    (2, 0), (2, 3), (1, 3), *((c, 0) for c in range(4, 15)), *((1, c) for c in range(15, 23)),
+    (23, 17), (11, 24),
+]
+
+
+def test_bi_big_hub_embeds_the_subtrees_off_the_path():
+    d, t, k = _hex_host(*BIBIG_DU_HOST), T(25, BIBIG_DU_TREE), 24
+    out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+    assert out.case.branch == "BroomB_I" and not out.assertion_events()
+    p = out.case.params
+    path = t.path(p["u"], p["v"])
+    assert [c for c in t.adj[p["u"]] if t.deg[c] > 1 and c not in path] == [13]
+    # T* leaves out u, its 13 leaves, 13 and D_u = {24}: v = 1 and its 8 leaves
+    assert {"event": "check", "tag": "eq:T^*", "holds": True, "size": 9} in out.trace
+    assert {"event": "check", "tag": "BIbig:Du", "holds": True, "open": 0} in out.trace
+    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
+
+
+def test_broom_b2_relabel_case_i():
+    d, t, k = _hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), 24
+    out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+    assert out.case.branch == "BroomB_II" and not out.assertion_events()
+    assert {"event": "xy-case", "case": "i"} in out.trace
+    assert out.ok and ae.validate_embedding(t, d, out.embedding.map)
 
 
 def test_final_validation_failure_falls_back_to_the_oracle(monkeypatch):

@@ -36,8 +36,9 @@ def test_small_scale_suites_pass():
 
 
 def test_emptiness_helper():
+    # every two-arc out-star {u->v, u->w}: none on 2 vertices, 3 on 3, 12 on 4
     checked, found = sw._empty_class_below_13(ns=(2, 3, 4))
-    assert checked > 0 and not found
+    assert checked == 15 and not found
 
 
 def test_big_delta2_fuzz_soundness():
