@@ -11,8 +11,9 @@ and ``centroids`` its only centre search.  An AntiTree value is immutable and
 carries the same lazy memo as ``Digraph`` (``digraph.memoized``): its degree
 statistics, its spine decomposition, its reversal, its rooted views and its
 double brooms are computed once per tree, and no memo entry references the
-tree that holds it.  The spine search takes three rooted views and one greedy
-descent, so it is linear in the tree's size.
+tree that holds it.  The spine search takes four plain walks (``_walk``) and
+one greedy descent, so it is linear in the tree's size and builds no rooted
+view.
 """
 
 from __future__ import annotations
@@ -63,11 +64,13 @@ class AntiTree:
         return memoized(self, ("sides",), sides)
 
     def path(self, u: int, v: int) -> list[int]:
-        """The unique u-v path, endpoints included."""
-        parent = rooted_view(self, v).parent
-        out = [u]
-        while out[-1] != v:
+        """The unique u-v path, endpoints included, read up the view rooted
+        at u (the hub's view, which the embedder builds anyway)."""
+        parent = rooted_view(self, u).parent
+        out = [v]
+        while out[-1] != u:
             out.append(parent[out[-1]])
+        out.reverse()
         return out
 
     def __eq__(self, other):
@@ -95,6 +98,15 @@ def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
                 parent[y] = x
                 order.append(y)
     return order, parent
+
+
+def _walk(adj, root: int) -> tuple[list[int], list[int], list[int]]:
+    """``_bfs`` from ``root`` and each vertex's depth below it."""
+    order, parent = _bfs(adj, root)
+    depth = [0] * len(adj)
+    for y in order[1:]:
+        depth[y] = depth[parent[y]] + 1
+    return order, parent, depth
 
 
 def validate_antitree(d: Digraph) -> AntiTree:
@@ -163,9 +175,12 @@ def degree_stats(t: AntiTree) -> DegreeStats:
 
 def _degree_stats(t: AntiTree) -> DegreeStats:
     degs = t.deg
-    u = max(range(t.n), key=lambda v: (degs[v], -v))
-    v2 = max((v for v in range(t.n) if v != u), key=lambda v: (degs[v], -v))
-    return DegreeStats(delta=degs[u], delta2=degs[v2], argmax_u=u, argmax2_v=v2)
+    delta = max(degs)
+    u = degs.index(delta)
+    delta2 = max(degs[:u] + degs[u + 1 :])
+    # u is the least vertex of degree delta, so any other one lies after it
+    v2 = degs.index(delta2, u + 1) if delta2 == delta else degs.index(delta2)
+    return DegreeStats(delta=delta, delta2=delta2, argmax_u=u, argmax2_v=v2)
 
 
 @dataclass(frozen=True)
@@ -193,24 +208,27 @@ def _least_diameter_path(t: AntiTree) -> tuple[int, ...]:
 
     The far end a of a walk from 0 and the far end b of a walk from a span a
     diameter, so the eccentricity of v is max(dist_a[v], dist_b[v]).  The
-    least path starts at the least v of eccentricity diam and, rooted there,
-    steps each time to the least child c still on a diameter path, that is,
-    with depth[c] + height[c] = diam."""
-    a = rooted_view(t, 0).bfs_order[-1]
-    rva = rooted_view(t, a)
-    b = rva.bfs_order[-1]
-    diam = rva.depth[b]
-    dist_b = rooted_view(t, b).depth
-    start = next(v for v in range(t.n) if max(rva.depth[v], dist_b[v]) == diam)
-    rv = rooted_view(t, start)
+    least path starts at the least v of eccentricity diam and, walking from
+    there, steps each time to the least neighbour c other than its
+    predecessor that is still on a diameter path, that is, with
+    depth[c] + height[c] = diam."""
+    adj = t.adj
+    a = _bfs(adj, 0)[0][-1]
+    order, _, dist_a = _walk(adj, a)
+    b = order[-1]
+    diam = dist_a[b]
+    dist_b = _walk(adj, b)[2]
+    start = next(v for v, (x, y) in enumerate(zip(dist_a, dist_b)) if x == diam or y == diam)
+    order, parent, depth = _walk(adj, start)
     height = [0] * t.n
-    for x in reversed(rv.bfs_order):
-        if x != start:
-            p = rv.parent[x]
-            height[p] = max(height[p], height[x] + 1)
+    for x in reversed(order[1:]):
+        p = parent[x]
+        if height[p] <= height[x]:
+            height[p] = height[x] + 1
     path = [start]
     while len(path) <= diam:
-        path.append(next(c for c in rv.children[path[-1]] if rv.depth[c] + height[c] == diam))
+        x = path[-1]
+        path.append(next(c for c in adj[x] if c != parent[x] and depth[c] + height[c] == diam))
     return tuple(path)
 
 
@@ -219,19 +237,18 @@ def _caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
     on = set(spine)
     inner = set(spine[1:-1])
     leaves_at: dict[int, list[int]] = {p: [] for p in spine}
-    for v in range(t.n):
+    for v, nb in enumerate(t.adj):
         if v in on:
             continue
-        nb = [w for w in t.adj[v] if w in inner]
-        if t.deg[v] != 1 or not nb:
+        if len(nb) != 1 or nb[0] not in inner:
             raise NotACaterpillar(v)
-        leaves_at[nb[0]].append(v)
+        leaves_at[nb[0]].append(v)  # in increasing order
     final = spine[-1]
     other = spine[-2]
     arc = (other, final) if t.sign[other] > 0 else (final, other)
     return SpineDecomposition(
         spine=spine,
-        leaves_at=MappingProxyType({p: tuple(sorted(ls)) for p, ls in leaves_at.items()}),
+        leaves_at=MappingProxyType({p: tuple(ls) for p, ls in leaves_at.items()}),
         final_vertex=final,
         final_arc=arc,
     )

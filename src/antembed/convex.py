@@ -93,9 +93,13 @@ class ConvexDigraph:
         return self._cw[sign][x]
 
     def cw_index(self, x: int, sign: int, w: int) -> int:
-        """The index of w in ``cw_list(x, sign)``; w must be a sign-neighbor of x."""
-        pos, n, px = self.pos, self.d.n, self.pos[x]
-        return bisect_left(self._cw[sign][x], (pos[w] - px) % n, key=lambda v: (pos[v] - px) % n)
+        """The index of w in ``cw_list(x, sign)``; AntembedError when w is not
+        a sign-neighbor of x."""
+        pos, n, px, lst = self.pos, self.d.n, self.pos[x], self._cw[sign][x]
+        i = bisect_left(lst, (pos[w] - px) % n, key=lambda v: (pos[v] - px) % n)
+        if i == len(lst) or lst[i] != w:
+            raise AntembedError(f"{w} is not a {sign:+d}-neighbor of {x}")
+        return i
 
     def interval(self, a: int, b: int) -> set[int]:
         """Vertices strictly after a and strictly before b, clockwise."""
@@ -180,16 +184,30 @@ class GoodArcTable:
     the good set of the prefix of length i+2 as a bit set in the layout of
     its stage's anchor sign (``stages[0]``, every arc, in the layout of the
     first stage, or the out-major one when there is none); ``count`` is the
-    size of the last."""
+    size of the last.  The two count bounds are computed on first read, so
+    ``good_arcs`` never reads the sign sides of host or tree."""
 
     spine: tuple[int, ...]
     dec: SpineDecomposition = field(repr=False)
     c: ConvexDigraph = field(repr=False)
+    t: AntiTree = field(repr=False)
     steps: tuple[tuple[int, int, bool], ...]
     stages: tuple[int, ...] = field(repr=False)
     count: int
-    lemma8_bound: int
-    lemma12_bound: int
+
+    @cached_property
+    def lemma8_bound(self) -> int:
+        """a(D) - (k-1)n."""
+        d = self.c.d
+        return d.a() - (self.t.k - 1) * d.n
+
+    @cached_property
+    def lemma12_bound(self) -> int:
+        """a(D) - (|T+|-1)|D-| - (|T-|-1)|D+|."""
+        d = self.c.d
+        dplus, dminus = plus_minus_sets(d)
+        tplus, tminus = self.t.plus_minus()
+        return d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus)
 
     @cached_property
     def stage_arcs(self) -> "_StageArcs":
@@ -258,20 +276,7 @@ def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTa
             nxt = memo[steps[:i]] = cur >> m if even else cur << m
         cur, layout = nxt, sign
         stages.append(cur)
-    d = c.d
-    k = t.k
-    dplus, dminus = plus_minus_sets(d)
-    tplus, tminus = t.plus_minus()
-    return GoodArcTable(
-        spine=spine,
-        dec=dec,
-        c=c,
-        steps=steps,
-        stages=tuple(stages),
-        count=cur.bit_count(),
-        lemma8_bound=d.a() - (k - 1) * d.n,
-        lemma12_bound=d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus),
-    )
+    return GoodArcTable(spine=spine, dec=dec, c=c, t=t, steps=steps, stages=tuple(stages), count=cur.bit_count())
 
 
 def good_arcs(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:

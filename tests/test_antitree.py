@@ -58,6 +58,19 @@ def test_degree_stats():
     assert ae.degree_stats(path) is s
 
 
+def test_degree_stats_match_the_key_max_reference():
+    # the least-id witnesses of the (degree, -id) maximum, as a key-max reads them
+    trees = [t for k in range(1, 8) for t in ae.enumerate_antitrees(k)]
+    rng = random.Random(77)
+    trees += [ae.sample_antitree(rng.randint(1, 40), rng) for _ in range(500)]
+    for t in trees:
+        deg = t.deg
+        u = max(range(t.n), key=lambda v: (deg[v], -v))
+        v2 = max((v for v in range(t.n) if v != u), key=lambda v: (deg[v], -v))
+        s = ae.degree_stats(t)
+        assert (s.delta, s.delta2, s.argmax_u, s.argmax2_v) == (deg[u], deg[v2], u, v2), t
+
+
 def test_spine_path_and_star():
     path = T(5, [(0, 1), (2, 1), (2, 3), (4, 3)])
     dec = ae.caterpillar_decompose(path)
@@ -149,6 +162,17 @@ def test_linear_spine_matches_all_paths_reference():
         assert _decompose_or_witness(t) == _reference_decompose(t), t
 
 
+def test_fresh_decomposition_stores_only_the_spine():
+    # the spine search walks the adjacency itself: no rooted view is memoized
+    rng = random.Random(13)
+    for _ in range(50):
+        t = ae.sample_antitree(13, rng)
+        if ae.is_caterpillar(t):
+            assert set(t._memo) == {("spine",)}
+        else:
+            assert not t._memo
+
+
 def test_spine_decomposition_is_read_only():
     dec = ae.caterpillar_decompose(DOUBLE_STAR)
     with pytest.raises(TypeError):
@@ -190,6 +214,18 @@ def test_double_broom():
     assert b3.vertices == frozenset(range(6))
     with pytest.raises(ae.AntembedError):
         ae.double_broom(DOUBLE_STAR, 0, 0)
+
+
+def test_path_reads_the_view_rooted_at_its_first_end():
+    rng = random.Random(21)
+    for _ in range(200):
+        t = ae.sample_antitree(rng.randint(1, 20), rng)
+        u, v = rng.sample(range(t.n), 2)
+        path = t.path(u, v)
+        assert set(t._memo) == {("rooted", u)}
+        assert path[0] == u and path[-1] == v
+        assert all(b in t.adj[a] for a, b in zip(path, path[1:]))
+        assert path == t.path(v, u)[::-1]
 
 
 def test_rooted_view():

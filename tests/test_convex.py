@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import accumulate
 
 import pytest
@@ -241,6 +242,29 @@ def test_embed_caterpillar_mindeg_single_arc():
 def reference_clockwise(c, x, sign):
     n = c.d.n
     return sorted(bits_of(c.d.neighbor_bits(x, sign)), key=lambda w: (c.pos[w] - c.pos[x]) % n)
+
+
+def test_cw_index_rejects_a_non_neighbor():
+    c = convex.ConvexDigraph(Digraph(4, [(0, 1), (0, 3), (2, 1)]))
+    assert c.cw_list(0, +1) == (1, 3)
+    assert [c.cw_index(0, +1, w) for w in (1, 3)] == [0, 1]
+    assert c.cw_list(1, -1) == (2, 0) and c.cw_index(1, -1, 0) == 1
+    for x, sign, w in [(0, +1, 2), (0, -1, 1), (2, +1, 3), (3, +1, 0)]:
+        with pytest.raises(ae.AntembedError, match=re.escape(f"{w} is not a {sign:+d}-neighbor of {x}")):
+            c.cw_index(x, sign, w)
+
+
+def test_good_arcs_reads_no_sign_sides():
+    # the count bounds are computed on first read: good_arcs reads only the
+    # Lemma 8 one, and neither host nor tree gets its sign sides memoized
+    d = ae.gen_incidence(7)
+    t = caterpillars(4)[-1]
+    table = ae.good_arcs(convex.ConvexDigraph(d), t)
+    assert ("sides",) not in d._memo and ("sides",) not in (t._memo or {})
+    assert table.lemma8_bound == d.a() - (t.k - 1) * d.n
+    dplus, dminus = ae.plus_minus_sets(d)
+    tplus, tminus = t.plus_minus()
+    assert table.lemma12_bound == d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus)
 
 
 def test_clockwise_tables_match_the_distance_key_sort():

@@ -316,6 +316,55 @@ def test_broom_case_b1_catmindeg():
         assert not out.assertion_events()
 
 
+def _induced_reference(t, verts):
+    """The induced subtree as ``validate_antitree`` builds it from scratch."""
+    keep = sorted(verts)
+    relabel = {v: i for i, v in enumerate(keep)}
+    arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in verts and b in verts]
+    return ae.validate_antitree(Digraph(len(keep), arcs))
+
+
+def test_induced_tree_matches_the_validated_subgraph():
+    # the brooms and hub-stripped trees the embedder builds, on sampled k = 13 trees
+    rng = random.Random(1302)
+    for i in range(2000):
+        t = ae.sample_antitree(13, rng) if i % 2 else sample_antitree_heavy(13, rng, 6)
+        s = ae.degree_stats(t)
+        leaves = [x for x in t.adj[s.argmax_u] if t.deg[x] == 1]
+        sets = [ae.double_broom(t, s.argmax_u, s.argmax2_v).vertices,
+                set(range(t.n)).difference(leaves[: rng.randint(0, max(0, len(leaves) - 1))])]
+        for verts in sets:
+            sub, relabel = te._induced_tree(t, verts)
+            ref = _induced_reference(t, verts)
+            assert (sub.sign, sub.adj, sub.tree.arcs, sub.deg) == (ref.sign, ref.adj, ref.tree.arcs, ref.deg)
+            assert relabel == {v: i for i, v in enumerate(sorted(verts))}
+            assert te._induced_tree(t, verts)[0] is sub
+    assert not _reaches(t._memo, t)
+
+
+def test_induced_tree_rejects_a_disconnected_set():
+    path = T(5, [(0, 1), (2, 1), (2, 3), (4, 3)])
+    for verts in ({0, 2}, {0, 1, 3, 4}, {3}):
+        with pytest.raises(ae.InternalAssertion) as exc:
+            te._induced_tree(path, verts)
+        assert exc.value.tag == "induced-tree"
+    assert not path._memo
+
+
+def test_second_broom_b1_embed_reuses_the_broom_decomposition(monkeypatch):
+    host = ae.gen_incidence(25)
+    t = sample_antitree_heavy(13, random.Random(31), 6)
+    first = ae.embed_antitree(host, t, known_free=True)
+    assert first.ok and first.case.branch == "BroomB_I"
+    calls = []
+    real = ae.antitree._caterpillar_decompose
+    monkeypatch.setattr(ae.antitree, "_caterpillar_decompose", lambda bt: calls.append(bt) or real(bt))
+    again = ae.embed_antitree(host, t, known_free=True)
+    assert again.embedding.map == first.embedding.map and again.trace == first.trace
+    assert calls == []
+    assert not _reaches(t._memo, t)
+
+
 def test_broom_case_b2_paths():
     host = lopsided(160, 13)
     k = 13
@@ -787,10 +836,11 @@ def test_tree_memo_has_no_cycle_and_skips_refusals():
     ae.double_broom(t, 0, 1)
     ae.embed_antitree(ae.gen_incidence(25), t, known_free=True)
     assert t._memo and not _reaches(t._memo, t)
-    # a decomposition that raises stores nothing and raises again
+    # a decomposition that raises stores nothing (the spine search builds no
+    # memo entry, so the memo may stay None) and raises again
     spider = T(7, [(0, 1), (2, 1), (0, 3), (4, 3), (0, 5), (6, 5)])
     for _ in range(2):
         with pytest.raises(ae.NotACaterpillar):
             ae.caterpillar_decompose(spider)
-        assert ("spine",) not in spider._memo
+        assert not spider._memo
     assert not _reaches(spider._memo, spider)

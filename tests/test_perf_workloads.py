@@ -60,7 +60,8 @@ def test_intake_cold_outputs_match_spec(tmp_path):
     assert _first_ops_digest(wl) == _spec_digest(wl.name, SEED)
 
 
-@pytest.mark.parametrize("workload, seed", [("Pg25Warm", 8191), ("DeskMix", SEED)])
+@pytest.mark.parametrize("workload, seed", [("Pg25Warm", 8191), ("DeskMix", SEED), ("DeskMix", 8191),
+                                            ("IntakeCold", 8191)])
 def test_first_ops_match_spec(tmp_path, workload, seed):
     # desk-mix's differential ops run embed_antitree, the k == 1 path included;
     # its good-arc ops may meet the construction's known completeness gap
