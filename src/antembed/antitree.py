@@ -308,11 +308,9 @@ def rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
 
 
 def _rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
-    order, parent = _bfs(t.adj, root)
-    depth = [0] * t.n
+    order, parent, depth = _walk(t.adj, root)
     children = [[] for _ in range(t.n)]
     for y in order[1:]:
-        depth[y] = depth[parent[y]] + 1
         children[parent[y]].append(y)
     parent[root] = None
     return RootedAntiTree(

@@ -44,7 +44,7 @@ from .antitree import (
     validate_antitree,
 )
 from .convex import embed_caterpillar_mindeg
-from .digraph import Digraph, bits_of, core_member_bits, degree_profile, memoized, reverse, side_bits
+from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free
@@ -290,18 +290,13 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, h
 
 def _induced_tree(t: AntiTree, verts) -> tuple[AntiTree, dict[int, int]]:
     """The subtree of t induced on ``verts``, relabeled 0.. in vertex order,
-    and the relabeling, memoized on t for each vertex set.
+    and the relabeling.
 
     The subtree inherits t's signs and sorted adjacency, so it is
     antidirected and needs no ``validate_antitree``.  An induced subforest
     with c components has |verts| - c arcs, so InternalAssertion
     ``induced-tree`` unless ``verts`` (two or more vertices) induces exactly
     |verts| - 1 of them."""
-    verts = frozenset(verts)
-    return memoized(t, ("induced", verts), lambda: _build_induced_tree(t, verts))
-
-
-def _build_induced_tree(t: AntiTree, verts: frozenset[int]) -> tuple[AntiTree, dict[int, int]]:
     keep = sorted(verts)
     relabel = {v: i for i, v in enumerate(keep)}
     arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in verts and b in verts]
