@@ -4,13 +4,13 @@ Subcommands: embed, embed-cat, good-arcs, check-free, select, gen, oracle,
 sweep.  Graph files use the arc-list format (``n m`` header then ``u v``
 lines, ``#`` comments); ``--json`` switches machine-readable output on.
 
-Exit codes for ``embed``: 0 success, 2 certified refusal, 3 inconclusive,
-4 internal assertion encountered.  ``check-free`` exits 1 when a witness is
-found.  Every subcommand exits 2 with one ``error: ...`` line on an input file
-it cannot read or parse, on an output file (``embed --trace``, ``sweep
---out``) it cannot open, which is opened before the work, and on a bad flag
-value (a negative ``--budget``, an ``--order`` other than ``id`` or
-``random:<seed>``).
+Exit codes for ``embed``: 0 success, 2 certified refusal, 3 when the
+oracle's node budget runs out, 4 internal assertion encountered.
+``check-free`` exits 1 when a witness is found.  Every subcommand exits 2
+with one ``error: ...`` line on an input file it cannot read or parse, on an
+output file (``embed --trace``, ``sweep --out``) it cannot open, which is
+opened before the work, and on a bad flag value (a negative ``--budget``, a
+``--jobs`` below 1, an ``--order`` other than ``id`` or ``random:<seed>``).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def cmd_embed(args) -> int:
         return 4
     if out.ok:
         return 0
-    if out.failure and out.failure.get("kind") in ("budget-exhausted", "inconclusive"):
+    if out.failure and out.failure.get("kind") == "budget-exhausted":
         return 3
     return 2
 
@@ -205,20 +205,26 @@ def cmd_sweep(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_from(low: int, what: str):
+    """An argparse type: an integer of at least ``low``, else one error line."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_budget = _int_from(0, "a non-negative integer")
+_jobs = _int_from(1, "a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="antembed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("embed", help="run the full tree-embedding pipeline")

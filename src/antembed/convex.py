@@ -35,6 +35,9 @@ stage's bit set under its step prefix ``steps[:i]`` (one a(D)-bit int per
 distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc under
 ``("least", steps)``.  Trees that share a prefix share its stages, and a
 tree seen before runs no shift and no relayout.
+
+Steps return maps; ``embed_caterpillar`` and ``embed_caterpillar_mindeg``
+each validate their witness once, on their caller's pair.
 """
 
 from __future__ import annotations
@@ -377,11 +380,14 @@ def check_side_condition(c: ConvexDigraph, t: AntiTree, mapping: dict[int, int],
     return not any(0 < (pos[h] - pos[a]) % n < span for h in mapping.values())
 
 
-def _validated(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, arc: Arc) -> Embedding:
-    mapping = reconstruct_witness(c, t, table, arc)
-    if not validate_embedding(t, c.d, mapping):
+def _validated(table: GoodArcTable, d: Digraph, t: AntiTree) -> Embedding:
+    """The witness of the least good arc, validated on (d, t), which the
+    table's pair may be the reversal of: the same map embeds both."""
+    c, arc = table.c, _least_good_arc(table)
+    mapping = reconstruct_witness(c, table.t, table, arc)
+    if not validate_embedding(t, d, mapping):
         raise InternalAssertion("witness-invalid", arc=arc)
-    if not check_side_condition(c, t, mapping, table.spine):
+    if not check_side_condition(c, table.t, mapping, table.spine):
         raise InternalAssertion("witness-side", arc=arc)
     return Embedding(map=mapping)
 
@@ -396,15 +402,15 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
     table = good_arcs(c, t)
     if not table.count:
         raise InternalAssertion("empty-good-set")
-    return _validated(c, t, table, _least_good_arc(table))
+    return _validated(table, d, t)
 
 
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
     """Sign-balanced caterpillar embedding.
 
     Needs 2 a(D) > (k-1)(|D+| + |D-|) and matching sign balance: |D+| <= |D-|
-    with |T+| <= |T-|, or both reversed.  The reversed case embeds the
-    reversed pair; the returned vertex map is valid for the originals.
+    with |T+| <= |T-|, or both reversed.  The reversed case builds its table
+    on the reversed pair and validates the same map on the pair given.
     """
     k = t.k
     dplus, dminus = plus_minus_sets(d)
@@ -419,11 +425,7 @@ def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
             "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
         )
     c = ConvexDigraph(reverse(d) if flip else d, order)
-    tt = reverse_antitree(t) if flip else t
-    table = good_arcs_mindeg(c, tt)
+    table = good_arcs_mindeg(c, reverse_antitree(t) if flip else t)
     if not table.count:
         raise InternalAssertion("empty-good-set-mindeg")
-    emb = _validated(c, tt, table, _least_good_arc(table))
-    if flip and not validate_embedding(t, d, emb.map):
-        raise InternalAssertion("reversal-map-invalid")
-    return emb
+    return _validated(table, d, t)

@@ -79,7 +79,7 @@ def _obs_density(e: int, order: int, k: int) -> bool:
     return 2 * e > (k - 1) * order
 
 
-def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None):
+def prune_bipartite(d: Digraph, k: int, r: int):
     """The two-loop deletion protocol on the bipartite double cover of d:
     a-side vertex u is u+, adjacent to the b-side v- of every arc u->v, and
     both sides are indexed by the vertex ids 0..n-1.
@@ -91,19 +91,12 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
     vertex of degree >= k with all degrees >= k/2 and every surviving a-side
     vertex of original degree > k - r.
 
-    ``shuffle_seed`` replaces the least-id processing order with a seeded
-    random priority; the guaranteed postconditions must not depend on it.
+    Vertices are processed least id first; the guaranteed postconditions do
+    not depend on that order.
     """
     if not (1 <= r and 2 * r <= k + 1):
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
     n = d.n
-    if shuffle_seed is None:
-        prio = list(range(n))
-    else:
-        import random as _random
-
-        prio = list(range(n))
-        _random.Random(shuffle_seed).shuffle(prio)
     adj = list(d.out_bits)
     radj = list(d.in_bits)
     alive_a = set(range(n))
@@ -141,12 +134,12 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
     # first loop: low a-degrees, then low degree-sum pairs.  Degrees only
     # decrease, so a lazy min-heap reproduces exactly the least-id-first
     # rescan order without the quadratic scans.
-    heap_a = [(prio[u], u) for u in range(n) if 2 * dega[u] < k]
+    heap_a = [u for u in range(n) if 2 * dega[u] < k]
     heapq.heapify(heap_a)
 
     def drain_rule1():
         while heap_a:
-            _, u = heapq.heappop(heap_a)
+            u = heapq.heappop(heap_a)
             if u in alive_a and 2 * dega[u] < k:
                 drop_a(u)
                 assert_density()
@@ -156,9 +149,9 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
         min_b = min((degb[v] for v in alive_b), default=None)
         pair = None
         if min_b is not None:
-            for u2 in sorted(alive_a, key=lambda q: prio[q]):
+            for u2 in sorted(alive_a):
                 if dega[u2] + min_b < k:
-                    v2 = min((v for v in alive_b if dega[u2] + degb[v] < k), key=lambda q: prio[q])
+                    v2 = min(v for v in alive_b if dega[u2] + degb[v] < k)
                     pair = (u2, v2)
                     break
         if pair is None:
@@ -170,17 +163,17 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
         assert_density()
         for u in bits_of(hit):
             if u in alive_a and 2 * dega[u] < k:
-                heapq.heappush(heap_a, (prio[u], u))
+                heapq.heappush(heap_a, u)
 
     audit = {"loop2": False}
     if any(degb[v] < r for v in alive_b):
         # some b-vertex is below r: strip everything under k/2 on both sides
         audit["loop2"] = True
-        heap2 = [(0, prio[u], u) for u in alive_a if 2 * dega[u] < k]
-        heap2 += [(1, prio[v], v) for v in alive_b if 2 * degb[v] < k]
+        heap2 = [(0, u) for u in alive_a if 2 * dega[u] < k]
+        heap2 += [(1, v) for v in alive_b if 2 * degb[v] < k]
         heapq.heapify(heap2)
         while heap2:
-            side, _, u = heapq.heappop(heap2)
+            side, u = heapq.heappop(heap2)
             if side == 0:
                 if u in alive_a and 2 * dega[u] < k:
                     hit = adj[u]
@@ -188,7 +181,7 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
                     assert_density()
                     for v in bits_of(hit):
                         if v in alive_b and 2 * degb[v] < k:
-                            heapq.heappush(heap2, (1, prio[v], v))
+                            heapq.heappush(heap2, (1, v))
             else:
                 if u in alive_b and 2 * degb[u] < k:
                     hit = radj[u]
@@ -196,7 +189,7 @@ def prune_bipartite(d: Digraph, k: int, r: int, shuffle_seed: int | None = None)
                     assert_density()
                     for w in bits_of(hit):
                         if w in alive_a and 2 * dega[w] < k:
-                            heapq.heappush(heap2, (0, prio[w], w))
+                            heapq.heappush(heap2, (0, w))
         case = "II" if len(alive_a) > len(alive_b) else "I"
     else:
         case = "I"
@@ -218,21 +211,18 @@ class SelectionResult:
     audit: Mapping  # read-only
 
 
-def select_subdigraph(d: Digraph, k: int, r: int, shuffle_seed: int | None = None) -> SelectionResult:
+def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:
     """Dense subdigraph with the paired degree-sum guarantee and one of the
     two witness regimes; every condition is revalidated before returning.
 
-    ``sub`` is ``d`` itself when no arc is deleted.  Without ``shuffle_seed``
-    the outcome is memoized on ``d`` for each (k, r), so the revalidation runs
-    once per (d, k, r), on the value every later call returns."""
-    if shuffle_seed is None:
-        sub, case, witness, audit = memoized(d, ("select", k, r), lambda: _select(d, k, r, None))
-    else:
-        sub, case, witness, audit = _select(d, k, r, shuffle_seed)
+    ``sub`` is ``d`` itself when no arc is deleted.  The outcome is memoized
+    on ``d`` for each (k, r), so the revalidation runs once per (d, k, r), on
+    the value every later call returns."""
+    sub, case, witness, audit = memoized(d, ("select", k, r), lambda: _select(d, k, r))
     return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, r=r, k=k, audit=audit)
 
 
-def _select(d: Digraph, k: int, r: int, shuffle_seed: int | None):
+def _select(d: Digraph, k: int, r: int):
     """(sub, case, witness vertex, read-only audit), revalidated from scratch."""
     if k > d.n:
         raise HypothesisViolated("k-exceeds-order", k=k, n=d.n)
@@ -240,7 +230,7 @@ def _select(d: Digraph, k: int, r: int, shuffle_seed: int | None):
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     if not (1 <= r and 2 * r <= k + 1):
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
-    alive_a, alive_b, adj, case, audit = prune_bipartite(d, k, r, shuffle_seed=shuffle_seed)
+    alive_a, alive_b, adj, case, audit = prune_bipartite(d, k, r)
     sub = d if audit["edges"] == d.a() else Digraph.from_bits(d.n, adj)
 
     # full revalidation from scratch

@@ -28,6 +28,9 @@ guaranteed candidate set comes up empty raises InternalAssertion.  When that
 happens the exact oracle is consulted, within ``FALLBACK_BUDGET`` nodes
 unless the caller gives a budget, so a run still reports ground truth after
 the branch's own events.
+
+Steps return maps; ``embed_antitree`` validates the branch's map once, on
+its caller's pair (``final-validate``; a map that fails goes to the oracle).
 """
 
 from __future__ import annotations
@@ -90,14 +93,6 @@ class EmbedOutcome:
         return [e for e in self.trace if e.get("event") == "internal-assertion"]
 
 
-def _outcome(mapping: dict[int, int], t: AntiTree, d: Digraph, tag: str, trace: list, case: CaseTag) -> EmbedOutcome:
-    """``mapping`` as a validated embedding of t into d; InternalAssertion
-    ``tag`` when it is not one."""
-    if not validate_embedding(t, d, mapping):
-        raise InternalAssertion(tag)
-    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
-
-
 def _note(trace: list, tag: str, holds, **data):
     """Log the checkpoint ``tag`` (one of the argument's displayed
     inequalities) with whether it holds; returns ``holds``."""
@@ -116,8 +111,8 @@ def _require(trace: list, tag: str, holds, **data):
 
 class _Ctx:
     """One partial embedding of t into d, grown by ``place`` (one vertex),
-    ``seat_children`` and ``fill`` (children of a placed vertex on given
-    slots) and ``settle`` (the rest, greedily).
+    ``seat_children`` (children of a placed vertex on its host row),
+    ``fill`` (children on given slots) and ``settle`` (the rest, greedily).
 
     ``loose`` is the bit set of tree vertices that may sit off the core: 0
     when the host is the core itself, the hub's leaf neighbours in the middle
@@ -162,13 +157,15 @@ class _Ctx:
         self.f[x] = h
         self.used |= 1 << h
 
-    def seat_children(self, x: int, kids, slots: int, tag: str):
-        """Place ``kids``, children of the placed x, on free vertices of
-        ``slots``: the non-leaves on core vertices, those of positive core
-        sign-degree first (a non-leaf seated there still needs sign-arcs to
-        its own children), then the leaves on what is left, non-core vertices
-        first; least first within each group."""
+    def seat_children(self, x: int, kids, tag: str):
+        """Place ``kids``, children of the placed x, on free host neighbours
+        of x's image on x's side (out-neighbours for an out-vertex x): the
+        non-leaves on core vertices, those of positive core sign-degree
+        first (a non-leaf seated there still needs sign-arcs to its own
+        children), then the leaves on what is left, non-core vertices first;
+        least first within each group."""
         t = self.t
+        slots = self.d.neighbor_bits(self.f[x], t.sign[x])
         kids = sorted(kids)
         non_leaf = [c for c in kids if t.deg[c] > 1]
         leaf = [c for c in kids if t.deg[c] == 1]
@@ -212,7 +209,7 @@ class _Ctx:
 # -- the low-maximum-degree branch (whole tree inside the pruned core) ------------
 
 
-def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
+def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> tuple[dict[int, int], CaseTag]:
     """Greedy maximal embedding of the whole tree from one seeded root, inside
     the pruned core whose pseudo-semidegree reaches k/2 (4 Delta <= k).  A
     stall fails ``63:stall`` (the argument's distance-increasing re-seat loop
@@ -223,7 +220,7 @@ def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
     _require(trace, "63:seed", seeds)
     ctx.place(0, _low(seeds))
     ctx.settle(set(range(t.n)), "63:stall")
-    return _outcome(ctx.f, t, core, "low-delta-validate", trace, CaseTag("LowDelta", {"k": k}))
+    return ctx.f, CaseTag("LowDelta", {"k": k})
 
 
 # -- the middle branch -----------------------------------------------------------
@@ -236,13 +233,13 @@ def _wide_star(d: Digraph, core: Digraph, t: AntiTree, hub: int, anchor: int, tr
     The argument's depth-2 swap and case-3b cascade are not run."""
     ctx = _Ctx(t, d, core, hub, trace, _leaf_mask(t, t.adj[hub]))
     ctx.place(hub, anchor)
-    ctx.seat_children(hub, ctx.rv.children[hub], d.neighbor_bits(anchor, +1), "pu:anchor")
+    ctx.seat_children(hub, ctx.rv.children[hub], "pu:anchor")
     ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
     ctx.settle(set(range(t.n)), "case3b:stall")
     return ctx.f
 
 
-def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> EmbedOutcome:
+def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> tuple[dict[int, int], CaseTag]:
     hub, delta = stats.argmax_u, stats.delta
     r = min((k + 1) // 2, k - delta + 1)
     sel = select_subdigraph(d, k, r)
@@ -257,8 +254,7 @@ def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list)
             if anchor is None:
                 raise InternalAssertion("mid-no-anchor")
         mapping = _wide_star(d, sel.sub, t, hub, anchor, trace)
-    case = CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
-    return _outcome(mapping, t, d, "mid-validate", trace, case)
+    return mapping, CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
 
 
 def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, hub: int, trace: list) -> dict[int, int]:
@@ -318,18 +314,19 @@ def _broom_case(t: AntiTree, k: int, stats: DegreeStats) -> tuple[bool, dict]:
                     "broom_size": size, "padded": padded}
 
 
-def _big_delta2(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> EmbedOutcome:
+def _big_delta2(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> tuple[dict[int, int], CaseTag]:
     case_a, params = _broom_case(t, k, stats)
     sel = select_subdigraph(d, k, params["r"])
     branch = "BroomA" if case_a else "BroomB_I" if sel.case_tag == "I" else "BroomB_II"
     trace.append({"event": "broom-case", "branch": branch, "r": params["r"]})
     case = CaseTag(branch, params)
-    out = _outcome(_broom(d, sel, t, case, trace), t, d, "extend-validate", trace, case)
+    mapping = _broom(d, sel, t, case, trace)
     if branch == "BroomB_II":
+        # every non-leaf on a core vertex; a vertex left unplaced fails too
         core_bits = core_member_bits(sel.sub)
-        if any(t.deg[x] > 1 and not (core_bits >> out.embedding.map[x]) & 1 for x in range(t.n)):
+        if any(t.deg[x] > 1 and not (x in mapping and (core_bits >> mapping[x]) & 1) for x in range(t.n)):
             raise InternalAssertion("suitability-mask")
-    return out
+    return mapping, case
 
 
 def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list) -> dict[int, int]:
@@ -436,7 +433,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
         ctx = _Ctx(t, d, core, u, trace, leaves)
         a = _low(ctx.sided[+1])
         ctx.place(u, a)
-        ctx.seat_children(u, ctx.rv.children[u], d.neighbor_bits(a, +1), "hub")
+        ctx.seat_children(u, ctx.rv.children[u], "hub")
         ctx.settle(scope, "Bii:bigdelta")
         return ctx.f
 
@@ -446,7 +443,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
         a = _low(core.neighbor_bits(b_vertex, -1))
         ctx.place(u, a)
         ctx.place(v, b_vertex)
-        ctx.seat_children(u, [c for c in ctx.rv.children[u] if c != v], d.neighbor_bits(a, +1), "hub")
+        ctx.seat_children(u, [c for c in ctx.rv.children[u] if c != v], "hub")
         slots = core.neighbor_bits(b_vertex, -1) & ~ctx.used
         vkids = [c for c in t.adj[v] if c != u]
         _require(trace, "Bii:dstar-capacity", slots.bit_count() >= len(vkids))
@@ -467,7 +464,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
         a = _low(ctx.sided[+1])
         _note(trace, "degaD'712", 12 * d.out_deg(a) >= 7 * k)
         ctx.place(x, a)
-        ctx.seat_children(x, ctx.rv.children[x], d.neighbor_bits(a, +1), "hub")
+        ctx.seat_children(x, ctx.rv.children[x], "hub")
         _note(trace, "eq:eeeee", 12 * d.out_deg(ctx.f[x]) >= 7 * k)
 
     ctx.settle(scope, "Bii:stall")
@@ -492,9 +489,9 @@ def _bi_big_delta(sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list)
     part1 = set(range(t.n)) - leaves_u - below - {u}
     _note(trace, "eq:T^*", 6 * (len(part1) + 1) <= 6 * case.params["r"] + k + 6, size=len(part1))
     ctx.settle(part1 | {u}, "BIbig:part1")
-    ctx.seat_children(u, heavy, core.neighbor_bits(a, +1), "BIbig:part2")
+    ctx.seat_children(u, heavy, "BIbig:part2")
     ctx.settle(set(range(t.n)) - leaves_u, "BIbig:Du")
-    ctx.seat_children(u, leaves_u, core.neighbor_bits(a, +1), "BIbig:leaves")
+    ctx.seat_children(u, leaves_u, "BIbig:leaves")
     return ctx.f
 
 
@@ -568,14 +565,14 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
         )
         return _oracle_after(d, t, budget, trace) if force_oracle else out
     try:
-        out = _dispatch(d, t, k, trace)
+        mapping, case = _dispatch(d, t, k, trace)
     except InternalAssertion as exc:
         trace.append({"event": "internal-assertion", "tag": exc.tag, "data": exc.data})
         return _oracle_after(d, t, budget, trace)
-    if not validate_embedding(t, d, out.embedding.map):
+    if not validate_embedding(t, d, mapping):
         trace.append({"event": "internal-assertion", "tag": "final-validate"})
         return _oracle_after(d, t, budget, trace)
-    return out
+    return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
 
 
 def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:
@@ -588,7 +585,7 @@ def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:
     return reverse(d), reverse_antitree(t)
 
 
-def _dispatch(d: Digraph, t: AntiTree, k: int, trace: list) -> EmbedOutcome:
+def _dispatch(d: Digraph, t: AntiTree, k: int, trace: list) -> tuple[dict[int, int], CaseTag]:
     """Orient the pair, take the hub (``degree_stats(t).argmax_u``, an
     out-vertex after orientation) and run the branch its degrees pick."""
     d, t = _oriented(d, t, trace)

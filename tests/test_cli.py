@@ -222,6 +222,16 @@ def test_negative_budget_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_jobs_value_exits_2(capsys):
+    for value in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", value, "sweep", "--suite", "burr-tightness", "--param", "kmax=2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--jobs: expected a positive integer, got {value!r}" in err
+        assert "Traceback" not in err
+
+
 def test_unwritable_output_files_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
     tp = _write(tmp_path, "t.txt", Digraph(2, [(0, 1)]))
     hp = _write(tmp_path, "h.txt", Digraph(3, [(0, 1), (2, 1)]))

@@ -93,8 +93,8 @@ def test_low_delta_on_incidence_host():
     host = ae.gen_incidence(8)
     k = 16
     t = antipath(k)
-    out = te._low_delta(host, t, k, [])
-    assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
+    mapping, case = te._low_delta(host, t, k, [])
+    assert case == CaseTag("LowDelta", {"k": k}) and ae.validate_embedding(t, host, mapping)
 
 
 LOW_DELTA_STALL_HOST = [
@@ -157,7 +157,7 @@ DEEP7 = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
 
 
 def low_delta_step(d, t, trace):
-    return te._low_delta(d, t, t.k, trace)
+    return te._low_delta(d, t, t.k, trace)[0]
 
 
 def wide_star_step(d, t, trace):
@@ -684,13 +684,73 @@ def test_final_validation_failure_falls_back_to_the_oracle(monkeypatch):
     t = T(4, [(0, 1), (0, 2), (3, 1)])
 
     def bogus(d, t, k, trace):
-        return ae.EmbedOutcome(embedding=ae.Embedding(map={v: 0 for v in range(t.n)}), trace=trace)
+        return {v: 0 for v in range(t.n)}, CaseTag("LowDelta", {"k": k})
 
     monkeypatch.setattr(ae.tree_embedder, "_dispatch", bogus)
     out = ae.embed_antitree(host, t, known_free=True)
     assert out.trace[-2] == {"event": "internal-assertion", "tag": "final-validate"}
     assert out.trace[-1]["event"] == "oracle" and out.trace[-1]["verdict"] == "Embeds"
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
+
+
+def test_each_embedding_is_validated_once(monkeypatch):
+    # the public embedders validate what they return, once, on their caller's
+    # pair; the steps below them return maps unchecked
+    calls = {}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(te, "validate_embedding", "tree_embedder")
+    count(ae.convex, "validate_embedding", "convex")
+    count(te, "embed_caterpillar_mindeg", "mindeg")
+    host = ae.gen_incidence(25)
+    rng = random.Random(0)
+    runs = [(host, ae.sample_antitree(13, random.Random(6)), "LowDelta"),
+            (host, ae.sample_antitree(13, rng), "MidDelta"),
+            (host, sample_antitree_heavy(13, rng, 6), "BroomB_I"),
+            (_hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), "BroomB_II")]
+    for d, t, branch in runs:
+        calls.clear()
+        out = ae.embed_antitree(d, t, known_free=True, budget=0)
+        assert out.ok and out.case.branch == branch and not out.assertion_events()
+        want = {"tree_embedder": 1}
+        if branch == "BroomB_I":
+            # the B-I broom goes through the sign-balanced caterpillar
+            # embedder, which validates the broom map it returns
+            want.update(convex=1, mindeg=1)
+        assert calls == want
+    # a flipped pair: the table is built on the reversed pair, the witness
+    # validated once on the pair given
+    small, star = ae.gen_incidence(7), T(5, [(0, i) for i in range(1, 5)])
+    rstar = ae.reverse_antitree(star)
+    assert len(rstar.plus_minus()[0]) > len(rstar.plus_minus()[1])
+    calls.clear()
+    emb = ae.embed_caterpillar_mindeg(small, rstar)
+    assert calls == {"convex": 1} and ae.validate_embedding(rstar, small, emb.map)
+
+
+def test_partial_b2_map_fails_the_suitability_check(monkeypatch):
+    # the suitability check reads the branch map before it is validated, so
+    # a vertex missing from it is an assertion, not a KeyError
+    d, t, k = _hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), 24
+    broom = te._broom
+
+    def partial(*args):
+        mapping = broom(*args)
+        del mapping[next(x for x in mapping if t.deg[x] > 1)]
+        return mapping
+
+    monkeypatch.setattr(te, "_broom", partial)
+    out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+    assert [e["tag"] for e in out.assertion_events()] == ["suitability-mask"]
+    assert out.failure == {"kind": "budget-exhausted"}
 
 
 def test_orientation_normalization():
@@ -785,7 +845,7 @@ def test_host_memo_is_transparent():
     assert host._memo and not _reaches(host._memo, host)
 
 
-def test_host_memo_has_no_cycle_and_skips_seeded_and_ordered_calls():
+def test_host_memo_has_no_cycle_and_skips_ordered_calls():
     host = ae.gen_incidence(7)
     k = 4
     assert ae.reverse(host) is ae.reverse(host)
@@ -798,14 +858,13 @@ def test_host_memo_has_no_cycle_and_skips_seeded_and_ordered_calls():
     ae.embed_caterpillar_mindeg(host, star)
     ae.embed_caterpillar_mindeg(host, ae.reverse_antitree(star))
     assert not _reaches(host._memo, host)
-    # a seeded selection and an explicit order are not memoized; nor is a refusal
+    # an explicit order is not memoized; nor is a refusal
     d = Digraph(host.n, host.arcs)
-    sel = ae.select_subdigraph(d, k, 2, shuffle_seed=5)
     ConvexDigraph(d, list(reversed(range(d.n))))
     with pytest.raises(ae.HypothesisViolated):
         ae.select_subdigraph(d, 5, 2)
-    assert set(d._memo) == {("profile",)}  # the seeded selection profiles d itself
-    assert ae.select_subdigraph(d, k, 2).sub.arcs == sel.sub.arcs
+    assert not d._memo
+    assert ae.select_subdigraph(d, k, 2).sub is d
     assert ConvexDigraph(d).cw_list(0, +1) == ConvexDigraph(host).cw_list(0, +1)
     assert sorted(d._memo) == [("convex",), ("profile",), ("select", k, 2)]
 
