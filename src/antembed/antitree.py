@@ -187,8 +187,6 @@ def _degree_stats(t: AntiTree) -> DegreeStats:
 class SpineDecomposition:
     spine: tuple[int, ...]
     leaves_at: Mapping[int, tuple[int, ...]] = field(compare=False)  # read-only
-    final_vertex: int = 0
-    final_arc: tuple[int, int] = (0, 0)
 
 
 def caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
@@ -243,15 +241,7 @@ def _caterpillar_decompose(t: AntiTree) -> SpineDecomposition:
         if len(nb) != 1 or nb[0] not in inner:
             raise NotACaterpillar(v)
         leaves_at[nb[0]].append(v)  # in increasing order
-    final = spine[-1]
-    other = spine[-2]
-    arc = (other, final) if t.sign[other] > 0 else (final, other)
-    return SpineDecomposition(
-        spine=spine,
-        leaves_at=MappingProxyType({p: tuple(ls) for p, ls in leaves_at.items()}),
-        final_vertex=final,
-        final_arc=arc,
-    )
+    return SpineDecomposition(spine=spine, leaves_at=MappingProxyType({p: tuple(ls) for p, ls in leaves_at.items()}))
 
 
 def is_caterpillar(t: AntiTree) -> bool:
@@ -264,8 +254,6 @@ def is_caterpillar(t: AntiTree) -> bool:
 
 @dataclass(frozen=True)
 class DoubleBroom:
-    u: int
-    v: int
     vertices: frozenset[int]
     path_uv: tuple[int, ...]
 
@@ -283,12 +271,11 @@ def double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
 def _double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
     path = tuple(t.path(u, v))
     verts = set(path) | {u, v} | set(t.adj[u]) | set(t.adj[v])
-    return DoubleBroom(u=u, v=v, vertices=frozenset(verts), path_uv=path)
+    return DoubleBroom(vertices=frozenset(verts), path_uv=path)
 
 
 @dataclass(frozen=True)
 class RootedAntiTree:
-    root: int
     parent: tuple[int | None, ...]
     depth: tuple[int, ...]
     bfs_order: tuple[int, ...]
@@ -314,7 +301,6 @@ def _rooted_view(t: AntiTree, root: int) -> RootedAntiTree:
         children[parent[y]].append(y)
     parent[root] = None
     return RootedAntiTree(
-        root=root,
         parent=tuple(parent),
         depth=tuple(depth),
         bfs_order=tuple(order),

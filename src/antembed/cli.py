@@ -23,9 +23,17 @@ import sys
 
 from . import sweeps
 from .antitree import validate_antitree
-from .convex import ConvexDigraph, embed_caterpillar, embed_caterpillar_mindeg, good_arcs, reconstruct_witness
+from .convex import (
+    ConvexDigraph,
+    check_side_condition,
+    embed_caterpillar,
+    embed_caterpillar_mindeg,
+    good_arcs,
+    reconstruct_witness,
+)
 from .digraph import parse_arclist, to_arclist
-from .errors import AntembedError, HypothesisViolated
+from .embedding import validate_embedding
+from .errors import AntembedError, HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free
 from .oracle_gen import gen_burr, gen_incidence, gen_random_dense, oracle_embed
 from .subdigraph import select_subdigraph
@@ -121,7 +129,11 @@ def cmd_good_arcs(args) -> int:
             u, v = (int(x) for x in args.witness.split(","))
         except ValueError:
             raise AntembedError(f"bad --witness value {args.witness!r}: expected an arc 'u,v'") from None
-        payload["witness"] = reconstruct_witness(c, tree, table, (u, v))
+        witness = reconstruct_witness(c, tree, table, (u, v))
+        # the replay checks nothing itself: the map is checked here, as the embedders check theirs
+        if not (validate_embedding(tree, host, witness) and check_side_condition(c, tree, witness, table.dec.spine)):
+            raise InternalAssertion("witness-invalid", arc=(u, v))
+        payload["witness"] = witness
     _emit(payload, args.json)
     return 0
 
@@ -196,8 +208,7 @@ def cmd_sweep(args) -> int:
         if not eq:
             raise AntembedError(f"bad --param value {kv!r}: expected key=value")
         params[key] = val
-    cfg = sweeps.SweepConfig(suite=args.suite, params=params, jobs=args.jobs, out=args.out)
-    report = sweeps.run_sweep(cfg)
+    report = sweeps.run_sweep(args.suite, params, jobs=args.jobs, out=args.out)
     print(
         f"suite={report['suite']} ok={report['ok']} "
         f"failures={len(report['failures'])} summary={report['summary']}"

@@ -25,9 +25,12 @@ stages one ``operator.itemgetter`` over the set's bit string moves it from
 the out-major layout to the in-major one or back.
 
 No arc stores a predecessor: the arc one stage back sits at clockwise index
-idx + m or idx - m in the same block.  Tracing an arc back stage by stage
+idx + m or idx - m in the same block.  Walking an arc back stage by stage
 stays inside its blocks exactly when the arc is good, since every arc is
-alive at the first stage, and the same trace replays a witness embedding.
+alive at the first stage.  ``reconstruct_witness`` replays a witness in that
+same walk: each stage reads the anchor's image and the new spine vertex's
+image from the arc, and the m - 1 positions it steps over seat the anchor's
+peeled leaves.
 
 The construction depends only on the convex digraph and the step tuple, not
 on the rest of the tree, so it is memoized in the digraph's ``_cache``: each
@@ -190,7 +193,6 @@ class GoodArcTable:
     size of the last.  The two count bounds are computed on first read, so
     ``good_arcs`` never reads the sign sides of host or tree."""
 
-    spine: tuple[int, ...]
     dec: SpineDecomposition = field(repr=False)
     c: ConvexDigraph = field(repr=False)
     t: AntiTree = field(repr=False)
@@ -235,8 +237,6 @@ class _StageArcs(Sequence):
 
     def __getitem__(self, i):
         i = range(len(self._maps))[i]
-        if isinstance(i, range):
-            return [self[j] for j in i]
         if self._maps[i] is None:
             self._maps[i] = self._decode(i)
         return self._maps[i]
@@ -261,10 +261,9 @@ def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTa
     A shift moves every surviving arc inside its own block, so no two arcs
     ever land on one position: the stage maps are injective by construction
     and need no check."""
-    spine = dec.spine
     steps = tuple(
         (t.sign[p], 1 + len(dec.leaves_at.get(p, ())), j % 2 == 1)
-        for j, p in enumerate(spine[1:-1], start=2)
+        for j, p in enumerate(dec.spine[1:-1], start=2)
     )
     layout = steps[0][0] if steps else 1
     cur = (1 << c.d.a()) - 1
@@ -279,7 +278,7 @@ def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTa
             nxt = memo[steps[:i]] = cur >> m if even else cur << m
         cur, layout = nxt, sign
         stages.append(cur)
-    return GoodArcTable(spine=spine, dec=dec, c=c, t=t, steps=steps, stages=tuple(stages), count=cur.bit_count())
+    return GoodArcTable(dec=dec, c=c, t=t, steps=steps, stages=tuple(stages), count=cur.bit_count())
 
 
 def good_arcs(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
@@ -296,23 +295,6 @@ def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
     if table.count < table.lemma12_bound:
         raise InternalAssertion("good-count-mindeg", have=table.count, need=table.lemma12_bound)
     return table
-
-
-def _trace(c: ConvexDigraph, steps, arc: Arc) -> list[Arc] | None:
-    """The arcs ``arc`` came from, one per stage, first stage first, ending
-    with ``arc``; None when the trace leaves a block, that is, when the host
-    arc ``arc`` is not good."""
-    chain = [arc]
-    for sign, m, even in reversed(steps):
-        x, w = arc if sign > 0 else (arc[1], arc[0])
-        lst = c.cw_list(x, sign)
-        i = c.cw_index(x, sign, w) + (m if even else -m)
-        if not 0 <= i < len(lst):
-            return None
-        arc = (x, lst[i]) if sign > 0 else (lst[i], x)
-        chain.append(arc)
-    chain.reverse()
-    return chain
 
 
 def _least_good_arc(table: GoodArcTable) -> Arc:
@@ -332,40 +314,35 @@ def _least_good_arc(table: GoodArcTable) -> Arc:
 
 
 def reconstruct_witness(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, final_arc: Arc) -> dict[int, int]:
-    """Replay one good arc into a full embedding.
+    """Replay one good arc into a full embedding, in one backward walk.
 
-    Traces the arc back to the two-vertex stage and then replays forward:
-    each stage places the new spine vertex on the shifted endpoint and the
-    peeled leaves on the sign-arcs of the anchor lying in the clockwise gap
-    (least position first).  An arc that is not in the host or not good is
+    At each stage, last first, the arc joins the anchor's image x to the new
+    spine vertex's image z, at clockwise index i of x's list; the arc one
+    stage back joins x to index i + m (even) or i - m, and the m - 1
+    positions strictly between go to the anchor's peeled leaves, least
+    position first.  An index outside x's list means the arc is not good.
+    The map lists the two start vertices, then each stage's spine vertex and
+    leaves, first stage first.  An arc that is not in the host or not good is
     an ``AntembedError``.
     """
     if not c.d.has_arc(*final_arc):
         raise AntembedError(f"arc {final_arc} is not in the host")
-    chain = _trace(c, table.steps, final_arc)
-    if chain is None:
-        raise AntembedError(f"arc {final_arc} is not a good arc")
-    spine = table.spine
-    leaves_at = table.dec.leaves_at
-    f: dict[int, int] = {}
-    p1, p2 = spine[0], spine[1]
-    if t.sign[p2] > 0:
-        f[p2], f[p1] = chain[0]
-    else:
-        f[p1], f[p2] = chain[0]
-    for j, (sigma, m, even) in enumerate(table.steps, start=2):
-        pj = spine[j - 1]
-        prev_arc, new_arc = chain[j - 2], chain[j - 1]
-        x, w_old = (prev_arc[0], prev_arc[1]) if sigma > 0 else (prev_arc[1], prev_arc[0])
-        z = new_arc[1] if sigma > 0 else new_arc[0]
-        lst = c.cw_list(x, sigma)
-        io, iz = c.cw_index(x, sigma, w_old), c.cw_index(x, sigma, z)
-        fills = lst[iz + 1 : io] if even else lst[io + 1 : iz]
-        if len(fills) != m - 1 or f[pj] != x or f[spine[j - 2]] != w_old:
-            raise InternalAssertion("witness-replay", stage=j + 1, arc=new_arc)
-        f[spine[j]] = z
-        for leaf, hv in zip(leaves_at.get(pj, ()), fills):
-            f[leaf] = hv
+    spine, leaves_at = table.dec.spine, table.dec.leaves_at
+    arc, placed = final_arc, []
+    for (sign, m, even), p, q in reversed(list(zip(table.steps, spine[1:], spine[2:]))):
+        x, z = arc if sign > 0 else arc[::-1]
+        lst = c.cw_list(x, sign)
+        i = c.cw_index(x, sign, z)
+        w = i + m if even else i - m
+        if not 0 <= w < len(lst):
+            raise AntembedError(f"arc {final_arc} is not a good arc")
+        placed.append((q, z, zip(leaves_at.get(p, ()), lst[i + 1 : w] if even else lst[w + 1 : i])))
+        arc = (x, lst[w]) if sign > 0 else (lst[w], x)
+    p1, p2 = spine[:2]
+    f = dict(zip((p2, p1) if t.sign[p2] > 0 else (p1, p2), arc))
+    for q, z, leaves in reversed(placed):
+        f[q] = z
+        f.update(leaves)
     return f
 
 
@@ -387,7 +364,7 @@ def _validated(table: GoodArcTable, d: Digraph, t: AntiTree) -> Embedding:
     mapping = reconstruct_witness(c, table.t, table, arc)
     if not validate_embedding(t, d, mapping):
         raise InternalAssertion("witness-invalid", arc=arc)
-    if not check_side_condition(c, table.t, mapping, table.spine):
+    if not check_side_condition(c, table.t, mapping, table.dec.spine):
         raise InternalAssertion("witness-side", arc=arc)
     return Embedding(map=mapping)
 
@@ -399,10 +376,7 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     c = ConvexDigraph(d, order)
-    table = good_arcs(c, t)
-    if not table.count:
-        raise InternalAssertion("empty-good-set")
-    return _validated(table, d, t)
+    return _validated(good_arcs(c, t), d, t)
 
 
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
@@ -425,7 +399,4 @@ def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
             "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
         )
     c = ConvexDigraph(reverse(d) if flip else d, order)
-    table = good_arcs_mindeg(c, reverse_antitree(t) if flip else t)
-    if not table.count:
-        raise InternalAssertion("empty-good-set-mindeg")
-    return _validated(table, d, t)
+    return _validated(good_arcs_mindeg(c, reverse_antitree(t) if flip else t), d, t)

@@ -135,9 +135,6 @@ class Digraph:
         """Sign-typed neighborhood as a bitmask: N^+(v) for sign +1, N^-(v) for -1."""
         return self.out_bits[v] if sign > 0 else self.in_bits[v]
 
-    def sign_deg(self, v: int, sign: int) -> int:
-        return (self.out_bits[v] if sign > 0 else self.in_bits[v]).bit_count()
-
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.out_bits == other.out_bits
 
@@ -204,8 +201,6 @@ class DegreeProfile:
     delta_plus_bar: int
     delta_minus_bar: int
     delta0_bar: int
-    max_out: int
-    max_in: int
 
 
 def _pseudo(degs: Sequence[int]) -> int:
@@ -233,8 +228,6 @@ def _degree_profile(d: Digraph) -> DegreeProfile:
         delta_plus_bar=dp,
         delta_minus_bar=dm,
         delta0_bar=min(dp, dm),
-        max_out=max(outs, default=0),
-        max_in=max(ins, default=0),
     )
 
 

@@ -12,9 +12,6 @@ from .digraph import Digraph
 class Embedding:
     map: dict[int, int]
 
-    def __getitem__(self, v: int) -> int:
-        return self.map[v]
-
 
 def validate_embedding(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
     """Injectivity plus arc preservation on every tree arc; vertex range checked."""

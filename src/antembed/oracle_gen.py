@@ -128,8 +128,7 @@ def brute_good_arcs(c: ConvexDigraph, t: AntiTree) -> set[tuple[int, int]]:
     """Goodness by definition: enumerate all embeddings, check the final-edge
     image and the parity side condition.  Independent of the staged construction."""
     dec = caterpillar_decompose(t)
-    u = dec.final_vertex
-    v = dec.spine[-2]
+    u, v = dec.spine[-1], dec.spine[-2]
     odd = len(dec.spine) % 2 == 1
     good = set()
     for f in all_embeddings(c.d, t):

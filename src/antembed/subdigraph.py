@@ -206,8 +206,6 @@ class SelectionResult:
     sub: Digraph
     case_tag: str  # "I" or "II"
     witness_vertex: int
-    r: int
-    k: int
     audit: Mapping  # read-only
 
 
@@ -219,7 +217,7 @@ def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:
     on ``d`` for each (k, r), so the revalidation runs once per (d, k, r), on
     the value every later call returns."""
     sub, case, witness, audit = memoized(d, ("select", k, r), lambda: _select(d, k, r))
-    return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, r=r, k=k, audit=audit)
+    return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, audit=audit)
 
 
 def _select(d: Digraph, k: int, r: int):

@@ -3,7 +3,8 @@
 Each suite returns a report dict (schema 1) whose ``failures`` list carries
 the full offending instances inline, and whose ``params`` echo every value
 the run used, so a failing run replays standalone.  Every suite parameter is
-an integer; ``_suite`` declares each suite's keys with their defaults.
+an integer; ``_suite`` declares each suite's keys with their defaults, and
+``run_sweep`` resolves them once before the suite runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import Pool
 
@@ -38,14 +38,6 @@ from .tree_embedder import embed_antitree
 SCHEMA = 1
 SUITES: dict = {}
 DEFAULTS: dict[str, dict[str, int]] = {}
-
-
-@dataclass
-class SweepConfig:
-    suite: str
-    params: dict = field(default_factory=dict)
-    jobs: int = 1
-    out: str | None = None
 
 
 def _report(suite, params, failures, summary):
@@ -77,15 +69,12 @@ def _resolve_params(suite: str, params: dict) -> dict[str, int]:
 
 def _suite(name: str, **defaults: int):
     """Register a suite under ``name`` with its parameters' defaults; the
-    registered function resolves its params dict before it runs."""
+    suite itself takes every parameter resolved."""
 
     def register(fn):
-        def run(params, jobs=1):
-            return fn(_resolve_params(name, params), jobs)
-
         DEFAULTS[name] = defaults
-        SUITES[name] = run
-        return run
+        SUITES[name] = fn
+        return fn
 
     return register
 
@@ -478,15 +467,15 @@ def open_output(path: str | None):
         raise AntembedError(f"cannot write {path!r}: {exc}") from None
 
 
-def run_sweep(cfg: SweepConfig) -> dict:
-    """Run a suite and return its report, written to ``cfg.out`` too when set.
+def run_sweep(suite: str, params: dict | None = None, jobs: int = 1, out: str | None = None) -> dict:
+    """Run a suite and return its report, written to ``out`` too when set.
     The suite name and parameters are checked, and the report file opened,
     before the run."""
-    if cfg.suite not in SUITES:
-        raise HypothesisViolated("unknown-suite", suite=cfg.suite)
-    params = _resolve_params(cfg.suite, cfg.params)
-    with open_output(cfg.out) as fh:
-        report = SUITES[cfg.suite](params, jobs=cfg.jobs)
+    if suite not in SUITES:
+        raise HypothesisViolated("unknown-suite", suite=suite)
+    params = _resolve_params(suite, params or {})
+    with open_output(out) as fh:
+        report = SUITES[suite](params, jobs=jobs)
         if fh is not None:
             json.dump(report, fh, indent=1)
             fh.write("\n")

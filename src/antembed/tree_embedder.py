@@ -29,8 +29,10 @@ happens the exact oracle is consulted, within ``FALLBACK_BUDGET`` nodes
 unless the caller gives a budget, so a run still reports ground truth after
 the branch's own events.
 
-Steps return maps; ``embed_antitree`` validates the branch's map once, on
-its caller's pair (``final-validate``; a map that fails goes to the oracle).
+Steps return maps; ``embed_antitree`` validates the branch's map, or the
+single-arc map when k = 1, once, on its caller's pair (``final-validate``; a
+map that fails goes to the oracle), and ``oracle_fallback`` validates the
+oracle's witness once (``oracle-witness``).
 """
 
 from __future__ import annotations
@@ -400,10 +402,11 @@ def _broom_a_greedy(core: Digraph, t: AntiTree, broom, u: int, trace: list) -> d
 
 
 def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, trace: list):
-    """The (i)/(ii)/(iii) relabeling of {u, v} as {x, y}."""
+    """The (i)/(ii)/(iii) relabeling of {u, v} as {x, y}: x and the case
+    number (y, the other one, is logged)."""
     if 12 * (delta - delta2) >= k:
         trace.append({"event": "xy-case", "case": "i"})
-        return u, v, 1
+        return u, 1
     if t.sign[v] > 0:
         lu = sum(1 for c in t.adj[u] if t.deg[c] == 1)
         lv = sum(1 for c in t.adj[v] if t.deg[c] == 1)
@@ -413,9 +416,9 @@ def _relabel_xy(t: AntiTree, u: int, v: int, delta: int, delta2: int, k: int, tr
         y = max(cands, key=lambda p: (p[1], p[0] == v))[0]
         x = u if y == v else v
         trace.append({"event": "xy-case", "case": "ii", "x": x, "y": y})
-        return x, y, 2
+        return x, 2
     trace.append({"event": "xy-case", "case": "iii"})
-    return v, u, 3
+    return v, 3
 
 
 def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
@@ -451,7 +454,7 @@ def _broom_b2(d: Digraph, sel: SelectionResult, t: AntiTree, broom, case: CaseTa
         return ctx.f
 
     _note(trace, "notdoublestar", True)
-    x, _, case_no = _relabel_xy(t, u, v, p["delta"], p["delta2"], k, trace)
+    x, case_no = _relabel_xy(t, u, v, p["delta"], p["delta2"], k, trace)
     ctx = _Ctx(t, d, core, x, trace, leaves)
     if case_no == 3:
         ctx.place(x, b_vertex)
@@ -519,10 +522,14 @@ FALLBACK_BUDGET = 1_000_000
 
 def oracle_fallback(d: Digraph, t: AntiTree, budget: int | None = None) -> EmbedOutcome:
     """The exact oracle's answer as an outcome, within ``budget`` nodes
-    (``FALLBACK_BUDGET`` when None); ``budget-exhausted`` when it runs out."""
+    (``FALLBACK_BUDGET`` when None); ``budget-exhausted`` when it runs out.
+    A witness that fails ``validate_embedding`` raises InternalAssertion
+    ``oracle-witness``."""
     stats = oracle_embed(d, t, FALLBACK_BUDGET if budget is None else budget)
     trace = [{"event": "oracle", "verdict": stats.verdict, "nodes": stats.nodes_expanded}]
     if stats.verdict == "Embeds":
+        if not validate_embedding(t, d, stats.witness):
+            raise InternalAssertion("oracle-witness")
         return EmbedOutcome(embedding=Embedding(map=stats.witness), trace=trace)
     kind = "not-contained" if stats.verdict == "NotContained" else "budget-exhausted"
     return EmbedOutcome(embedding=None, trace=trace, failure={"kind": kind})
@@ -546,15 +553,9 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
     if d.a() <= (k - 1) * d.n:
         out = _refusal("density", trace, arcs=d.a(), need=(k - 1) * d.n + 1)
         return _oracle_after(d, t, budget, trace) if force_oracle else out
-    if k == 1:
-        # a single arc needs no forbidden-subgraph hypothesis; the least host
-        # arc, read from vertex 0's image to vertex 1's, is the same choice
-        # after reversing host and tree together
-        arcs = d.arcs if t.tree.arcs[0] == (0, 1) else ((y, x) for x, y in d.arcs)
-        emb = dict(enumerate(min(arcs)))
-        return EmbedOutcome(embedding=Embedding(map=emb), trace=trace, case=CaseTag("LowDelta", {"k": 1}))
     s = (k + 11) // 12
-    free = True if known_free else is_k2s_free(d, s)
+    # a single arc needs no forbidden-subgraph hypothesis
+    free = True if known_free or k == 1 else is_k2s_free(d, s)
     if free is not True:
         out = _refusal(
             "freeness",
@@ -565,7 +566,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
         )
         return _oracle_after(d, t, budget, trace) if force_oracle else out
     try:
-        mapping, case = _dispatch(d, t, k, trace)
+        mapping, case = _single_arc(d, t) if k == 1 else _dispatch(d, t, k, trace)
     except InternalAssertion as exc:
         trace.append({"event": "internal-assertion", "tag": exc.tag, "data": exc.data})
         return _oracle_after(d, t, budget, trace)
@@ -573,6 +574,13 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
         trace.append({"event": "internal-assertion", "tag": "final-validate"})
         return _oracle_after(d, t, budget, trace)
     return EmbedOutcome(embedding=Embedding(map=mapping), trace=trace, case=case)
+
+
+def _single_arc(d: Digraph, t: AntiTree) -> tuple[dict[int, int], CaseTag]:
+    """The least host arc, read from vertex 0's image to vertex 1's: the same
+    choice after reversing host and tree together."""
+    arcs = d.arcs if t.tree.arcs[0] == (0, 1) else ((y, x) for x, y in d.arcs)
+    return dict(enumerate(min(arcs))), CaseTag("LowDelta", {"k": 1})
 
 
 def _oriented(d: Digraph, t: AntiTree, trace: list) -> tuple[Digraph, AntiTree]:

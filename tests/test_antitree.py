@@ -43,6 +43,10 @@ def test_validate_rejections():
         ae.validate_antitree(Digraph(4, [(0, 1), (2, 3), (0, 3), (2, 1)]))  # cycle
     with pytest.raises(ae.NotATree):
         ae.validate_antitree(Digraph(1, []))
+    with pytest.raises(ae.NotATree, match="both arcs between 1 and 0"):
+        T(3, [(0, 1), (1, 0)])  # a 2-cycle, with the order a tree of 2 arcs needs
+    with pytest.raises(ae.NotATree, match="disconnected"):
+        T(4, [(0, 1), (1, 2), (2, 0)])  # a triangle and an isolated vertex
 
 
 def test_degree_stats():
@@ -95,7 +99,6 @@ def test_spine_double_star_frozen():
     dec = ae.caterpillar_decompose(DOUBLE_STAR)
     assert dec.spine == (2, 0, 1, 4)
     assert dec.leaves_at[0] == (3,) and dec.leaves_at[1] == (5,)
-    assert dec.final_vertex == 4 and dec.final_arc == (4, 1)
 
 
 def _bfs_far(t, src):
@@ -130,8 +133,8 @@ def _longest_paths(t):
 
 
 def _reference_decompose(t):
-    """(spine, leaves_at, final_arc) from the least of all diameter paths, or
-    the NotACaterpillar witness vertex."""
+    """(spine, leaves_at) from the least of all diameter paths, or the
+    NotACaterpillar witness vertex."""
     spine = min(_longest_paths(t))
     inner = set(spine[1:-1])
     leaves_at = {p: [] for p in spine}
@@ -142,8 +145,7 @@ def _reference_decompose(t):
         if t.deg[v] != 1 or not nb:
             return v
         leaves_at[nb[0]].append(v)
-    arc = (spine[-2], spine[-1]) if t.sign[spine[-2]] > 0 else (spine[-1], spine[-2])
-    return spine, {p: tuple(sorted(ls)) for p, ls in leaves_at.items()}, arc
+    return spine, {p: tuple(sorted(ls)) for p, ls in leaves_at.items()}
 
 
 def _decompose_or_witness(t):
@@ -151,7 +153,7 @@ def _decompose_or_witness(t):
         dec = ae.caterpillar_decompose(t)
     except ae.NotACaterpillar as exc:
         return exc.witness
-    return dec.spine, dict(dec.leaves_at), dec.final_arc
+    return dec.spine, dict(dec.leaves_at)
 
 
 def test_linear_spine_matches_all_paths_reference():
@@ -214,6 +216,8 @@ def test_double_broom():
     assert b3.vertices == frozenset(range(6))
     with pytest.raises(ae.AntembedError):
         ae.double_broom(DOUBLE_STAR, 0, 0)
+    with pytest.raises(ae.AntembedError, match="vertex not in tree"):
+        ae.double_broom(DOUBLE_STAR, 0, 6)
 
 
 def test_path_reads_the_view_rooted_at_its_first_end():
@@ -242,6 +246,9 @@ def test_rooted_view():
     path = T(k + 1, arcs)
     rv = ae.rooted_view(path, 0)
     assert sum(rv.depth) == k * (k + 1) // 2
+    for root in (-1, path.n):
+        with pytest.raises(ae.AntembedError, match="vertex not in tree"):
+            ae.rooted_view(path, root)
 
 
 def _labeled_classes(k):

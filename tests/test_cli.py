@@ -184,6 +184,15 @@ def test_good_arcs_witness_of_an_arc_not_in_the_host(tmp_path, capsys):
     assert "arc (2, 1) is not in the host" in _witness_error(tmp_path, capsys, "2,1")
 
 
+def test_good_arcs_witness_is_checked_before_it_is_printed(tmp_path, capsys, monkeypatch):
+    # the replay checks nothing itself: a map that is no embedding (two tree
+    # vertices on host vertex 3), or an embedding with an image on the free
+    # side of its final chord, is an error and is not printed
+    for bogus in ({0: 0, 1: 3, 2: 3}, {0: 0, 1: 3, 2: 1}):
+        monkeypatch.setattr(cli, "reconstruct_witness", lambda *args, f=bogus: f)
+        assert "witness-invalid" in _witness_error(tmp_path, capsys, "0,3")
+
+
 def test_good_arcs_witness_malformed(tmp_path, capsys):
     for value in ("0", "0,1,2", "a,b"):
         assert repr(value) in _witness_error(tmp_path, capsys, value)

@@ -85,7 +85,7 @@ def test_good_arc_bounds_and_witnesses():
             for arc in table.stage_arcs[-1]:
                 f = reconstruct_witness(c, t, table, arc)
                 assert ae.validate_embedding(t, d, f)
-                assert check_side_condition(c, t, f, table.spine)
+                assert check_side_condition(c, t, f, table.dec.spine)
 
 
 def test_dp_sound_against_definition():
@@ -570,3 +570,6 @@ def test_dp_memo_explicit_order_has_its_own_cache():
     assert table.stages != ae.good_arcs(default, t).stages
     assert table.stages == ae.good_arcs(fresh(host, order), t).stages
     assert default._cache == before and not prefix_keys(ae.ConvexDigraph(host, order))
+    for bad in (order[1:], [0] + order[1:-1] + [0]):
+        with pytest.raises(ae.AntembedError, match="order must be a permutation"):
+            ae.ConvexDigraph(host, bad)

@@ -65,6 +65,8 @@ def test_construction_rejects():
         ae.Digraph(2, [(0, 1), (0, 1)])
     with pytest.raises(ae.AntembedError):
         ae.Digraph(2, [(0, 2)])
+    with pytest.raises(ae.AntembedError, match="order must be non-negative"):
+        ae.Digraph(-1, [])
 
 
 arc_inputs = st.integers(1, 6).flatmap(

@@ -68,6 +68,13 @@ def test_embeddings_compare_by_their_maps():
     assert ae.Embedding(map={0: 1}) != ae.Embedding(map={0: 2})
 
 
+def test_validate_embedding_rejects_partial_and_out_of_range_maps():
+    d, t = Digraph(3, [(0, 1), (2, 1)]), T(3, [(0, 1), (2, 1)])
+    assert ae.validate_embedding(t, d, {0: 0, 1: 1, 2: 2})
+    assert not ae.validate_embedding(t, d, {0: 0, 1: 1})  # tree vertex 2 missing
+    assert not ae.validate_embedding(t, d, {0: 0, 1: 1, 2: 3})  # image outside the host
+
+
 def test_embed_antitree_refusals():
     k = 4
     burr = ae.gen_burr(k)
@@ -85,6 +92,9 @@ def test_embed_antitree_refusals():
     w = out.failure["witness"]
     cn = ae.common_neighborhood(host, w["a"], w["sign_a"], w["b"], w["sign_b"])
     assert set(w["common"]) <= cn
+    # a k that is not the tree's arc count is refused before any work
+    with pytest.raises(ae.HypothesisViolated, match="arc-count-mismatch"):
+        ae.embed_antitree(host, t, t.k + 1)
 
 
 def test_low_delta_on_incidence_host():
@@ -512,7 +522,7 @@ def test_broom_b2_stall_asserts():
     # source 1 and finds two sinks for its five leaves
     m, b, k = 4, 13, 13
     d = Digraph(m + b, [(i, m + j) for i in range(m) for j in range(b) if i != 1 or j < 8])
-    sel = SelectionResult(sub=d, case_tag="II", witness_vertex=m, r=6, k=k, audit={})
+    sel = SelectionResult(sub=d, case_tag="II", witness_vertex=m, audit={})
     arcs = [(0, 1), (2, 1)] + [(0, c) for c in range(3, 8)] + [(2, c) for c in range(8, 13)] + [(13, 3)]
     t = T(14, arcs)
     tag, r = _broom_tag(t, k, "BroomB_II")
@@ -734,6 +744,14 @@ def test_each_embedding_is_validated_once(monkeypatch):
     calls.clear()
     emb = ae.embed_caterpillar_mindeg(small, rstar)
     assert calls == {"convex": 1} and ae.validate_embedding(rstar, small, emb.map)
+    # the k = 1 map goes through final-validate too, and the oracle's witness
+    # (the case-3b fixture stalls, and the oracle answers) is validated where
+    # the fallback returns it
+    for d, t in [(Digraph(3, [(0, 1), (1, 2), (2, 0)]), T(2, [(0, 1)])),
+                 (Digraph(9, CASE3B_EXCHANGE_HOST), T(7, DEEP7))]:
+        calls.clear()
+        out = ae.embed_antitree(d, t, known_free=True)
+        assert out.ok and calls == {"tree_embedder": 1}
 
 
 def test_partial_b2_map_fails_the_suitability_check(monkeypatch):

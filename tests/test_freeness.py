@@ -52,6 +52,8 @@ def test_is_free_examples():
     assert ae.is_k2s_free(TRIANGLE, 2) is True
     w1 = ae.is_k2s_free(TRIANGLE, 1)
     assert w1 is not True and w1.revalidate(TRIANGLE, 1)
+    with pytest.raises(ae.AntembedError, match="s must be positive"):
+        ae.is_k2s_free(TRIANGLE, 0)
 
 
 _SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))

@@ -58,6 +58,8 @@ def test_gen_burr():
             assert d.out_deg(v) == k - 1 and d.in_deg(v) == k - 1
     d2 = ae.gen_burr(2)
     assert d2.n == 4 and d2.a() == 4
+    with pytest.raises(ae.AntembedError, match="k >= 2"):
+        ae.gen_burr(1)
 
 
 def test_burr_contains_all_other_small_antitrees():
@@ -89,6 +91,11 @@ def test_gen_incidence_small():
         assert d.n == 2 * N and d.a() == (q + 1) * N
         assert ae.audit_projective(d)
         assert ae.is_k2s_free(d, 2, prune=True) is True
+    # PG(2,7) without the arcs into its first line: that line meets no other
+    d = ae.gen_incidence(7)
+    line = d.n // 2
+    assert ae.audit_projective(d)
+    assert not ae.audit_projective(ae.Digraph(d.n, [a for a in d.arcs if a[1] != line]))
     with pytest.raises(ae.AntembedError):
         ae.gen_incidence(6)
 
@@ -106,6 +113,8 @@ def test_gen_random_dense():
     assert d1 != ae.gen_random_dense(10, 3, seed=6)
     with pytest.raises(ae.AntembedError):
         ae.gen_random_dense(3, 3, seed=0)
+    with pytest.raises(ae.AntembedError, match="1 <= k <= n"):
+        ae.gen_random_dense(3, 4, seed=0)
 
 
 def test_sample_antitree():
@@ -162,7 +171,7 @@ def test_n3_containment_recount():
         if ae.oracle_embed(d, in_star).verdict == "Embeds":
             n_in += 1
         p = ae.degree_profile(d)
-        by_degree_out += p.max_out >= 2
-        by_degree_in += p.max_in >= 2
+        by_degree_out += max(p.out_deg) >= 2
+        by_degree_in += max(p.in_deg) >= 2
     assert n_out == by_degree_out == 37
     assert n_in == by_degree_in == 37

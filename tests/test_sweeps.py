@@ -18,11 +18,10 @@ def test_parallel_map_matches_serial():
 
 def test_run_sweep_writes_report(tmp_path):
     out = tmp_path / "r.json"
-    cfg = sw.SweepConfig(suite="burr-tightness", params={"kmax": 2}, out=str(out))
-    rep = sw.run_sweep(cfg)
+    rep = sw.run_sweep("burr-tightness", {"kmax": 2}, out=str(out))
     assert rep["ok"] and out.exists()
     with pytest.raises(HypothesisViolated):
-        sw.run_sweep(sw.SweepConfig(suite="nope"))
+        sw.run_sweep("nope")
 
 
 def test_small_scale_suites_pass():
