@@ -10,10 +10,10 @@ This module is the one place that walks, colours, centres or spines a tree:
 and ``centroids`` its only centre search.  An AntiTree value is immutable and
 carries the same lazy memo as ``Digraph`` (``digraph.memoized``): its degree
 statistics, its spine decomposition, its reversal, its rooted views and its
-double brooms are computed once per tree, and no memo entry references the
-tree that holds it.  The spine search takes four plain walks (``_walk``) and
-one greedy descent, so it is linear in the tree's size and builds no rooted
-view.
+double brooms (each with its own spine decomposition) are computed once per
+tree, and no memo entry references the tree that holds it.  The spine
+search takes four plain walks (``_walk``) and one greedy descent, so it is
+linear in the tree's size and builds no rooted view.
 """
 
 from __future__ import annotations
@@ -256,11 +256,13 @@ def is_caterpillar(t: AntiTree) -> bool:
 class DoubleBroom:
     vertices: frozenset[int]
     path_uv: tuple[int, ...]
+    dec: SpineDecomposition  # of B_uv, in t's labels
 
 
 def double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
     """B_uv: closed neighborhoods of u and v plus the u-v path, memoized on
-    ``t`` for each (u, v)."""
+    ``t`` for each (u, v), with the decomposition ``caterpillar_decompose``
+    gives B_uv (the path and the least leaf at each end) in t's labels."""
     if u == v:
         raise AntembedError("double broom needs two distinct vertices")
     if not (0 <= u < t.n and 0 <= v < t.n):
@@ -270,8 +272,19 @@ def double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
 
 def _double_broom(t: AntiTree, u: int, v: int) -> DoubleBroom:
     path = tuple(t.path(u, v))
-    verts = set(path) | {u, v} | set(t.adj[u]) | set(t.adj[v])
-    return DoubleBroom(vertices=frozenset(verts), path_uv=path)
+    on = set(path)
+    a, b = ([w for w in t.adj[x] if w not in on] for x in (u, v))  # sorted
+    verts = frozenset(on.union(a, b))
+    # an end with no leaf of its own hangs off the path; one vertex left is a star's centre
+    inner = path[(not a) : len(path) - (not b)]
+    a, b = a or [u], b or [v]
+    if len(inner) == 1:
+        a, b = sorted(a + b)[:1], sorted(a + b)[1:]
+    spine = (a[0], *inner, b[0]) if a[0] < b[0] else (b[0], *reversed(inner), a[0])
+    leaves_at = dict.fromkeys(spine, ())
+    if inner:
+        leaves_at[inner[0]], leaves_at[inner[-1]] = tuple(a[1:]), tuple(b[1:])
+    return DoubleBroom(verts, path, SpineDecomposition(spine, MappingProxyType(leaves_at)))
 
 
 @dataclass(frozen=True)

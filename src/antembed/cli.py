@@ -5,7 +5,8 @@ sweep.  Graph files use the arc-list format (``n m`` header then ``u v``
 lines, ``#`` comments); ``--json`` switches machine-readable output on.
 
 Exit codes for ``embed``: 0 success, 2 certified refusal, 3 when the
-oracle's node budget runs out, 4 internal assertion encountered.
+oracle's node budget runs out, 4 internal assertion encountered (4 wins
+when the oracle it falls back to then runs out of budget too).
 ``check-free`` exits 1 when a witness is found.  Every subcommand exits 2
 with one ``error: ...`` line on an input file it cannot read or parse, on an
 output file (``embed --trace``, ``sweep --out``) it cannot open, which is

@@ -37,18 +37,19 @@ on the rest of the tree, so it is memoized in the digraph's ``_cache``: each
 stage's bit set under its step prefix ``steps[:i]`` (one a(D)-bit int per
 distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc under
 ``("least", steps)``.  Trees that share a prefix share its stages, and a
-tree seen before runs no shift and no relayout.
+tree seen before runs no shift and no relayout.  A caterpillar inside a tree
+(the B-I double broom) runs on its own decomposition, in the tree's labels.
 
-Steps return maps; ``embed_caterpillar`` and ``embed_caterpillar_mindeg``
-each validate their witness once, on their caller's pair.
+Steps return maps; ``least_witness`` checks each witness once with its
+caller's check: the caller's pair, or the B-I broom's arcs in its tree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, compress, count
 from operator import itemgetter
 
@@ -65,8 +66,8 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class ConvexDigraph:
     """A digraph plus a circular (clockwise) vertex order.
 
-    The clockwise tables and arc layouts of the default order (vertex ids
-    ascending) are memoized on the digraph; an explicit order builds its own.
+    The default order (vertex ids ascending), its positions and its tables
+    and layouts are memoized on the digraph; an explicit order builds its own.
     Tables indexed by sign hold the out-side at [1] and the in-side at [-1].
     ``_cache`` is filled on first use, so it too is per digraph for the
     default order and per instance otherwise.  It holds the stage mask of
@@ -81,8 +82,8 @@ class ConvexDigraph:
     def __init__(self, d: Digraph, order=None):
         self.d = d
         if order is None:
-            self.order = self.pos = tuple(range(d.n))
-            tables = memoized(d, ("convex",), lambda: _convex_tables(d, self.pos))
+            tables = memoized(d, ("convex",), lambda: _convex_tables(d, tuple(range(d.n))))
+            self.order = tables[0]
         else:
             self.order = tuple(order)
             if sorted(self.order) != list(range(d.n)):
@@ -90,9 +91,8 @@ class ConvexDigraph:
             pos = [0] * d.n
             for i, v in enumerate(self.order):
                 pos[v] = i
-            self.pos = tuple(pos)
-            tables = _convex_tables(d, self.pos)
-        self._cw, self._out_starts, self._cache = tables
+            tables = _convex_tables(d, tuple(pos))
+        self.pos, self._cw, self._out_starts, self._cache = tables
 
     def cw_list(self, x: int, sign: int) -> tuple[int, ...]:
         """Sign-arcs of x ordered clockwise starting just after x."""
@@ -164,8 +164,8 @@ class ConvexDigraph:
 
 
 def _convex_tables(d: Digraph, pos: tuple[int, ...]):
-    """The clockwise tables of both signs, indexed by sign, the block starts
-    of the out-major layout and an empty cache."""
+    """The positions, the clockwise tables of both signs, indexed by sign,
+    the block starts of the out-major layout and an empty cache."""
     at = pos.__getitem__
     tables = [None]
     for lists in neighbor_lists(d):
@@ -178,7 +178,7 @@ def _convex_tables(d: Digraph, pos: tuple[int, ...]):
                 lst = lst[i:] + lst[:i]
             cw.append(tuple(lst))
         tables.append(tuple(cw))
-    return tuple(tables), tuple(accumulate(map(len, tables[1]), initial=0)), {}
+    return pos, tuple(tables), tuple(accumulate(map(len, tables[1]), initial=0)), {}
 
 
 @dataclass(eq=False)
@@ -190,8 +190,9 @@ class GoodArcTable:
     the good set of the prefix of length i+2 as a bit set in the layout of
     its stage's anchor sign (``stages[0]``, every arc, in the layout of the
     first stage, or the out-major one when there is none); ``count`` is the
-    size of the last.  The two count bounds are computed on first read, so
-    ``good_arcs`` never reads the sign sides of host or tree."""
+    size of the last.  ``dec`` may span a caterpillar inside t, in t's
+    labels.  The two count bounds are computed on first read, from the steps:
+    a stage anchored at sign s adds m arcs and m vertices of sign -s."""
 
     dec: SpineDecomposition = field(repr=False)
     c: ConvexDigraph = field(repr=False)
@@ -204,15 +205,16 @@ class GoodArcTable:
     def lemma8_bound(self) -> int:
         """a(D) - (k-1)n."""
         d = self.c.d
-        return d.a() - (self.t.k - 1) * d.n
+        return d.a() - sum(m for _, m, _ in self.steps) * d.n
 
     @cached_property
     def lemma12_bound(self) -> int:
         """a(D) - (|T+|-1)|D-| - (|T-|-1)|D+|."""
         d = self.c.d
         dplus, dminus = plus_minus_sets(d)
-        tplus, tminus = self.t.plus_minus()
-        return d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus)
+        tplus = sum(m for s, m, _ in self.steps if s < 0)
+        tminus = sum(m for s, m, _ in self.steps if s > 0)
+        return d.a() - tplus * len(dminus) - tminus * len(dplus)
 
     @cached_property
     def stage_arcs(self) -> "_StageArcs":
@@ -289,9 +291,10 @@ def good_arcs(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
     return table
 
 
-def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
-    """Same construction, with the |T+|/|T-| versus |D-|/|D+| count asserted."""
-    table = _run_dp(c, t, caterpillar_decompose(t))
+def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition | None = None) -> GoodArcTable:
+    """Same construction, with the |T+|/|T-| versus |D-|/|D+| count asserted,
+    for t or for the caterpillar inside it that ``dec`` spans."""
+    table = _run_dp(c, t, caterpillar_decompose(t) if dec is None else dec)
     if table.count < table.lemma12_bound:
         raise InternalAssertion("good-count-mindeg", have=table.count, need=table.lemma12_bound)
     return table
@@ -357,16 +360,16 @@ def check_side_condition(c: ConvexDigraph, t: AntiTree, mapping: dict[int, int],
     return not any(0 < (pos[h] - pos[a]) % n < span for h in mapping.values())
 
 
-def _validated(table: GoodArcTable, d: Digraph, t: AntiTree) -> Embedding:
-    """The witness of the least good arc, validated on (d, t), which the
-    table's pair may be the reversal of: the same map embeds both."""
+def least_witness(table: GoodArcTable, holds: Callable[[dict[int, int]], bool]) -> dict[int, int]:
+    """The witness of the least good arc, checked once by the caller's
+    ``holds`` and by its side condition."""
     c, arc = table.c, _least_good_arc(table)
     mapping = reconstruct_witness(c, table.t, table, arc)
-    if not validate_embedding(t, d, mapping):
+    if not holds(mapping):
         raise InternalAssertion("witness-invalid", arc=arc)
     if not check_side_condition(c, table.t, mapping, table.dec.spine):
         raise InternalAssertion("witness-side", arc=arc)
-    return Embedding(map=mapping)
+    return mapping
 
 
 def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
@@ -376,7 +379,7 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
     c = ConvexDigraph(d, order)
-    return _validated(good_arcs(c, t), d, t)
+    return Embedding(map=least_witness(good_arcs(c, t), partial(validate_embedding, t, d)))
 
 
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
@@ -399,4 +402,5 @@ def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
             "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
         )
     c = ConvexDigraph(reverse(d) if flip else d, order)
-    return _validated(good_arcs_mindeg(c, reverse_antitree(t) if flip else t), d, t)
+    table = good_arcs_mindeg(c, reverse_antitree(t) if flip else t)
+    return Embedding(map=least_witness(table, partial(validate_embedding, t, d)))

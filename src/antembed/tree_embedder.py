@@ -48,8 +48,8 @@ from .antitree import (
     rooted_view,
     validate_antitree,
 )
-from .convex import embed_caterpillar_mindeg
-from .digraph import Digraph, bits_of, core_member_bits, degree_profile, reverse, side_bits
+from .convex import ConvexDigraph, embed_caterpillar_mindeg, good_arcs_mindeg, least_witness
+from .digraph import Digraph, bits_of, core_member_bits, degree_profile, plus_minus_sets, reverse, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free
@@ -371,11 +371,18 @@ def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: 
 
 
 def _broom_catmindeg(core: Digraph, t: AntiTree, broom, trace: list) -> dict[int, int]:
-    bt, relabel = _induced_tree(t, broom.vertices)
-    tp, tm = bt.plus_minus()
-    _note(trace, "B-I:balance", len(tp) <= len(tm))
-    emb = embed_caterpillar_mindeg(core, bt)
-    return {v: emb.map[relabel[v]] for v in broom.vertices}
+    """B_uv's map from ``broom.dec`` by the sign-balanced construction on the
+    core, checked whole on its arcs in t; a case-I core needs no reversal."""
+    verts = broom.vertices
+    tp = sum(t.sign[x] > 0 for x in verts)
+    tm = len(verts) - tp
+    _note(trace, "B-I:balance", tp <= tm)
+    dp, dm = map(len, plus_minus_sets(core))
+    if not (dp <= dm and tp <= tm and 2 * core.a() > (tp + tm - 2) * (dp + dm)):
+        raise InternalAssertion("B-I:hypotheses", d_sides=(dp, dm), t_sides=(tp, tm))
+    holds = lambda f: set(f) == verts and len(set(f.values())) == len(f) and all(
+        core.has_arc(f[x], f[y]) for x, y in t.tree.arcs if x in verts and y in verts)
+    return least_witness(good_arcs_mindeg(ConvexDigraph(core), t, broom.dec), holds)
 
 
 def _broom_a_padded(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:

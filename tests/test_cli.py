@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 import antembed as ae
 from antembed import cli, sweeps
+from antembed import tree_embedder as te
 from antembed.cli import main
 from antembed.digraph import Digraph, to_arclist
 
@@ -67,6 +69,47 @@ def test_embed_cat_and_good_arcs(tmp_path, capsys):
     small = Digraph(3, [(0, 1), (2, 1)])
     hp2 = _write(tmp_path, "small.txt", small)
     assert main(["embed-cat", "--tree", _write(tmp_path, "s2.txt", star), "--host", hp2]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("host, tree, reason", [
+    (Digraph(3, [(0, 1)]), Digraph(3, [(0, 1), (0, 2)]), "density"),
+    (Digraph(4, [(0, 1), (0, 2), (0, 3)]), Digraph(3, [(1, 0), (2, 0)]), "sign-balance"),
+])
+def test_embed_cat_mindeg_refusal_exits_2(tmp_path, capsys, host, tree, reason):
+    tp, hp = _write(tmp_path, "t.txt", tree), _write(tmp_path, "h.txt", host)
+    assert main(["--json", "embed-cat", "--tree", tp, "--host", hp, "--mode", "mindeg"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"] and payload["refusal"] == reason
+
+
+def test_embed_exit_4_on_an_assertion_even_when_the_budget_then_runs_out(tmp_path, capsys, monkeypatch):
+    # the case-3b fixture stalls on a host that is not free; the scan is told
+    # it is, so the branch runs and asserts, and the oracle answers after it
+    from test_embedder import CASE3B_EXCHANGE_HOST, DEEP7
+
+    monkeypatch.setattr(te, "is_k2s_free", lambda d, s: True)
+    tp = _write(tmp_path, "t.txt", Digraph(7, DEEP7))
+    hp = _write(tmp_path, "h.txt", Digraph(9, CASE3B_EXCHANGE_HOST))
+    for extra, ok, failure in (([], True, None), (["--budget", "1"], False, {"kind": "budget-exhausted"})):
+        assert main(["--json", "embed", "--tree", tp, "--host", hp, *extra]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["assertions"] == ["case3b:stall"]
+        assert (payload["ok"], payload["failure"]) == (ok, failure)
+
+
+def test_embed_exit_3_when_the_forced_oracle_runs_out(tmp_path, capsys):
+    rng = random.Random(3)
+    host = Digraph(10, rng.sample([(u, v) for u in range(10) for v in range(10) if u != v], 34))
+    tree = ae.sample_antitree(5, rng)
+    tp, hp = _write(tmp_path, "t.txt", tree.tree), _write(tmp_path, "h.txt", host)
+    args = ["--json", "embed", "--tree", tp, "--host", hp, "--force-oracle"]
+    assert main(args + ["--budget", "1"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failure"] == {"kind": "budget-exhausted"} and not payload["assertions"]
+    # a density refusal that the oracle, given its default budget, overturns
+    assert host.a() <= (tree.k - 1) * host.n
+    assert main(args) == 0
     capsys.readouterr()
 
 

@@ -236,6 +236,23 @@ def test_embed_caterpillar_mindeg_single_arc():
     assert ae.validate_embedding(t1, d1, emb.map)
 
 
+# a pair too sparse for the sign-balanced bound, and a dense one whose signs
+# lean opposite ways: |D+| < |D-| but |T+| > |T-|
+MINDEG_REFUSALS = [
+    ((3, [(0, 1)]), (3, [(0, 1), (0, 2)]), "density", {"arcs": 1, "sides": (1, 1), "k": 2}),
+    ((4, [(0, 1), (0, 2), (0, 3)]), (3, [(1, 0), (2, 0)]), "sign-balance", {"d_sides": (1, 3), "t_sides": (2, 1)}),
+]
+
+
+@pytest.mark.parametrize("host, tree, reason, data", MINDEG_REFUSALS)
+def test_embed_caterpillar_mindeg_refusals(host, tree, reason, data):
+    d, t = Digraph(*host), ae.validate_antitree(Digraph(*tree))
+    with pytest.raises(ae.HypothesisViolated) as exc:
+        ae.embed_caterpillar_mindeg(d, t)
+    assert (exc.value.reason, exc.value.data) == (reason, data)
+    assert not d._memo or ("convex",) not in d._memo
+
+
 # -- the dict-per-stage construction, kept as the reference for the bit-set DP --
 
 
@@ -276,7 +293,8 @@ def test_clockwise_tables_match_the_distance_key_sort():
         shuffled = list(range(d.n))
         rng.shuffle(shuffled)
         for pos in (tuple(range(d.n)), tuple(shuffled)):
-            tables, starts, _ = convex._convex_tables(d, pos)
+            at, tables, starts, _ = convex._convex_tables(d, pos)
+            assert at is pos
             for sign in (+1, -1):
                 want = tuple(
                     tuple(sorted(bits_of(d.neighbor_bits(x, sign)), key=lambda w: (pos[w] - pos[x]) % d.n))

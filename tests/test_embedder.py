@@ -326,6 +326,24 @@ def test_broom_case_b1_catmindeg():
         assert not out.assertion_events()
 
 
+def test_broom_b1_witness_is_checked_whole_on_its_arcs(monkeypatch):
+    # two adjacent spine images swapped: the map stays injective on B_uv but
+    # reverses a broom arc, which the whole check catches before placement
+    replay = ae.convex.reconstruct_witness
+
+    def swapped(c, t, table, arc):
+        f = replay(c, t, table, arc)
+        x, y = table.dec.spine[:2]
+        f[x], f[y] = f[y], f[x]
+        return f
+
+    monkeypatch.setattr(ae.convex, "reconstruct_witness", swapped)
+    t = sample_antitree_heavy(13, random.Random(31), 6)
+    out = ae.embed_antitree(ae.gen_incidence(25), t, known_free=True, budget=1)
+    assert [e["tag"] for e in out.assertion_events()] == ["witness-invalid"]
+    assert out.trace[-3]["tag"] == "B-I:balance" and out.failure == {"kind": "budget-exhausted"}
+
+
 def _induced_reference(t, verts):
     """The induced subtree as ``validate_antitree`` builds it from scratch."""
     keep = sorted(verts)
@@ -334,20 +352,52 @@ def _induced_reference(t, verts):
     return ae.validate_antitree(Digraph(len(keep), arcs))
 
 
+def _assert_broom_decomposition(t, broom, c):
+    """The broom's own decomposition is the one its relabelled subtree gets,
+    read back in t's labels, and gives the same good-arc steps."""
+    sub, relabel = te._induced_tree(t, broom.vertices)
+    ref, back = ae.caterpillar_decompose(sub), sorted(broom.vertices)
+    assert broom.dec.spine == tuple(back[i] for i in ref.spine)
+    assert dict(broom.dec.leaves_at) == {back[p]: tuple(back[i] for i in ls) for p, ls in ref.leaves_at.items()}
+    assert ae.convex._run_dp(c, t, broom.dec).steps == ae.convex._run_dp(c, sub, ref).steps
+
+
 def test_induced_tree_matches_the_validated_subgraph():
-    # the brooms and hub-stripped trees the embedder builds, on sampled k = 13 trees
+    # the brooms and hub-stripped trees the embedder builds, on sampled k = 13
+    # trees; the brooms also against their own decomposition
+    c = ConvexDigraph(Digraph(2, [(0, 1)]))
     rng = random.Random(1302)
     for i in range(2000):
         t = ae.sample_antitree(13, rng) if i % 2 else sample_antitree_heavy(13, rng, 6)
         s = ae.degree_stats(t)
         leaves = [x for x in t.adj[s.argmax_u] if t.deg[x] == 1]
-        sets = [ae.double_broom(t, s.argmax_u, s.argmax2_v).vertices,
-                set(range(t.n)).difference(leaves[: rng.randint(0, max(0, len(leaves) - 1))])]
+        broom = ae.double_broom(t, s.argmax_u, s.argmax2_v)
+        sets = [broom.vertices, set(range(t.n)).difference(leaves[: rng.randint(0, max(0, len(leaves) - 1))])]
         for verts in sets:
             sub, relabel = te._induced_tree(t, verts)
             ref = _induced_reference(t, verts)
             assert (sub.sign, sub.adj, sub.tree.arcs, sub.deg) == (ref.sign, ref.adj, ref.tree.arcs, ref.deg)
             assert relabel == {v: i for i, v in enumerate(sorted(verts))}
+        _assert_broom_decomposition(t, broom, c)
+    # heavy k = 24 trees, with both hub sides and either end least
+    for _ in range(40):
+        t = sample_antitree_heavy(24, rng, 9)
+        s = ae.degree_stats(t)
+        _assert_broom_decomposition(t, ae.double_broom(t, s.argmax_u, s.argmax2_v), c)
+
+
+def test_double_broom_decomposition_of_degenerate_brooms():
+    # an end with no leaf of its own, down to a star and a single arc: every
+    # ordered pair of a few small trees
+    c = ConvexDigraph(Digraph(2, [(0, 1)]))
+    rng = random.Random(5)
+    trees = [T(2, [(0, 1)]), T(5, [(0, i) for i in range(1, 5)]), T(5, [(4, i) for i in range(4)])]
+    trees += [ae.sample_antitree(rng.randint(2, 9), rng) for _ in range(60)]
+    for t in trees:
+        for u in range(t.n):
+            for v in range(t.n):
+                if u != v:
+                    _assert_broom_decomposition(t, ae.double_broom(t, u, v), c)
 
 
 def test_induced_tree_rejects_a_disconnected_set():
@@ -720,6 +770,7 @@ def test_each_embedding_is_validated_once(monkeypatch):
     count(te, "validate_embedding", "tree_embedder")
     count(ae.convex, "validate_embedding", "convex")
     count(te, "embed_caterpillar_mindeg", "mindeg")
+    count(te, "least_witness", "broom")
     host = ae.gen_incidence(25)
     rng = random.Random(0)
     runs = [(host, ae.sample_antitree(13, random.Random(6)), "LowDelta"),
@@ -732,9 +783,9 @@ def test_each_embedding_is_validated_once(monkeypatch):
         assert out.ok and out.case.branch == branch and not out.assertion_events()
         want = {"tree_embedder": 1}
         if branch == "BroomB_I":
-            # the B-I broom goes through the sign-balanced caterpillar
-            # embedder, which validates the broom map it returns
-            want.update(convex=1, mindeg=1)
+            # the B-I broom's witness is checked once, whole, on its arcs in
+            # t; it goes through no sign-balanced caterpillar embedder
+            want.update(broom=1)
         assert calls == want
     # a flipped pair: the table is built on the reversed pair, the witness
     # validated once on the pair given
@@ -876,6 +927,10 @@ def test_host_memo_has_no_cycle_and_skips_ordered_calls():
     ae.embed_caterpillar_mindeg(host, star)
     ae.embed_caterpillar_mindeg(host, ae.reverse_antitree(star))
     assert not _reaches(host._memo, host)
+    # a memoized tuple is handed out as stored, and rebuilt only when it held
+    # its owner (the selection's sub above); the default order is memoized too
+    assert ae.plus_minus_sets(host) is ae.plus_minus_sets(host)
+    assert ConvexDigraph(host).pos is ConvexDigraph(host).order is ConvexDigraph(host).pos
     # an explicit order is not memoized; nor is a refusal
     d = Digraph(host.n, host.arcs)
     ConvexDigraph(d, list(reversed(range(d.n))))

@@ -1,0 +1,163 @@
+"""Digests of what ``embed_antitree`` returns on fixed instance streams.
+
+Run it on two trees of the library and compare the lines it prints: equal
+digests mean equal outcomes (ok, case, map, failure and trace) on every
+instance of that stream.  It is not a test and not a benchmark; it is the
+evidence a change that must keep outputs the same can quote.
+
+    PYTHONPATH=src python tools/same_outputs.py
+
+Streams (one line each: name, instance count, sha256 over one JSON record per
+instance):
+
+- ``pg25-warm-<seed>``: the k = 13 tree mix of the theorem2-pg suite, drawn
+  from ``random.Random(seed)`` in the order the pg25-warm benchmark workload
+  draws it, embedded into one PG(2,25) incidence digraph, at seeds 1302 and
+  8191; ``pg25-warm-<seed>-reversed`` embeds each reversed tree into the
+  reversed host.
+- ``pg25-line-deleted``: PG(2,25) with 1 to 50 seeded lines deleted (still
+  K_{2,2}-free and dense enough for k = 13), each host embedding the first
+  trees of the same mix.
+- ``desk-differential``: random hosts with 2 to 12 vertices and trees with
+  k <= 5, as in the desk-mix benchmark's differential ops, freeness scan
+  included.
+- ``witness-replay``: on random hosts with 2 to 7 vertices, in the default
+  and in a shuffled vertex order, the good arcs of a caterpillar with k <= 4
+  and ``reconstruct_witness`` of each.
+
+It needs only the public API, so it runs unchanged against an older tree.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import time
+
+from antembed import (
+    ConvexDigraph,
+    Digraph,
+    degree_stats,
+    embed_antitree,
+    enumerate_antitrees,
+    gen_incidence,
+    good_arcs,
+    is_caterpillar,
+    reverse,
+    reverse_antitree,
+    sample_antitree,
+)
+from antembed.convex import reconstruct_witness
+from antembed.oracle_gen import sample_antitree_heavy
+
+K_PG = 13
+PG_TREES = 3000
+LINE_DELETED_HOSTS = 60
+TREES_PER_HOST = 10
+DESK_PAIRS = 10_000
+REPLAY_HOSTS = 2000
+# the oracle's node budget after an internal assertion, as in the benchmark
+BUDGET = 200_000
+
+
+def theorem2_tree(rng: random.Random, i: int):
+    """The theorem2-pg tree mix: plain trees (redrawn once when Delta_2 > 5)
+    on even i, trees with Delta_2 >= 6 on odd i."""
+    if i % 2 == 0:
+        t = sample_antitree(K_PG, rng)
+        if degree_stats(t).delta2 > 5:
+            t = sample_antitree(K_PG, rng)
+        return t
+    return sample_antitree_heavy(K_PG, rng, 6)
+
+
+def record(out) -> str:
+    rec = {
+        "ok": out.ok,
+        "case": [out.case.branch, out.case.params] if out.case else None,
+        "map": sorted(out.embedding.map.items()) if out.ok else None,
+        "failure": out.failure,
+        "trace": out.trace,
+    }
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"), default=repr)
+
+
+def digest(name: str, records) -> None:
+    h = hashlib.sha256()
+    count = 0
+    for line in records:
+        h.update(line.encode())
+        h.update(b"\n")
+        count += 1
+    print(f"{name} {count} {h.hexdigest()}", flush=True)
+
+
+def pg25_streams(host: Digraph):
+    for seed in (1302, 8191):
+        rng = random.Random(seed)
+        trees = [theorem2_tree(rng, i) for i in range(PG_TREES)]
+        digest(f"pg25-warm-{seed}",
+               (record(embed_antitree(host, t, K_PG, known_free=True, budget=BUDGET)) for t in trees))
+        rhost = reverse(host)
+        digest(f"pg25-warm-{seed}-reversed",
+               (record(embed_antitree(rhost, reverse_antitree(t), K_PG, known_free=True, budget=BUDGET))
+                for t in trees))
+
+
+def line_deleted(host: Digraph):
+    """PG(2,25) less the arcs into some seeded lines (point ids come first,
+    line ids second): a subdigraph of a K_{2,2}-free host, and with at most
+    50 of its 651 lines gone it keeps more than (k - 1)n arcs."""
+    rng = random.Random(2525)
+    points = host.n // 2
+    for _ in range(LINE_DELETED_HOSTS):
+        gone = set(rng.sample(range(points, host.n), rng.randint(1, 50)))
+        d = Digraph(host.n, [(u, v) for u, v in host.arcs if v not in gone])
+        for i in range(TREES_PER_HOST):
+            yield record(embed_antitree(d, theorem2_tree(rng, i), K_PG, known_free=True, budget=BUDGET))
+
+
+def desk_differential():
+    rng = random.Random(6)
+    for _ in range(DESK_PAIRS):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, min(5, n - 1))
+        t = sample_antitree(k, rng)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        yield record(embed_antitree(d, t, k))
+
+
+def witness_replay():
+    rng = random.Random(7)
+    cats = [t for k in range(1, 5) for t in enumerate_antitrees(k) if is_caterpillar(t)]
+    for _ in range(REPLAY_HOSTS):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        d = Digraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        t = rng.choice([t for t in cats if t.n <= n])
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for order in (None, shuffled):
+            c = ConvexDigraph(d, order)
+            table = good_arcs(c, t) if d.a() > (t.k - 1) * n else None
+            good = sorted(table.stage_arcs[-1]) if table else []
+            maps = [sorted(reconstruct_witness(c, t, table, arc).items()) for arc in good]
+            yield json.dumps([table.steps if table else None, good, maps], separators=(",", ":"))
+
+
+def main() -> int:
+    start = time.perf_counter()
+    host = gen_incidence(25)
+    pg25_streams(host)
+    digest("pg25-line-deleted", line_deleted(host))
+    digest("desk-differential", desk_differential())
+    digest("witness-replay", witness_replay())
+    print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
