@@ -132,7 +132,7 @@ def cmd_good_arcs(args) -> int:
             raise AntembedError(f"bad --witness value {args.witness!r}: expected an arc 'u,v'") from None
         witness = reconstruct_witness(c, tree, table, (u, v))
         # the replay checks nothing itself: the map is checked here, as the embedders check theirs
-        if not (validate_embedding(tree, host, witness) and check_side_condition(c, tree, witness, table.dec.spine)):
+        if not (validate_embedding(tree, host, witness) and check_side_condition(c, witness, table.dec.spine)):
             raise InternalAssertion("witness-invalid", arc=(u, v))
         payload["witness"] = witness
     _emit(payload, args.json)

@@ -38,10 +38,11 @@ stage's bit set under its step prefix ``steps[:i]`` (one a(D)-bit int per
 distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc under
 ``("least", steps)``.  Trees that share a prefix share its stages, and a
 tree seen before runs no shift and no relayout.  A caterpillar inside a tree
-(the B-I double broom) runs on its own decomposition, in the tree's labels.
+(the B-I double broom, or the case A-II broom with padding leaves) runs on
+its own decomposition, in the tree's labels.
 
 Steps return maps; ``least_witness`` checks each witness once with its
-caller's check: the caller's pair, or the B-I broom's arcs in its tree.
+caller's check: the caller's pair, or the broom's arcs in its tree.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class GoodArcTable:
     its stage's anchor sign (``stages[0]``, every arc, in the layout of the
     first stage, or the out-major one when there is none); ``count`` is the
     size of the last.  ``dec`` may span a caterpillar inside t, in t's
-    labels.  The two count bounds are computed on first read, from the steps:
+    labels, with extra leaves labelled from t.n.  The two count bounds are computed on first read, from the steps:
     a stage anchored at sign s adds m arcs and m vertices of sign -s."""
 
     dec: SpineDecomposition = field(repr=False)
@@ -293,7 +294,10 @@ def good_arcs(c: ConvexDigraph, t: AntiTree) -> GoodArcTable:
 
 def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition | None = None) -> GoodArcTable:
     """Same construction, with the |T+|/|T-| versus |D-|/|D+| count asserted,
-    for t or for the caterpillar inside it that ``dec`` spans."""
+    for t or for the caterpillar inside it that ``dec`` spans.  ``dec`` may
+    hang extra leaves, labelled from t.n, off its spine (the padded case A-II
+    broom): the construction reads t's signs on the spine only, and the
+    witness maps those labels too."""
     table = _run_dp(c, t, caterpillar_decompose(t) if dec is None else dec)
     if table.count < table.lemma12_bound:
         raise InternalAssertion("good-count-mindeg", have=table.count, need=table.lemma12_bound)
@@ -349,7 +353,7 @@ def reconstruct_witness(c: ConvexDigraph, t: AntiTree, table: GoodArcTable, fina
     return f
 
 
-def check_side_condition(c: ConvexDigraph, t: AntiTree, mapping: dict[int, int], spine) -> bool:
+def check_side_condition(c: ConvexDigraph, mapping: dict[int, int], spine) -> bool:
     """The parity-appropriate side of the final chord holds no image vertex:
     no image lies strictly between its ends a and b, clockwise from a."""
     a, b = mapping[spine[-1]], mapping[spine[-2]]
@@ -367,7 +371,7 @@ def least_witness(table: GoodArcTable, holds: Callable[[dict[int, int]], bool]) 
     mapping = reconstruct_witness(c, table.t, table, arc)
     if not holds(mapping):
         raise InternalAssertion("witness-invalid", arc=arc)
-    if not check_side_condition(c, table.t, mapping, table.dec.spine):
+    if not check_side_condition(c, mapping, table.dec.spine):
         raise InternalAssertion("witness-side", arc=arc)
     return mapping
 

@@ -29,6 +29,11 @@ happens the exact oracle is consulted, within ``FALLBACK_BUDGET`` nodes
 unless the caller gives a budget, so a run still reports ground truth after
 the branch's own events.
 
+Every step works on the oriented tree in its own labels and builds no
+digraph or tree: hub stripping leaves the stripped leaves out of
+``_wide_star``'s scope and seats them later in the same ``_Ctx``, and the
+padded case-A broom is ``broom.dec`` with padding leaves labelled from t.n.
+
 Steps return maps; ``embed_antitree`` validates the branch's map, or the
 single-arc map when k = 1, once, on its caller's pair (``final-validate``; a
 map that fails goes to the oracle), and ``oracle_fallback`` validates the
@@ -42,13 +47,13 @@ from dataclasses import dataclass, field
 from .antitree import (
     AntiTree,
     DegreeStats,
+    SpineDecomposition,
     degree_stats,
     double_broom,
     reverse_antitree,
     rooted_view,
-    validate_antitree,
 )
-from .convex import ConvexDigraph, embed_caterpillar_mindeg, good_arcs_mindeg, least_witness
+from .convex import ConvexDigraph, good_arcs_mindeg, least_witness
 from .digraph import Digraph, bits_of, core_member_bits, degree_profile, plus_minus_sets, reverse, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
@@ -228,17 +233,20 @@ def _low_delta(core: Digraph, t: AntiTree, k: int, trace: list) -> tuple[dict[in
 # -- the middle branch -----------------------------------------------------------
 
 
-def _wide_star(d: Digraph, core: Digraph, t: AntiTree, hub: int, anchor: int, trace: list) -> dict[int, int]:
+def _wide_star(d: Digraph, core: Digraph, t: AntiTree, hub: int, anchor: int, trace: list,
+               strip: frozenset[int] = frozenset()) -> _Ctx:
     """Embedding around a high-out-degree hub: the hub on the anchor and its
     children in the anchor's out-neighborhood (``seat_children``), then the
-    radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``).
-    The argument's depth-2 swap and case-3b cascade are not run."""
+    radius-2 ball greedily (``pu:stall``), then the rest (``case3b:stall``),
+    all but the hub leaves in ``strip``, which stay open.  The argument's
+    depth-2 swap and case-3b cascade are not run."""
     ctx = _Ctx(t, d, core, hub, trace, _leaf_mask(t, t.adj[hub]))
     ctx.place(hub, anchor)
-    ctx.seat_children(hub, ctx.rv.children[hub], "pu:anchor")
-    ctx.settle({x for x in range(t.n) if ctx.rv.depth[x] <= 2}, "pu:stall")
-    ctx.settle(set(range(t.n)), "case3b:stall")
-    return ctx.f
+    ctx.seat_children(hub, [c for c in ctx.rv.children[hub] if c not in strip], "pu:anchor")
+    rest = set(range(t.n)).difference(strip)
+    ctx.settle({x for x in rest if ctx.rv.depth[x] <= 2}, "pu:stall")
+    ctx.settle(rest, "case3b:stall")
+    return ctx
 
 
 def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list) -> tuple[dict[int, int], CaseTag]:
@@ -255,53 +263,32 @@ def _mid_delta(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list)
             anchor = next((a for a in bits_of(side_bits(sel.sub, +1)) if d.out_deg(a) >= delta), None)
             if anchor is None:
                 raise InternalAssertion("mid-no-anchor")
-        mapping = _wide_star(d, sel.sub, t, hub, anchor, trace)
+        mapping = _wide_star(d, sel.sub, t, hub, anchor, trace).f
     return mapping, CaseTag("MidDelta", {"k": k, "r": r, "case": sel.case_tag, "delta": delta, "delta2": stats.delta2})
 
 
 def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, hub: int, trace: list) -> dict[int, int]:
-    """Strip Delta - r leaves off the hub, embed the trimmed tree around the
-    witness vertex (``_wide_star``), and return the leaves to its
-    out-neighborhood in the core."""
-    leaves = sorted(x for x in t.adj[hub] if t.deg[x] == 1)
+    """Leave the hub's least Delta - r leaves out, embed the rest of t around
+    the witness vertex (``_wide_star``), then seat those leaves on the free
+    out-neighbors of the witness in the core (``fill``)."""
+    leaves = [x for x in t.adj[hub] if t.deg[x] == 1]
     strip = t.deg[hub] - r
     if len(leaves) < strip + 1:
         raise InternalAssertion("strip-leaf-count", have=len(leaves), need=strip + 1)
-    dropped = leaves[:strip]
-    tstar, relabel = _induced_tree(t, set(range(t.n)).difference(dropped))
     kprime = 2 * r - 1
-    if tstar.k != kprime:
-        raise InternalAssertion("strip-arith", have=tstar.k, need=kprime)
+    if t.k - strip != kprime:
+        raise InternalAssertion("strip-arith", have=t.k - strip, need=kprime)
     anchor = sel.witness_vertex
-    inner = _wide_star(d, sel.sub, tstar, relabel[hub], anchor, trace)
-    mapping = {v: inner[i] for v, i in relabel.items()}
-    slots = sel.sub.neighbor_bits(anchor, +1) & ~_mask(mapping.values())
+    ctx = _wide_star(d, sel.sub, t, hub, anchor, trace, frozenset(leaves[:strip]))
+    slots = sel.sub.neighbor_bits(anchor, +1) & ~ctx.used
     if slots.bit_count() < strip:
         raise InternalAssertion("strip-reattach", have=slots.bit_count(), need=strip)
-    mapping.update(zip(dropped, bits_of(slots)))
+    ctx.fill(leaves[:strip], slots)
     trace.append({"event": "strip-reattach", "stripped": strip, "kprime": kprime})
-    return mapping
+    return ctx.f
 
 
 # -- the double-broom branch -------------------------------------------------------
-
-
-def _induced_tree(t: AntiTree, verts) -> tuple[AntiTree, dict[int, int]]:
-    """The subtree of t induced on ``verts``, relabeled 0.. in vertex order,
-    and the relabeling.
-
-    The subtree inherits t's signs and sorted adjacency, so it is
-    antidirected and needs no ``validate_antitree``.  An induced subforest
-    with c components has |verts| - c arcs, so InternalAssertion
-    ``induced-tree`` unless ``verts`` (two or more vertices) induces exactly
-    |verts| - 1 of them."""
-    keep = sorted(verts)
-    relabel = {v: i for i, v in enumerate(keep)}
-    arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in verts and b in verts]
-    if not arcs or len(arcs) != len(keep) - 1:
-        raise InternalAssertion("induced-tree", size=len(keep), arcs=len(arcs))
-    adj = tuple([tuple([relabel[w] for w in t.adj[v] if w in verts]) for v in keep])
-    return AntiTree(Digraph(len(keep), arcs), tuple([t.sign[v] for v in keep]), adj), relabel
 
 
 def _broom_case(t: AntiTree, k: int, stats: DegreeStats) -> tuple[bool, dict]:
@@ -322,13 +309,7 @@ def _big_delta2(d: Digraph, t: AntiTree, k: int, stats: DegreeStats, trace: list
     branch = "BroomA" if case_a else "BroomB_I" if sel.case_tag == "I" else "BroomB_II"
     trace.append({"event": "broom-case", "branch": branch, "r": params["r"]})
     case = CaseTag(branch, params)
-    mapping = _broom(d, sel, t, case, trace)
-    if branch == "BroomB_II":
-        # every non-leaf on a core vertex; a vertex left unplaced fails too
-        core_bits = core_member_bits(sel.sub)
-        if any(t.deg[x] > 1 and not (x in mapping and (core_bits >> mapping[x]) & 1) for x in range(t.n)):
-            raise InternalAssertion("suitability-mask")
-    return mapping, case
+    return _broom(d, sel, t, case, trace), case
 
 
 def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: list) -> dict[int, int]:
@@ -344,14 +325,12 @@ def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: 
     if case.branch == "BroomB_I" and p["r"] == k - p["delta"] and p["r"] < (5 * k + 11) // 12:
         return _bi_big_delta(sel, t, case, trace)
     broom = double_broom(t, p["u"], p["v"])
-    if case.branch == "BroomA" and p["padded"]:
-        mapping = _broom_a_padded(core, t, broom, case, trace)
-    elif case.branch == "BroomA":
-        mapping = _broom_a_greedy(core, t, broom, p["u"], trace)
-    elif case.branch == "BroomB_I":
-        mapping = _broom_catmindeg(core, t, broom, trace)
-    else:
+    if case.branch == "BroomB_II":
         mapping = _broom_b2(d, sel, t, broom, case, trace)
+    elif case.branch == "BroomA" and not p["padded"]:
+        mapping = _broom_a_greedy(core, t, broom, p["u"], trace)
+    else:
+        mapping = _broom_catmindeg(core, t, broom, case, trace)
     if set(mapping) != broom.vertices:
         raise InternalAssertion("broom-validate")
     if case.branch == "BroomB_II":
@@ -370,32 +349,38 @@ def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: 
     return ctx.f
 
 
-def _broom_catmindeg(core: Digraph, t: AntiTree, broom, trace: list) -> dict[int, int]:
-    """B_uv's map from ``broom.dec`` by the sign-balanced construction on the
-    core, checked whole on its arcs in t; a case-I core needs no reversal."""
-    verts = broom.vertices
+def _broom_catmindeg(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
+    """B_uv's map by the sign-balanced caterpillar construction on the core,
+    from ``broom.dec`` in t's labels.  Case A-II pads B_uv with Delta - delta2
+    more leaves at v, labelled t.n, t.n + 1, ... and dropped from the map.
+    The witness is checked whole on the broom's arcs in t and the padding
+    arcs.  A case-I core needs no reversal; a padded broom is embedded on the
+    reversed pair when the core and the broom both lean to +."""
+    p, verts, dec = case.params, broom.vertices, broom.dec
     tp = sum(t.sign[x] > 0 for x in verts)
     tm = len(verts) - tp
-    _note(trace, "B-I:balance", tp <= tm)
+    step = "A-II" if case.branch == "BroomA" else "B-I"
+    pad = range(t.n, t.n + (p["delta"] - p["delta2"] if step == "A-II" else 0))
+    if step == "A-II":
+        _require(trace, "A-II:size", len(verts) + len(pad) <= p["k"] + 1, size=len(verts) + len(pad))
+        tp += len(pad)  # sources, since v is a sink
+        _note(trace, "A-II:balance", tp == tm)
+        dec = SpineDecomposition(dec.spine, {**dec.leaves_at, p["v"]: dec.leaves_at[p["v"]] + tuple(pad)})
+    else:
+        _note(trace, "B-I:balance", tp <= tm)
     dp, dm = map(len, plus_minus_sets(core))
-    if not (dp <= dm and tp <= tm and 2 * core.a() > (tp + tm - 2) * (dp + dm)):
-        raise InternalAssertion("B-I:hypotheses", d_sides=(dp, dm), t_sides=(tp, tm))
-    holds = lambda f: set(f) == verts and len(set(f.values())) == len(f) and all(
-        core.has_arc(f[x], f[y]) for x, y in t.tree.arcs if x in verts and y in verts)
-    return least_witness(good_arcs_mindeg(ConvexDigraph(core), t, broom.dec), holds)
-
-
-def _broom_a_padded(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
-    p = case.params
-    dlt = p["delta"] - p["delta2"]
-    bt, relabel = _induced_tree(t, broom.vertices)
-    arcs = list(bt.tree.arcs) + [(bt.n + i, relabel[p["v"]]) for i in range(dlt)]
-    padded = validate_antitree(Digraph(bt.n + dlt, arcs))
-    _require(trace, "A-II:size", padded.n <= p["k"] + 1, size=padded.n)
-    tp, tm = padded.plus_minus()
-    _note(trace, "A-II:balance", len(tp) == len(tm))
-    emb = embed_caterpillar_mindeg(core, padded)
-    return {w: emb.map[relabel[w]] for w in broom.vertices}
+    flip = not (dp <= dm and tp <= tm)
+    if not (2 * core.a() > (tp + tm - 2) * (dp + dm) and (not flip or step == "A-II" and dp >= dm and tp >= tm)):
+        raise InternalAssertion(step + ":hypotheses", d_sides=(dp, dm), t_sides=(tp, tm))
+    arcs = [(x, y) for x, y in t.tree.arcs if x in verts and y in verts] + [(w, p["v"]) for w in pad]
+    keys = verts.union(pad)
+    holds = lambda f: set(f) == keys and len(set(f.values())) == len(f) and all(
+        core.has_arc(f[x], f[y]) for x, y in arcs)
+    c = ConvexDigraph(reverse(core) if flip else core)
+    f = least_witness(good_arcs_mindeg(c, reverse_antitree(t) if flip else t, dec), holds)
+    for w in pad:
+        del f[w]
+    return f
 
 
 def _broom_a_greedy(core: Digraph, t: AntiTree, broom, u: int, trace: list) -> dict[int, int]:

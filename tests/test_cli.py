@@ -34,6 +34,14 @@ def test_gen_and_check_free(tmp_path, capsys):
     assert main(["check-free", "--host", host, "--s", "2"]) == 0
 
 
+def test_gen_incidence(capsys):
+    # PG(2,3): 13 points and 13 lines, each point on 4 lines
+    assert main(["gen", "incidence", "--q", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "26 52"
+    assert ae.parse_arclist(out)[0] == ae.gen_incidence(3)
+
+
 def test_embed_exit_codes(tmp_path, capsys):
     tree = Digraph(2, [(0, 1)])
     host = Digraph(3, [(0, 1), (2, 1)])

@@ -47,7 +47,7 @@ def test_side_condition_matches_the_clockwise_interval():
         x, y = mapping[spine[-1]], mapping[spine[-2]]
         zone = c.interval(x, y) if len(spine) % 2 == 1 else c.interval(y, x)
         holds = not zone & set(images)
-        assert check_side_condition(c, None, mapping, spine) == holds
+        assert check_side_condition(c, mapping, spine) == holds
         seen.add(holds)
     assert seen == {True, False}
 
@@ -85,7 +85,7 @@ def test_good_arc_bounds_and_witnesses():
             for arc in table.stage_arcs[-1]:
                 f = reconstruct_witness(c, t, table, arc)
                 assert ae.validate_embedding(t, d, f)
-                assert check_side_condition(c, t, f, table.dec.spine)
+                assert check_side_condition(c, f, table.dec.spine)
 
 
 def test_dp_sound_against_definition():

@@ -131,17 +131,17 @@ def test_radius_two_and_wide_star():
     host = bidirected_complete(12)
     k = 8
     star = T(k + 1, [(0, i) for i in range(1, k + 1)])
-    f = te._wide_star(host, host, star, 0, 0, [])
+    f = te._wide_star(host, host, star, 0, 0, []).f
     assert ae.validate_embedding(star, host, f) and f[0] == 0
     # spider of radius two: hub with three children, each with one child
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)]
     spider = T(7, arcs)
-    f = te._wide_star(host, host, spider, 0, 3, [])
+    f = te._wide_star(host, host, spider, 0, 3, []).f
     assert ae.validate_embedding(spider, host, f) and f[0] == 3
     # deeper trees, layer by layer
     arcs = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 5)]
     deep = T(7, arcs)
-    f = te._wide_star(host, host, deep, 0, 0, [])
+    f = te._wide_star(host, host, deep, 0, 0, []).f
     assert ae.validate_embedding(deep, host, f)
 
 
@@ -171,7 +171,7 @@ def low_delta_step(d, t, trace):
 
 
 def wide_star_step(d, t, trace):
-    return te._wide_star(d, d, t, ae.degree_stats(t).argmax_u, 0, trace)
+    return te._wide_star(d, d, t, ae.degree_stats(t).argmax_u, 0, trace).f
 
 
 @pytest.mark.parametrize("embed, d, t, tag, embeds", [
@@ -268,6 +268,42 @@ def test_mid_delta_strip_and_reattach():
     assert len(ev) == 1 and ev[0]["stripped"] == 6 and ev[0]["kprime"] == 7
 
 
+def _stripped_reference(d, t, k):
+    """Hub stripping the relabelled way: ``_wide_star`` on the subtree left
+    when the hub's least Delta - r leaves are gone, built from scratch and
+    read back, then those leaves on the witness's free core out-neighbors,
+    least first."""
+    s = ae.degree_stats(t)
+    r = k - s.delta + 1
+    sel = ae.select_subdigraph(d, k, r)
+    strip = [x for x in t.adj[s.argmax_u] if t.deg[x] == 1][: s.delta - r]
+    keep = sorted(set(range(t.n)).difference(strip))
+    sub = _induced_reference(t, keep)
+    f = te._wide_star(d, sel.sub, sub, keep.index(s.argmax_u), sel.witness_vertex, []).f
+    mapping = {keep[i]: h for i, h in f.items()}
+    row = sel.sub.neighbor_bits(sel.witness_vertex, +1)
+    mapping.update(zip(strip, [h for h in range(d.n) if (row >> h) & 1 and h not in mapping.values()]))
+    return mapping
+
+
+def test_hub_stripping_matches_the_stripped_subtree():
+    # hub 0 with ten children and three more arcs hung at random below them:
+    # the stripped leaves stay in t's labels and go back through ``place``
+    host, k = strip_host(), 13
+    rng = random.Random(4)
+    for _ in range(30):
+        arcs, sign = [(0, c) for c in range(1, 11)], [1] + [-1] * 13
+        for w in range(11, 14):
+            x = rng.randrange(1, w)
+            sign[w] = -sign[x]
+            arcs.append((x, w) if sign[x] > 0 else (w, x))
+        t = T(k + 1, arcs)
+        out = ae.embed_antitree(host, t, k, known_free=True, budget=0)
+        assert out.case.branch == "MidDelta" and not out.assertion_events()
+        assert any(e["event"] == "strip-reattach" for e in out.trace)
+        assert out.embedding.map == _stripped_reference(host, t, k)
+
+
 def broomA_tree_small(k=24):
     arcs = [(0, 1)]
     nxt = 2
@@ -295,8 +331,10 @@ def test_broom_case_a_greedy():
     assert not out.assertion_events()
 
 
-def test_broom_case_a_padded():
-    k = 84  # the second bullet needs k > 72
+def broomA_tree_padded():
+    """Case A-II at k = 84 (the second bullet needs k > 72): two adjacent
+    hubs of degree 24, so the broom takes no padding leaf."""
+    k = 84
     arcs = [(0, 1)]
     nxt = 2
     for _ in range(23):
@@ -306,12 +344,83 @@ def test_broom_case_a_padded():
         arcs.append((nxt, 1))
         nxt += 1
     chain_extend(arcs, 25, +1, nxt, k)
-    t = T(k + 1, arcs)
+    return T(k + 1, arcs)
+
+
+def broomA_tree_padded96():
+    """Case A-II at k = 96 with one padding leaf: the hub 0 with 28 children,
+    a 19-arc path from it to the sink 19 with 27 neighbors, and a chain."""
+    k = 96
+    arcs = []
+    nxt = chain_extend(arcs, 0, +1, 1, 19)
+    for _ in range(27):
+        arcs.append((0, nxt))
+        nxt += 1
+    for _ in range(26):
+        arcs.append((nxt, 19))
+        nxt += 1
+    chain_extend(arcs, 2, +1, nxt, k)
+    return T(k + 1, arcs)
+
+
+def skewed_complete(m, s):
+    """A bidirected m-clique and s pure sources with arcs into all of it."""
+    arcs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    return Digraph(m + s, arcs + [(m + i, b) for i in range(s) for b in range(m)])
+
+
+def test_broom_case_a_padded():
+    t, k = broomA_tree_padded(), 84
     host = bidirected_complete(100)
     out = ae.embed_antitree(host, t, k, known_free=True, budget=1000)
     assert out.case.branch == "BroomA" and out.case.params["padded"]
     assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
     assert not out.assertion_events()
+
+
+def _padded_reference(core, t, case):
+    """Case A-II's broom map the relabelled way: B_uv's subtree with
+    Delta - delta2 more leaves at v, built and validated from scratch,
+    through ``embed_caterpillar_mindeg``, read back in t's labels."""
+    p = case.params
+    back = sorted(ae.double_broom(t, p["u"], p["v"]).vertices)
+    sub = _induced_reference(t, back)
+    pad = [(sub.n + i, back.index(p["v"])) for i in range(p["delta"] - p["delta2"])]
+    padded = ae.validate_antitree(Digraph(sub.n + len(pad), [*sub.tree.arcs, *pad]))
+    return {back[i]: h for i, h in ae.embed_caterpillar_mindeg(core, padded).map.items() if i < sub.n}
+
+
+@pytest.mark.parametrize("tree, host, reversed_table", [
+    pytest.param(broomA_tree_padded, lambda: skewed_complete(96, 4), True, id="k84-K96+4"),
+    pytest.param(broomA_tree_padded96, lambda: bidirected_complete(100), False, id="k96-K100"),
+    pytest.param(broomA_tree_padded96, lambda: skewed_complete(100, 4), True, id="k96-K100+4"),
+])
+def test_broom_case_a_padded_in_the_tree_labels(tree, host, reversed_table):
+    # the padded broom runs from its own decomposition; where the core keeps
+    # more sources than sinks it takes the reversed table, and its map is the
+    # one the relabelled padded subtree gets
+    t, d = tree(), host()
+    tag, r = _broom_tag(t, t.k, "BroomA")
+    core = ae.select_subdigraph(d, t.k, r).sub
+    dplus, dminus = ae.plus_minus_sets(core)
+    assert tag.params["padded"] and (len(dplus) > len(dminus)) is reversed_table
+    out = ae.embed_antitree(d, t, known_free=True, budget=0)
+    assert out.ok and out.case == tag and not out.assertion_events()
+    assert ae.validate_embedding(t, d, out.embedding.map)
+    want = _padded_reference(core, t, tag)
+    assert {x: out.embedding.map[x] for x in want} == want
+
+
+def test_padded_broom_hypotheses_fail_to_the_oracle(monkeypatch):
+    # a core too sparse for the padded broom: its hypotheses fail as an
+    # internal assertion, so the oracle answers and no HypothesisViolated
+    # leaves embed_antitree
+    sparse = Digraph(100, [(a, b) for a in range(40) for b in range(40) if a != b])
+    sel = SelectionResult(sub=sparse, case_tag="I", witness_vertex=0, audit={})
+    monkeypatch.setattr(te, "select_subdigraph", lambda d, k, r: sel)
+    out = ae.embed_antitree(bidirected_complete(100), broomA_tree_padded(), known_free=True, budget=0)
+    assert [e["tag"] for e in out.assertion_events()] == ["A-II:hypotheses"]
+    assert out.failure == {"kind": "budget-exhausted"}
 
 
 def test_broom_case_b1_catmindeg():
@@ -345,7 +454,8 @@ def test_broom_b1_witness_is_checked_whole_on_its_arcs(monkeypatch):
 
 
 def _induced_reference(t, verts):
-    """The induced subtree as ``validate_antitree`` builds it from scratch."""
+    """The induced subtree as ``validate_antitree`` builds it from scratch,
+    relabelled 0.. in vertex order."""
     keep = sorted(verts)
     relabel = {v: i for i, v in enumerate(keep)}
     arcs = [(relabel[a], relabel[b]) for a, b in t.tree.arcs if a in verts and b in verts]
@@ -355,30 +465,21 @@ def _induced_reference(t, verts):
 def _assert_broom_decomposition(t, broom, c):
     """The broom's own decomposition is the one its relabelled subtree gets,
     read back in t's labels, and gives the same good-arc steps."""
-    sub, relabel = te._induced_tree(t, broom.vertices)
-    ref, back = ae.caterpillar_decompose(sub), sorted(broom.vertices)
+    sub, back = _induced_reference(t, broom.vertices), sorted(broom.vertices)
+    ref = ae.caterpillar_decompose(sub)
     assert broom.dec.spine == tuple(back[i] for i in ref.spine)
     assert dict(broom.dec.leaves_at) == {back[p]: tuple(back[i] for i in ls) for p, ls in ref.leaves_at.items()}
     assert ae.convex._run_dp(c, t, broom.dec).steps == ae.convex._run_dp(c, sub, ref).steps
 
 
-def test_induced_tree_matches_the_validated_subgraph():
-    # the brooms and hub-stripped trees the embedder builds, on sampled k = 13
-    # trees; the brooms also against their own decomposition
+def test_broom_decomposition_matches_the_validated_subgraph():
+    # the brooms the embedder builds, on sampled k = 13 trees
     c = ConvexDigraph(Digraph(2, [(0, 1)]))
     rng = random.Random(1302)
     for i in range(2000):
         t = ae.sample_antitree(13, rng) if i % 2 else sample_antitree_heavy(13, rng, 6)
         s = ae.degree_stats(t)
-        leaves = [x for x in t.adj[s.argmax_u] if t.deg[x] == 1]
-        broom = ae.double_broom(t, s.argmax_u, s.argmax2_v)
-        sets = [broom.vertices, set(range(t.n)).difference(leaves[: rng.randint(0, max(0, len(leaves) - 1))])]
-        for verts in sets:
-            sub, relabel = te._induced_tree(t, verts)
-            ref = _induced_reference(t, verts)
-            assert (sub.sign, sub.adj, sub.tree.arcs, sub.deg) == (ref.sign, ref.adj, ref.tree.arcs, ref.deg)
-            assert relabel == {v: i for i, v in enumerate(sorted(verts))}
-        _assert_broom_decomposition(t, broom, c)
+        _assert_broom_decomposition(t, ae.double_broom(t, s.argmax_u, s.argmax2_v), c)
     # heavy k = 24 trees, with both hub sides and either end least
     for _ in range(40):
         t = sample_antitree_heavy(24, rng, 9)
@@ -398,15 +499,6 @@ def test_double_broom_decomposition_of_degenerate_brooms():
             for v in range(t.n):
                 if u != v:
                     _assert_broom_decomposition(t, ae.double_broom(t, u, v), c)
-
-
-def test_induced_tree_rejects_a_disconnected_set():
-    path = T(5, [(0, 1), (2, 1), (2, 3), (4, 3)])
-    for verts in ({0, 2}, {0, 1, 3, 4}, {3}):
-        with pytest.raises(ae.InternalAssertion) as exc:
-            te._induced_tree(path, verts)
-        assert exc.value.tag == "induced-tree"
-    assert not path._memo
 
 
 def test_broom_case_b2_paths():
@@ -769,22 +861,23 @@ def test_each_embedding_is_validated_once(monkeypatch):
 
     count(te, "validate_embedding", "tree_embedder")
     count(ae.convex, "validate_embedding", "convex")
-    count(te, "embed_caterpillar_mindeg", "mindeg")
     count(te, "least_witness", "broom")
     host = ae.gen_incidence(25)
     rng = random.Random(0)
     runs = [(host, ae.sample_antitree(13, random.Random(6)), "LowDelta"),
             (host, ae.sample_antitree(13, rng), "MidDelta"),
             (host, sample_antitree_heavy(13, rng, 6), "BroomB_I"),
-            (_hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), "BroomB_II")]
+            (_hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), "BroomB_II"),
+            (bidirected_complete(100), broomA_tree_padded(), "BroomA")]
     for d, t, branch in runs:
         calls.clear()
         out = ae.embed_antitree(d, t, known_free=True, budget=0)
         assert out.ok and out.case.branch == branch and not out.assertion_events()
         want = {"tree_embedder": 1}
-        if branch == "BroomB_I":
-            # the B-I broom's witness is checked once, whole, on its arcs in
-            # t; it goes through no sign-balanced caterpillar embedder
+        if branch in ("BroomB_I", "BroomA"):
+            # the B-I and the padded A-II broom's witness is checked once,
+            # whole, on its arcs in t (and the padding arcs); it goes through
+            # no sign-balanced caterpillar embedder
             want.update(broom=1)
         assert calls == want
     # a flipped pair: the table is built on the reversed pair, the witness
@@ -805,9 +898,9 @@ def test_each_embedding_is_validated_once(monkeypatch):
         assert out.ok and calls == {"tree_embedder": 1}
 
 
-def test_partial_b2_map_fails_the_suitability_check(monkeypatch):
-    # the suitability check reads the branch map before it is validated, so
-    # a vertex missing from it is an assertion, not a KeyError
+def test_partial_b2_map_fails_the_final_validation(monkeypatch):
+    # a B-II map missing a non-leaf is caught where every map leaves the
+    # library, not by a KeyError, and the oracle answers
     d, t, k = _hex_host(*XY_CASE_I_HOST), T(25, XY_CASE_I_TREE), 24
     broom = te._broom
 
@@ -818,7 +911,30 @@ def test_partial_b2_map_fails_the_suitability_check(monkeypatch):
 
     monkeypatch.setattr(te, "_broom", partial)
     out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
-    assert [e["tag"] for e in out.assertion_events()] == ["suitability-mask"]
+    assert [e["tag"] for e in out.assertion_events()] == ["final-validate"]
+    assert out.failure == {"kind": "budget-exhausted"}
+
+
+def test_b2_non_leaf_off_the_core_fails_place_noncore(monkeypatch):
+    # a B-II step that hands back a non-leaf seated off the core (on one of
+    # two isolated host vertices): the broom map goes through ``place``,
+    # which applies the core rule to every vertex
+    d, k = lopsided(200, 13), 13
+    d = Digraph(d.n + 2, d.arcs)
+    t = T(k + 1, [(0, 1), *((0, c) for c in range(2, 8)), *((c, 1) for c in range(8, 13)), (13, 2)])
+    step, moved = te._broom_b2, {}
+
+    def off_core(d, sel, t, broom, case, trace):
+        mapping = step(d, sel, t, broom, case, trace)
+        core = ae.digraph.core_member_bits(sel.sub)
+        x = next(x for x in mapping if t.deg[x] > 1)
+        mapping[x] = moved[x] = next(h for h in range(d.n) if not (core >> h) & 1 and h not in mapping.values())
+        return mapping
+
+    monkeypatch.setattr(te, "_broom_b2", off_core)
+    out = ae.embed_antitree(d, t, k, known_free=True, budget=0)
+    [(x, h)] = moved.items()
+    assert [(e["tag"], e["data"]) for e in out.assertion_events()] == [("place-noncore", {"vertex": x, "host": h})]
     assert out.failure == {"kind": "budget-exhausted"}
 
 

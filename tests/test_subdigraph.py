@@ -135,6 +135,21 @@ def test_prune_bipartite_second_loop():
     assert 2 * prof.delta0_bar >= k
 
 
+def test_prune_refusals():
+    # prune_pseudo needs a positive k; prune_bipartite needs 1 <= r <= ceil(k/2)
+    # and a double cover with more than (k-1)/2 edges per vertex
+    d = bidirected_complete(6)
+    with pytest.raises(ae.AntembedError, match="k must be positive"):
+        ae.prune_pseudo(d, 0)
+    for r in (0, 4):
+        with pytest.raises(ae.AntembedError, match=f"need 1 <= r <= ceil\\(k/2\\), got r={r}, k=5"):
+            prune_bipartite(d, 5, r)
+    with pytest.raises(ae.HypothesisViolated) as exc:
+        prune_bipartite(d, 7, 2)
+    assert exc.value.reason == "density" and exc.value.data == {"edges": 30, "order": 12}
+    assert not d._memo
+
+
 def test_select_examples():
     k = 4
     d = bidirected_complete(2 * k)

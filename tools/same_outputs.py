@@ -24,6 +24,12 @@ instance):
 - ``witness-replay``: on random hosts with 2 to 7 vertices, in the default
   and in a shuffled vertex order, the good arcs of a caterpillar with k <= 4
   and ``reconstruct_witness`` of each.
+- ``padded-broom-and-strip``: trees with 73 to 90 arcs whose double broom
+  falls in case A-II (the padded broom), embedded alternately into the
+  bidirected K_100 and into the bidirected K_96 with 4 pure sources into it
+  (whose core leans to sources, so the broom takes the reversed table); then
+  random dense hosts with two-hub trees of k = 6 to 16 arcs, about 1 in 75
+  of which strips hub leaves in the middle branch.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -48,6 +54,7 @@ from antembed import (
     reverse,
     reverse_antitree,
     sample_antitree,
+    validate_antitree,
 )
 from antembed.convex import reconstruct_witness
 from antembed.oracle_gen import sample_antitree_heavy
@@ -58,6 +65,8 @@ LINE_DELETED_HOSTS = 60
 TREES_PER_HOST = 10
 DESK_PAIRS = 10_000
 REPLAY_HOSTS = 2000
+PADDED_TREES = 200
+STRIP_PAIRS = 10_000
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -148,6 +157,56 @@ def witness_replay():
             yield json.dumps([table.steps if table else None, good, maps], separators=(",", ":"))
 
 
+def padded_broom_tree(rng: random.Random, k: int):
+    """A k-arc tree in case A-II: the source hub u with Delta - 1 leaves, an
+    odd path from u to the sink v, v with delta2 - 1 leaves (Delta - delta2
+    <= 4 and 12 (Delta + delta2) < 7k), then arcs hung at random below every
+    other vertex of degree at most 3; relabelled at random 7 times in 10."""
+    while True:
+        d2 = rng.randint(k // 4 + 3, k // 3)
+        dl = rng.randint(d2, d2 + 4)
+        plen = max(1, 3 * k // 4 - dl - d2 + 2) + rng.randint(0, 10)
+        plen += 1 - plen % 2
+        if 12 * (dl + d2) < 7 * k and dl + d2 + plen - 2 <= k:
+            break
+    sign = [1 - 2 * (i % 2) for i in range(plen + 1)]
+    arcs = [(i, i + 1) if sign[i] > 0 else (i + 1, i) for i in range(plen)]
+    u, v = 0, plen
+    for hub, count in ((u, dl - 1), (v, d2 - 1)):
+        for _ in range(count):
+            arcs.append((hub, len(sign)) if sign[hub] > 0 else (len(sign), hub))
+            sign.append(-sign[hub])
+    deg = [0] * len(sign)
+    for a, b in arcs:
+        deg[a] += 1
+        deg[b] += 1
+    while len(arcs) < k:
+        x = rng.choice([x for x in range(len(sign)) if x not in (u, v) and deg[x] < 4])
+        arcs.append((x, len(sign)) if sign[x] > 0 else (len(sign), x))
+        sign.append(-sign[x])
+        deg[x] += 1
+        deg.append(1)
+    perm = list(range(k + 1))
+    if rng.random() < 0.7:
+        rng.shuffle(perm)
+    return validate_antitree(Digraph(k + 1, [(perm[a], perm[b]) for a, b in arcs]))
+
+
+def padded_broom_and_strip():
+    rng = random.Random(8)
+    hosts = [Digraph(100, [(a, b) for a in range(100) for b in range(100) if a != b]),
+             Digraph(100, [(a, b) for a in range(100) for b in range(96) if a != b])]
+    for i in range(PADDED_TREES):
+        k = rng.randint(73, 90)
+        yield record(embed_antitree(hosts[i % 2], padded_broom_tree(rng, k), k, known_free=True, budget=0))
+    for _ in range(STRIP_PAIRS):
+        k = rng.randint(6, 16)
+        n = rng.randint(k + 1, 3 * k)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        d = Digraph(n, rng.sample(pairs, min(len(pairs), (k - 1) * n + 1 + rng.randint(0, 3 * n))))
+        yield record(embed_antitree(d, sample_antitree_heavy(k, rng, 2), k, known_free=True, budget=2000))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -155,6 +214,7 @@ def main() -> int:
     digest("pg25-line-deleted", line_deleted(host))
     digest("desk-differential", desk_differential())
     digest("witness-replay", witness_replay())
+    digest("padded-broom-and-strip", padded_broom_and_strip())
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
