@@ -24,17 +24,10 @@ import sys
 
 from . import sweeps
 from .antitree import validate_antitree
-from .convex import (
-    ConvexDigraph,
-    check_side_condition,
-    embed_caterpillar,
-    embed_caterpillar_mindeg,
-    good_arcs,
-    reconstruct_witness,
-)
+from .convex import ConvexDigraph, checked_witness, embed_caterpillar, embed_caterpillar_mindeg, good_arcs
 from .digraph import parse_arclist, to_arclist
 from .embedding import validate_embedding
-from .errors import AntembedError, HypothesisViolated, InternalAssertion
+from .errors import AntembedError, HypothesisViolated
 from .freeness import is_k2s_free
 from .oracle_gen import gen_burr, gen_incidence, gen_random_dense, oracle_embed
 from .subdigraph import select_subdigraph
@@ -121,8 +114,7 @@ def cmd_embed_cat(args) -> int:
 def cmd_good_arcs(args) -> int:
     host, _ = _load(args.host)
     tree = _load_tree(args.tree)
-    c = ConvexDigraph(host, _order_from_flag(args.order, host.n))
-    table = good_arcs(c, tree)
+    table = good_arcs(ConvexDigraph(host, _order_from_flag(args.order, host.n)), tree)
     final = sorted(table.stage_arcs[-1])
     payload = {"good": final, "count": len(final), "lemma8_bound": table.lemma8_bound}
     if args.witness:
@@ -130,11 +122,7 @@ def cmd_good_arcs(args) -> int:
             u, v = (int(x) for x in args.witness.split(","))
         except ValueError:
             raise AntembedError(f"bad --witness value {args.witness!r}: expected an arc 'u,v'") from None
-        witness = reconstruct_witness(c, tree, table, (u, v))
-        # the replay checks nothing itself: the map is checked here, as the embedders check theirs
-        if not (validate_embedding(tree, host, witness) and check_side_condition(c, witness, table.dec.spine)):
-            raise InternalAssertion("witness-invalid", arc=(u, v))
-        payload["witness"] = witness
+        payload["witness"] = checked_witness(table, (u, v), functools.partial(validate_embedding, tree, host))
     _emit(payload, args.json)
     return 0
 

@@ -35,13 +35,21 @@ peeled leaves.
 The construction depends only on the convex digraph and the step tuple, not
 on the rest of the tree, so it is memoized in the digraph's ``_cache``: each
 stage's bit set under its step prefix ``steps[:i]`` (one a(D)-bit int per
-distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc under
-``("least", steps)``.  Trees that share a prefix share its stages, and a
-tree seen before runs no shift and no relayout.  A caterpillar inside a tree
-(the B-I double broom, or the case A-II broom with padding leaves) runs on
-its own decomposition, in the tree's labels.
+distinct prefix, about 2.1 KB on PG(2,25)) and the least good arc of each
+order under ``("least", sign, steps)``.  Trees that share a prefix share
+its stages, and a tree seen before runs no shift and no relayout.  A
+caterpillar inside a tree (the B-I double broom, or the case A-II broom with
+padding leaves) runs on its own decomposition, in the tree's labels.
 
-Steps return maps; ``least_witness`` checks each witness once with its
+The construction commutes with reversal: on the reversed host and tree the
+steps flip sign, the sign s layout becomes the -s one with every arc
+reversed, so each stage is the same bit set, the good arcs are the reversed
+ones, and each replays to the same map.  The sign-balanced lemma's "or both
+reversed" case therefore runs on the pair as given; only the tie-break
+differs, so a pair that leans to + takes its least good arc in (head, tail)
+order, the reversed pair's least arc.
+
+Steps return maps; ``checked_witness`` checks each witness once with its
 caller's check: the caller's pair, or the broom's arcs in its tree.
 """
 
@@ -54,8 +62,8 @@ from functools import cached_property, partial
 from itertools import accumulate, compress, count
 from operator import itemgetter
 
-from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose, reverse_antitree
-from .digraph import Digraph, bits_of, memoized, neighbor_lists, plus_minus_sets, reverse
+from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
+from .digraph import Digraph, bits_of, memoized, neighbor_lists, plus_minus_sets
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
@@ -75,10 +83,10 @@ class ConvexDigraph:
     each (sign, m, even) under that key (one a(D)-bit int), under each sign
     the getter that moves a set into that sign's layout (a(D) indices), the
     good-arc stage of each step prefix under that prefix (one a(D)-bit int)
-    and the least good arc of each step tuple under ("least", steps) (one
-    arc)."""
+    and the least good arc of each step tuple, in the order ``sign`` picks,
+    under ("least", sign, steps) (one arc)."""
 
-    __slots__ = ("d", "order", "pos", "_cw", "_out_starts", "_cache")
+    __slots__ = ("d", "order", "pos", "_cw", "_cache")
 
     def __init__(self, d: Digraph, order=None):
         self.d = d
@@ -93,7 +101,7 @@ class ConvexDigraph:
             for i, v in enumerate(self.order):
                 pos[v] = i
             tables = _convex_tables(d, tuple(pos))
-        self.pos, self._cw, self._out_starts, self._cache = tables
+        self.pos, self._cw, self._cache = tables
 
     def cw_list(self, x: int, sign: int) -> tuple[int, ...]:
         """Sign-arcs of x ordered clockwise starting just after x."""
@@ -166,7 +174,7 @@ class ConvexDigraph:
 
 def _convex_tables(d: Digraph, pos: tuple[int, ...]):
     """The positions, the clockwise tables of both signs, indexed by sign,
-    the block starts of the out-major layout and an empty cache."""
+    and an empty cache."""
     at = pos.__getitem__
     tables = [None]
     for lists in neighbor_lists(d):
@@ -179,7 +187,7 @@ def _convex_tables(d: Digraph, pos: tuple[int, ...]):
                 lst = lst[i:] + lst[:i]
             cw.append(tuple(lst))
         tables.append(tuple(cw))
-    return pos, tuple(tables), tuple(accumulate(map(len, tables[1]), initial=0)), {}
+    return pos, tuple(tables), {}
 
 
 @dataclass(eq=False)
@@ -304,19 +312,22 @@ def good_arcs_mindeg(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition | No
     return table
 
 
-def _least_good_arc(table: GoodArcTable) -> Arc:
-    """The least good arc in (tail, head) order, read from the final bit set
-    once per step tuple."""
-    c, key = table.c, ("least", table.steps)
+def _least_good_arc(table: GoodArcTable, sign: int = 1) -> Arc:
+    """The least good arc in (tail, head) order, or in (head, tail) order
+    when ``sign`` is -1: the least block of the sign layout, then the least
+    neighbor in it.  Read from the final bit set once per sign and step tuple."""
+    c, key = table.c, ("least", sign, table.steps)
     arc = c._cache.get(key)
     if arc is None:
         bits = table.stages[-1]
-        if table.steps and table.steps[-1][0] < 0:
-            bits = c._relayout(bits, 1)
-        starts = c._out_starts
+        if (table.steps[-1][0] if table.steps else 1) != sign:
+            bits = c._relayout(bits, sign)
+        lists = c._cw[sign]
+        starts = list(accumulate(map(len, lists), initial=0))
         x = bisect_right(starts, (bits & -bits).bit_length() - 1) - 1
-        lst = c.cw_list(x, 1)
-        arc = c._cache[key] = x, min(lst[i] for i in bits_of((bits >> starts[x]) & ((1 << len(lst)) - 1)))
+        lst = lists[x]
+        w = min(lst[i] for i in bits_of((bits >> starts[x]) & ((1 << len(lst)) - 1)))
+        arc = c._cache[key] = (x, w) if sign > 0 else (w, x)
     return arc
 
 
@@ -364,14 +375,13 @@ def check_side_condition(c: ConvexDigraph, mapping: dict[int, int], spine) -> bo
     return not any(0 < (pos[h] - pos[a]) % n < span for h in mapping.values())
 
 
-def least_witness(table: GoodArcTable, holds: Callable[[dict[int, int]], bool]) -> dict[int, int]:
-    """The witness of the least good arc, checked once by the caller's
-    ``holds`` and by its side condition."""
-    c, arc = table.c, _least_good_arc(table)
-    mapping = reconstruct_witness(c, table.t, table, arc)
+def checked_witness(table: GoodArcTable, arc: Arc, holds: Callable[[dict[int, int]], bool]) -> dict[int, int]:
+    """The replay of ``arc``, checked once by the caller's ``holds`` and by
+    its side condition."""
+    mapping = reconstruct_witness(table.c, table.t, table, arc)
     if not holds(mapping):
         raise InternalAssertion("witness-invalid", arc=arc)
-    if not check_side_condition(c, mapping, table.dec.spine):
+    if not check_side_condition(table.c, mapping, table.dec.spine):
         raise InternalAssertion("witness-side", arc=arc)
     return mapping
 
@@ -382,29 +392,34 @@ def embed_caterpillar(d: Digraph, t: AntiTree, order=None) -> Embedding:
     k = t.k
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
-    c = ConvexDigraph(d, order)
-    return Embedding(map=least_witness(good_arcs(c, t), partial(validate_embedding, t, d)))
+    table = good_arcs(ConvexDigraph(d, order), t)
+    return Embedding(map=checked_witness(table, _least_good_arc(table), partial(validate_embedding, t, d)))
+
+
+def sign_balanced_witness(d: Digraph, t: AntiTree, sides: tuple[int, int], holds: Callable[[dict[int, int]], bool],
+                          dec: SpineDecomposition | None = None, order=None) -> dict[int, int]:
+    """The sign-balanced construction's witness for the caterpillar with
+    ``sides`` = (|T+|, |T-|): t, or the one inside t that ``dec`` spans.
+
+    Needs 2 a(D) > (k-1)(|D+| + |D-|) and matching sign balance: |D+| <= |D-|
+    with |T+| <= |T-|, or both reversed; HypothesisViolated ``density`` or
+    ``sign-balance`` otherwise, before t is decomposed.  A pair that leans to
+    + takes the least good arc in (head, tail) order, which is the reversed
+    pair's least arc, and the same map.
+    """
+    dp, dm = map(len, plus_minus_sets(d))
+    tp, tm = sides
+    if 2 * d.a() <= (tp + tm - 2) * (dp + dm):
+        raise HypothesisViolated("density", arcs=d.a(), sides=(dp, dm), k=tp + tm - 1)
+    sign = 1 if dp <= dm and tp <= tm else -1  # -1: the pair leans to +
+    if sign < 0 and not (dp >= dm and tp >= tm):
+        raise HypothesisViolated("sign-balance", d_sides=(dp, dm), t_sides=(tp, tm))
+    table = good_arcs_mindeg(ConvexDigraph(d, order), t, dec)
+    return checked_witness(table, _least_good_arc(table, sign), holds)
 
 
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
-    """Sign-balanced caterpillar embedding.
-
-    Needs 2 a(D) > (k-1)(|D+| + |D-|) and matching sign balance: |D+| <= |D-|
-    with |T+| <= |T-|, or both reversed.  The reversed case builds its table
-    on the reversed pair and validates the same map on the pair given.
-    """
-    k = t.k
-    dplus, dminus = plus_minus_sets(d)
-    tplus, tminus = t.plus_minus()
-    if 2 * d.a() <= (k - 1) * (len(dplus) + len(dminus)):
-        raise HypothesisViolated(
-            "density", arcs=d.a(), sides=(len(dplus), len(dminus)), k=k
-        )
-    flip = not (len(dplus) <= len(dminus) and len(tplus) <= len(tminus))
-    if flip and not (len(dplus) >= len(dminus) and len(tplus) >= len(tminus)):
-        raise HypothesisViolated(
-            "sign-balance", d_sides=(len(dplus), len(dminus)), t_sides=(len(tplus), len(tminus))
-        )
-    c = ConvexDigraph(reverse(d) if flip else d, order)
-    table = good_arcs_mindeg(c, reverse_antitree(t) if flip else t)
-    return Embedding(map=least_witness(table, partial(validate_embedding, t, d)))
+    """Sign-balanced caterpillar embedding: ``sign_balanced_witness`` on t's
+    own decomposition, validated on the pair given."""
+    sides = tuple(map(len, t.plus_minus()))
+    return Embedding(map=sign_balanced_witness(d, t, sides, partial(validate_embedding, t, d), order=order))

@@ -53,7 +53,7 @@ from .antitree import (
     reverse_antitree,
     rooted_view,
 )
-from .convex import ConvexDigraph, good_arcs_mindeg, least_witness
+from .convex import sign_balanced_witness
 from .digraph import Digraph, bits_of, core_member_bits, degree_profile, plus_minus_sets, reverse, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
@@ -275,16 +275,13 @@ def _strip_and_reattach(d: Digraph, sel: SelectionResult, t: AntiTree, r: int, h
     strip = t.deg[hub] - r
     if len(leaves) < strip + 1:
         raise InternalAssertion("strip-leaf-count", have=len(leaves), need=strip + 1)
-    kprime = 2 * r - 1
-    if t.k - strip != kprime:
-        raise InternalAssertion("strip-arith", have=t.k - strip, need=kprime)
     anchor = sel.witness_vertex
     ctx = _wide_star(d, sel.sub, t, hub, anchor, trace, frozenset(leaves[:strip]))
     slots = sel.sub.neighbor_bits(anchor, +1) & ~ctx.used
     if slots.bit_count() < strip:
         raise InternalAssertion("strip-reattach", have=slots.bit_count(), need=strip)
     ctx.fill(leaves[:strip], slots)
-    trace.append({"event": "strip-reattach", "stripped": strip, "kprime": kprime})
+    trace.append({"event": "strip-reattach", "stripped": strip, "kprime": 2 * r - 1})
     return ctx.f
 
 
@@ -350,12 +347,11 @@ def _broom(d: Digraph, sel: SelectionResult, t: AntiTree, case: CaseTag, trace: 
 
 
 def _broom_catmindeg(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: list) -> dict[int, int]:
-    """B_uv's map by the sign-balanced caterpillar construction on the core,
-    from ``broom.dec`` in t's labels.  Case A-II pads B_uv with Delta - delta2
+    """B_uv's map by the sign-balanced caterpillar step on the core, from
+    ``broom.dec`` in t's labels.  Case A-II pads B_uv with Delta - delta2
     more leaves at v, labelled t.n, t.n + 1, ... and dropped from the map.
     The witness is checked whole on the broom's arcs in t and the padding
-    arcs.  A case-I core needs no reversal; a padded broom is embedded on the
-    reversed pair when the core and the broom both lean to +."""
+    arcs; a failed hypothesis is InternalAssertion ``<step>:hypotheses``."""
     p, verts, dec = case.params, broom.vertices, broom.dec
     tp = sum(t.sign[x] > 0 for x in verts)
     tm = len(verts) - tp
@@ -368,16 +364,15 @@ def _broom_catmindeg(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: li
         dec = SpineDecomposition(dec.spine, {**dec.leaves_at, p["v"]: dec.leaves_at[p["v"]] + tuple(pad)})
     else:
         _note(trace, "B-I:balance", tp <= tm)
-    dp, dm = map(len, plus_minus_sets(core))
-    flip = not (dp <= dm and tp <= tm)
-    if not (2 * core.a() > (tp + tm - 2) * (dp + dm) and (not flip or step == "A-II" and dp >= dm and tp >= tm)):
-        raise InternalAssertion(step + ":hypotheses", d_sides=(dp, dm), t_sides=(tp, tm))
     arcs = [(x, y) for x, y in t.tree.arcs if x in verts and y in verts] + [(w, p["v"]) for w in pad]
     keys = verts.union(pad)
     holds = lambda f: set(f) == keys and len(set(f.values())) == len(f) and all(
         core.has_arc(f[x], f[y]) for x, y in arcs)
-    c = ConvexDigraph(reverse(core) if flip else core)
-    f = least_witness(good_arcs_mindeg(c, reverse_antitree(t) if flip else t, dec), holds)
+    try:
+        f = sign_balanced_witness(core, t, (tp, tm), holds, dec)
+    except HypothesisViolated:
+        raise InternalAssertion(step + ":hypotheses", d_sides=tuple(map(len, plus_minus_sets(core))),
+                                t_sides=(tp, tm)) from None
     for w in pad:
         del f[w]
     return f

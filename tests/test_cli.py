@@ -4,7 +4,7 @@ import random
 import pytest
 
 import antembed as ae
-from antembed import cli, sweeps
+from antembed import cli, convex, sweeps
 from antembed import tree_embedder as te
 from antembed.cli import main
 from antembed.digraph import Digraph, to_arclist
@@ -239,9 +239,9 @@ def test_good_arcs_witness_is_checked_before_it_is_printed(tmp_path, capsys, mon
     # the replay checks nothing itself: a map that is no embedding (two tree
     # vertices on host vertex 3), or an embedding with an image on the free
     # side of its final chord, is an error and is not printed
-    for bogus in ({0: 0, 1: 3, 2: 3}, {0: 0, 1: 3, 2: 1}):
-        monkeypatch.setattr(cli, "reconstruct_witness", lambda *args, f=bogus: f)
-        assert "witness-invalid" in _witness_error(tmp_path, capsys, "0,3")
+    for bogus, tag in (({0: 0, 1: 3, 2: 3}, "witness-invalid"), ({0: 0, 1: 3, 2: 1}, "witness-side")):
+        monkeypatch.setattr(convex, "reconstruct_witness", lambda *args, f=bogus: f)
+        assert tag in _witness_error(tmp_path, capsys, "0,3")
 
 
 def test_good_arcs_witness_malformed(tmp_path, capsys):

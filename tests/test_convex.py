@@ -1,6 +1,5 @@
 import random
 import re
-from itertools import accumulate
 
 import pytest
 
@@ -221,8 +220,8 @@ def test_embed_caterpillar_mindeg_fano():
         emb = ae.embed_caterpillar_mindeg(fano, t)
         assert ae.validate_embedding(t, fano, emb.map)
         assert oracle_embed(fano, t).verdict == "Embeds"
-    # reversed sign-balance goes through the reversal branch and the map is
-    # still valid for the original pair
+    # a pair that leans to + runs on the pair as given, and the map is valid
+    # for it
     rev = ae.reverse(fano)
     t = ae.validate_antitree(Digraph(4, [(1, 0), (2, 0), (3, 0)]))  # |T+| > |T-|
     emb = ae.embed_caterpillar_mindeg(rev, t)
@@ -251,6 +250,94 @@ def test_embed_caterpillar_mindeg_refusals(host, tree, reason, data):
         ae.embed_caterpillar_mindeg(d, t)
     assert (exc.value.reason, exc.value.data) == (reason, data)
     assert not d._memo or ("convex",) not in d._memo
+
+
+def test_sign_balanced_refusals_come_before_the_decomposition():
+    # a spider with three legs of length 2 is no caterpillar: a sparse host
+    # refuses it for density, a dense host leaning the other way for sign
+    # balance, and only a host that passes both decomposes it
+    spider = ae.validate_antitree(Digraph(7, [(0, 1), (2, 1), (0, 3), (4, 3), (0, 5), (6, 5)]))
+    assert [len(side) for side in spider.plus_minus()] == [4, 3]
+
+    def one_way(na, nb):
+        return Digraph(na + nb, [(a, na + b) for a in range(na) for b in range(nb)])
+
+    for d, reason in ((Digraph(7, [(0, 1)]), "density"), (one_way(6, 7), "sign-balance")):
+        with pytest.raises(ae.HypothesisViolated) as exc:
+            ae.embed_caterpillar_mindeg(d, spider)
+        assert exc.value.reason == reason
+    with pytest.raises(ae.NotACaterpillar):
+        ae.embed_caterpillar_mindeg(one_way(7, 6), spider)
+
+
+def test_construction_commutes_with_reversal():
+    # on the reversed host and tree the steps flip sign and every stage is the
+    # same bit set; the good arcs are the reversed ones, each replays to the
+    # same map, and the (head, tail) least arc is the reversed pair's least
+    rng = random.Random(23)
+    trees = caterpillars(5)
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        d = random_digraph(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        for o in (None, order):
+            c, rc = ae.ConvexDigraph(d, o), ae.ConvexDigraph(ae.reverse(d), o)
+            for t in (t for t in trees if t.n <= n):
+                rt = ae.reverse_antitree(t)
+                table, rtable = ae.good_arcs(c, t), ae.good_arcs(rc, rt)
+                assert rtable.steps == tuple((-s, m, even) for s, m, even in table.steps)
+                assert rtable.stages == table.stages
+                good = table.stage_arcs[-1]
+                assert set(rtable.stage_arcs[-1]) == {(y, x) for x, y in good}
+                for x, y in good:
+                    assert reconstruct_witness(rc, rt, rtable, (y, x)) == reconstruct_witness(c, t, table, (x, y))
+                if good:
+                    assert convex._least_good_arc(table, -1) == convex._least_good_arc(rtable)[::-1]
+
+
+def lean(d, t):
+    """+1 when the pair leans to + (|D+| > |D-| or |T+| > |T-|), else -1."""
+    (dp, dm), (tp, tm) = map(len, ae.plus_minus_sets(d)), map(len, t.plus_minus())
+    return 1 if dp > dm or tp > tm else -1
+
+
+def test_embed_caterpillar_mindeg_same_map_on_the_reversed_pair():
+    # random dense hosts with some pure sources or sinks, caterpillars leaning
+    # the same way, default and explicit orders: the pair and its reversal,
+    # which leans the other way, get the same map or the same refusal
+    rng = random.Random(29)
+    trees = caterpillars(5)
+    leans = []
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        d = random_digraph(rng, n, rng.choice((0.5, 0.8, 1.0)))
+        pure = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        sign = rng.choice((1, -1))
+        d = Digraph(n, [(u, v) for u, v in d.arcs if (v if sign > 0 else u) not in pure])
+        dp, dm = map(len, ae.plus_minus_sets(d))
+        t = rng.choice([t for t in trees if t.n <= n])
+        tp, tm = map(len, t.plus_minus())
+        if (dp - dm) * (tp - tm) < 0:
+            t = ae.reverse_antitree(t)
+        if (dp, tp) == (dm, tm):
+            # balanced on both sides: the pair and its reversal both take the
+            # (tail, head) least arc
+            continue
+        order = list(range(n))
+        rng.shuffle(order)
+        for o in (None, order):
+            outs = []
+            for pair in ((d, t), (ae.reverse(d), ae.reverse_antitree(t))):
+                try:
+                    outs.append(ae.embed_caterpillar_mindeg(*pair, o).map)
+                except ae.HypothesisViolated as exc:
+                    outs.append(exc.reason)
+            assert outs[0] == outs[1]
+            if isinstance(outs[0], dict):
+                leans.append((lean(d, t), dp != dm))
+    # both leans, and hosts whose sides differ, are well represented
+    assert min(leans.count((s, skew)) for s in (1, -1) for skew in (False, True)) >= 40
 
 
 # -- the dict-per-stage construction, kept as the reference for the bit-set DP --
@@ -293,7 +380,7 @@ def test_clockwise_tables_match_the_distance_key_sort():
         shuffled = list(range(d.n))
         rng.shuffle(shuffled)
         for pos in (tuple(range(d.n)), tuple(shuffled)):
-            at, tables, starts, _ = convex._convex_tables(d, pos)
+            at, tables, _ = convex._convex_tables(d, pos)
             assert at is pos
             for sign in (+1, -1):
                 want = tuple(
@@ -301,7 +388,6 @@ def test_clockwise_tables_match_the_distance_key_sort():
                     for x in range(d.n)
                 )
                 assert tables[sign] == want
-            assert list(starts) == [0, *accumulate(map(len, tables[+1]))]
 
 
 def reference_run_dp(c, t, dec):
@@ -378,6 +464,7 @@ def assert_matches_reference(c, t, witnesses=None):
         return
     good = sorted(final)
     assert convex._least_good_arc(table) == good[0]
+    assert convex._least_good_arc(table, -1) == min(good, key=lambda arc: arc[::-1])
     if witnesses is not None and len(good) > witnesses:
         good = good[:: len(good) // witnesses]
     for arc in good:

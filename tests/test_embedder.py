@@ -390,20 +390,20 @@ def _padded_reference(core, t, case):
     return {back[i]: h for i, h in ae.embed_caterpillar_mindeg(core, padded).map.items() if i < sub.n}
 
 
-@pytest.mark.parametrize("tree, host, reversed_table", [
+@pytest.mark.parametrize("tree, host, leans_plus", [
     pytest.param(broomA_tree_padded, lambda: skewed_complete(96, 4), True, id="k84-K96+4"),
     pytest.param(broomA_tree_padded96, lambda: bidirected_complete(100), False, id="k96-K100"),
     pytest.param(broomA_tree_padded96, lambda: skewed_complete(100, 4), True, id="k96-K100+4"),
 ])
-def test_broom_case_a_padded_in_the_tree_labels(tree, host, reversed_table):
+def test_broom_case_a_padded_in_the_tree_labels(tree, host, leans_plus):
     # the padded broom runs from its own decomposition; where the core keeps
-    # more sources than sinks it takes the reversed table, and its map is the
-    # one the relabelled padded subtree gets
+    # more sources than sinks it takes its least good arc in (head, tail)
+    # order, and its map is the one the relabelled padded subtree gets
     t, d = tree(), host()
     tag, r = _broom_tag(t, t.k, "BroomA")
     core = ae.select_subdigraph(d, t.k, r).sub
     dplus, dminus = ae.plus_minus_sets(core)
-    assert tag.params["padded"] and (len(dplus) > len(dminus)) is reversed_table
+    assert tag.params["padded"] and (len(dplus) > len(dminus)) is leans_plus
     out = ae.embed_antitree(d, t, known_free=True, budget=0)
     assert out.ok and out.case == tag and not out.assertion_events()
     assert ae.validate_embedding(t, d, out.embedding.map)
@@ -861,7 +861,7 @@ def test_each_embedding_is_validated_once(monkeypatch):
 
     count(te, "validate_embedding", "tree_embedder")
     count(ae.convex, "validate_embedding", "convex")
-    count(te, "least_witness", "broom")
+    count(ae.convex, "checked_witness", "witness")
     host = ae.gen_incidence(25)
     rng = random.Random(0)
     runs = [(host, ae.sample_antitree(13, random.Random(6)), "LowDelta"),
@@ -876,18 +876,18 @@ def test_each_embedding_is_validated_once(monkeypatch):
         want = {"tree_embedder": 1}
         if branch in ("BroomB_I", "BroomA"):
             # the B-I and the padded A-II broom's witness is checked once,
-            # whole, on its arcs in t (and the padding arcs); it goes through
-            # no sign-balanced caterpillar embedder
-            want.update(broom=1)
+            # whole, on its arcs in t (and the padding arcs), and validated
+            # on no pair
+            want.update(witness=1)
         assert calls == want
-    # a flipped pair: the table is built on the reversed pair, the witness
-    # validated once on the pair given
+    # a pair that leans to +: the table is built on the pair as given, and
+    # the witness is checked and validated once
     small, star = ae.gen_incidence(7), T(5, [(0, i) for i in range(1, 5)])
     rstar = ae.reverse_antitree(star)
     assert len(rstar.plus_minus()[0]) > len(rstar.plus_minus()[1])
     calls.clear()
     emb = ae.embed_caterpillar_mindeg(small, rstar)
-    assert calls == {"convex": 1} and ae.validate_embedding(rstar, small, emb.map)
+    assert calls == {"convex": 1, "witness": 1} and ae.validate_embedding(rstar, small, emb.map)
     # the k = 1 map goes through final-validate too, and the oracle's witness
     # (the case-3b fixture stalls, and the oracle answers) is validated where
     # the fallback returns it

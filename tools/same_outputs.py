@@ -27,9 +27,13 @@ instance):
 - ``padded-broom-and-strip``: trees with 73 to 90 arcs whose double broom
   falls in case A-II (the padded broom), embedded alternately into the
   bidirected K_100 and into the bidirected K_96 with 4 pure sources into it
-  (whose core leans to sources, so the broom takes the reversed table); then
-  random dense hosts with two-hub trees of k = 6 to 16 arcs, about 1 in 75
-  of which strips hub leaves in the middle branch.
+  (whose core leans to sources, so the broom takes its least good arc in
+  (head, tail) order); then random dense hosts with two-hub trees of k = 6
+  to 16 arcs, about 1 in 75 of which strips hub leaves in the middle branch.
+- ``caterpillar-mindeg``: ``embed_caterpillar_mindeg`` on random hosts with
+  2 to 10 vertices, some of them pure sources or pure sinks, and caterpillars
+  with k <= 6, half of them reversed, 3 in 10 in a shuffled vertex order;
+  each record is the map, or the exception's type and message.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -43,10 +47,12 @@ import sys
 import time
 
 from antembed import (
+    AntembedError,
     ConvexDigraph,
     Digraph,
     degree_stats,
     embed_antitree,
+    embed_caterpillar_mindeg,
     enumerate_antitrees,
     gen_incidence,
     good_arcs,
@@ -67,6 +73,7 @@ DESK_PAIRS = 10_000
 REPLAY_HOSTS = 2000
 PADDED_TREES = 200
 STRIP_PAIRS = 10_000
+MINDEG_PAIRS = 20_000
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -207,6 +214,31 @@ def padded_broom_and_strip():
         yield record(embed_antitree(d, sample_antitree_heavy(k, rng, 2), k, known_free=True, budget=2000))
 
 
+def caterpillar_mindeg():
+    rng = random.Random(9)
+    cats = [t for k in range(1, 7) for t in enumerate_antitrees(k) if is_caterpillar(t)]
+    fits = {n: [t for t in cats if t.n <= n] for n in range(2, 11)}
+    for _ in range(MINDEG_PAIRS):
+        n = rng.randint(2, 10)
+        t = rng.choice(fits[n])
+        if rng.random() < 0.5:
+            t = reverse_antitree(t)
+        p = rng.choice([0.3, 0.5, 0.8, 1.0])
+        # no arc into the pure sources, or none out of the pure sinks
+        pure, into = set(rng.sample(range(n), rng.randint(0, n // 3))), rng.random() < 0.5
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                        if u != v and (v if into else u) not in pure and rng.random() < p])
+        order = None
+        if rng.random() < 0.3:
+            order = list(range(n))
+            rng.shuffle(order)
+        try:
+            rec = sorted(embed_caterpillar_mindeg(d, t, order).map.items())
+        except AntembedError as exc:
+            rec = [type(exc).__name__, str(exc)]
+        yield json.dumps(rec, separators=(",", ":"))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -215,6 +247,7 @@ def main() -> int:
     digest("desk-differential", desk_differential())
     digest("witness-replay", witness_replay())
     digest("padded-broom-and-strip", padded_broom_and_strip())
+    digest("caterpillar-mindeg", caterpillar_mindeg())
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
