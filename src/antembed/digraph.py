@@ -168,7 +168,7 @@ def memoized(d, key: tuple, compute: Callable[[], object]):
         val = d._memo.get(key, _MISS)
         if val is not _MISS:
             if type(val) is list:
-                return tuple(d if x is _OWNER else x for x in val)
+                return tuple([d if x is _OWNER else x for x in val])
             return d if val is _OWNER else val
     val = compute()
     memo = d._memo
@@ -288,8 +288,9 @@ def parse_arclist(text: str):
     A text with no ``#`` whose header is ``n m`` in ASCII digits, and whose
     every following line is two ASCII-digit tokens separated by spaces or
     tabs (``\n`` line ends, the last one optional), is read in bulk: one
-    ``split``, then rows OR-ed from a ``1 << v`` table.  Any other text, and a
-    bulk read that fails a check, goes through the per-line reader, so the
+    ``split``, one ``int`` per distinct vertex name (a host names each vertex
+    many times), then rows OR-ed from a ``1 << v`` list.  Any other text, and
+    a bulk read that fails a check, goes through the per-line reader, so the
     result and every error message are the same either way.
     """
     parsed = _parse_bulk(text)
@@ -302,17 +303,21 @@ def _parse_bulk(text: str):
     if not _FIRST_LINE.match(text) or _BAD_LINE.search(text):
         return None
     head, _, body = text.partition("\n")
+    toks = body.split()
     try:
         n, m = map(int, head.split())
-        nums = list(map(int, body.split()))
+        val = {tok: int(tok) for tok in set(toks)}  # one int per distinct name
     except ValueError:  # a token longer than int's digit limit
         return None
+    nums = list(map(val.__getitem__, toks))
     if len(nums) != 2 * m or (nums and max(nums) >= n):
         return None
     us, vs = nums[0::2], nums[1::2]
     if any(map(eq, us, vs)):
         return None
-    bit = {v: 1 << v for v in set(nums)}  # only the vertices the arcs name: n may be huge
+    bit = [0] * n
+    for v in val.values():  # only the vertices the arcs name: n may be huge
+        bit[v] = 1 << v
     out_bits = [0] * n
     in_bits = [0] * n
     for u, v in zip(us, vs):

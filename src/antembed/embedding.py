@@ -14,13 +14,13 @@ class Embedding:
 
 
 def validate_embedding(t: AntiTree, d: Digraph, mapping: dict[int, int]) -> bool:
-    """Injectivity plus arc preservation on every tree arc; vertex range checked."""
+    """Injectivity plus arc preservation on every tree arc, read from the host's
+    rows and the tree's arc columns (a fresh tree builds no pairs); vertex range checked."""
     if set(mapping.keys()) != set(range(t.n)):
         return False
-    vals = list(mapping.values())
-    if len(set(vals)) != len(vals):
+    f = list(map(mapping.__getitem__, range(t.n)))
+    if len(set(f)) != len(f) or (f and (min(f) < 0 or max(f) >= d.n)):
         return False
-    if any(not (0 <= h < d.n) for h in vals):
-        return False
-    return all(d.has_arc(mapping[u], mapping[v]) for u, v in t.tree.arcs)
+    rows = d.out_bits
+    return all(rows[f[u]] >> f[v] & 1 for u, v in zip(t.tree._tails, t.tree._heads))
 

@@ -10,11 +10,13 @@ N^{-sb}(w), w ∈ N^{sa}(a), into s bit counters marks exactly the vertices b
 with |N^{sa}(a) ∩ N^{sb}(b)| >= s in the last counter.  Loops are rejected by
 ``Digraph``, so a and b never count towards their own common set.  Only a
 vertex w with N^{-sb}(w) non-empty can be counted, so a pair whose a has fewer
-than s such w in N^{sa}(a) is not folded.  The cost is Σ_a Σ_pairs
-deg^{sa}(a)·s big-int operations on n-bit rows over the pairs not skipped: on
-an incidence digraph, where points have only out-arcs and lines only in-arcs,
-that is one pair per vertex.  The witness returned is the one the exhaustive
-probe in (a, b, sign pair) order finds first.
+than s such w in N^{sa}(a) is not folded.  For s <= 2 (s = ceil(k/12) for
+every k up to 24) the two counters are locals, so a folded row costs one AND
+and two ORs; for s >= 3 they are a list, at s-1 ANDs and s ORs a row.  The
+cost is Σ_a Σ_pairs deg^{sa}(a) folded n-bit rows over the pairs not skipped:
+on an incidence digraph, where points have only out-arcs and lines only
+in-arcs, that is one pair per vertex.  The witness returned is the one the
+exhaustive probe in (a, b, sign pair) order finds first.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     folded into s saturating counters, and the last one, cut to b > a+1,
     marks every b sharing at least s such neighbors with a.  The least b over
     the four pairs wins, ties going to the earlier pair.  The cost is Σ_a
-    Σ_pairs deg^{sa}(a)·s big-int operations over the pairs not skipped.
+    Σ_pairs deg^{sa}(a) folded rows over the pairs not skipped, each one AND
+    and two ORs for s <= 2 and s-1 ANDs and s ORs for s >= 3.
 
     ``prune`` is kept for its callers: the exhaustive probe it replaced
     skipped pairs with a sign-degree below s under it, which this scan always
@@ -118,13 +121,22 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
                 nbrs = rows_of_a[sa] = list(bits_of(bits[sa][a]))
                 walked += len(nbrs)
             rows = bits[-sb]
-            c = [0] * s
-            for w in nbrs:
-                row = rows[w]
-                for j in steps:
-                    c[j] |= c[j - 1] & row
-                c[0] |= row
-            hits = c[-1] >> (a + 2)
+            if s <= 2:  # s = ceil(k/12) for every k up to 24: the counters in locals
+                one = two = 0
+                for w in nbrs:
+                    row = rows[w]
+                    two |= one & row
+                    one |= row
+                top = two if s == 2 else one
+            else:
+                c = [0] * s
+                for w in nbrs:
+                    row = rows[w]
+                    for j in steps:
+                        c[j] |= c[j - 1] & row
+                    c[0] |= row
+                top = c[-1]
+            hits = top >> (a + 2)
             if hits:
                 b = a + 1 + (hits & -hits).bit_length()
                 if best is None or b < best[0]:

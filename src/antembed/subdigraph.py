@@ -15,9 +15,9 @@ Thresholds compare exactly in integers: deg < k/2 iff 2 deg < k.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .digraph import Digraph, bits_of, degree_profile, memoized
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
@@ -201,12 +201,14 @@ def prune_bipartite(d: Digraph, k: int, r: int):
     return alive_a, alive_b, adj, case, audit
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     sub: Digraph
     case_tag: str  # "I" or "II"
     witness_vertex: int
     audit: Mapping  # read-only
+
+    def __setattr__(self, name, value):  # as a frozen dataclass does
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:
@@ -216,8 +218,7 @@ def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:
     ``sub`` is ``d`` itself when no arc is deleted.  The outcome is memoized
     on ``d`` for each (k, r), so the revalidation runs once per (d, k, r), on
     the value every later call returns."""
-    sub, case, witness, audit = memoized(d, ("select", k, r), lambda: _select(d, k, r))
-    return SelectionResult(sub=sub, case_tag=case, witness_vertex=witness, audit=audit)
+    return SelectionResult._make(memoized(d, ("select", k, r), lambda: _select(d, k, r)))
 
 
 def _select(d: Digraph, k: int, r: int):

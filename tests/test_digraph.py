@@ -311,3 +311,28 @@ def test_bulk_parse_takes_plain_texts(text):
 @pytest.mark.parametrize("text", PER_LINE_TEXTS)
 def test_bulk_parse_leaves_other_texts_to_per_line_reader(text):
     assert not assert_bulk_agrees(text)
+
+
+def test_bulk_parse_reads_leading_zeros_as_the_same_vertex():
+    # "7" and "007" are two tokens naming one vertex, so a text naming one arc
+    # both ways fails the bulk read's duplicate check and gets the per-line
+    # reader's error
+    text = "8 2\n0 7\n0 007\n"
+    assert not assert_bulk_agrees(text)
+    with pytest.raises(ae.AntembedError, match=r"^duplicate arc \(0,7\) rejected$"):
+        ae.parse_arclist(text)
+    assert assert_bulk_agrees("8 2\n0 7\n1 007\n")
+    assert ae.parse_arclist("8 2\n0 7\n1 007\n")[0] == ae.Digraph(8, [(0, 7), (1, 7)])
+
+
+def test_bulk_parse_of_heavily_repeated_names(seed=25):
+    # few vertices and many arcs, each name written with 0 to 2 leading zeros
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, rng.randint(len(pairs) // 2, len(pairs)))
+        name = lambda v: "0" * rng.choice((0, 0, 1, 2)) + str(v)
+        text = f"{n} {len(arcs)}\n" + "".join(f"{name(u)} {name(v)}\n" for u, v in arcs)
+        assert assert_bulk_agrees(text)
+        assert ae.parse_arclist(text)[0].arcs == tuple(arcs)

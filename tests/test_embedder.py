@@ -62,6 +62,52 @@ def test_embed_antitree_k1():
     assert out.ok and ae.validate_embedding(t1, d1, out.embedding.map)
 
 
+def reference_validate(t, d, mapping):
+    """``validate_embedding`` as it read the arc pairs through ``has_arc``; the
+    library's body must return the same bool."""
+    if set(mapping.keys()) != set(range(t.n)):
+        return False
+    vals = list(mapping.values())
+    if len(set(vals)) != len(vals):
+        return False
+    if any(not (0 <= h < d.n) for h in vals):
+        return False
+    return all(d.has_arc(mapping[u], mapping[v]) for u, v in t.tree.arcs)
+
+
+def test_validate_embedding_matches_reference(seed=24):
+    # each map is an injective random map, kept as it is or spoiled: a key
+    # dropped or added, an image repeated, or an image moved below 0 or to n
+    # and beyond
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        t = ae.sample_antitree(k, rng)
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < rng.random()])
+        f = dict(enumerate(rng.sample(range(n), t.n)))
+        spoil = rng.choice(["none", "none", "drop", "add", "repeat", "below", "beyond"])
+        if spoil == "drop":
+            del f[rng.randrange(t.n)]
+        elif spoil == "add":
+            f[rng.choice([-1, t.n, t.n + 3])] = rng.randrange(n)
+        elif spoil == "repeat":
+            u, v = rng.sample(range(t.n), 2)
+            f[u] = f[v]
+        elif spoil == "below":
+            f[rng.randrange(t.n)] = -rng.randint(1, 3)
+        elif spoil == "beyond":
+            f[rng.randrange(t.n)] = n + rng.randint(0, 2)
+        want = reference_validate(t, d, f)
+        assert ae.validate_embedding(t, d, f) is want
+        seen[spoil, want] = seen.get((spoil, want), 0) + 1
+    for spoil in ("drop", "add", "repeat", "below", "beyond"):
+        assert seen.get((spoil, False), 0) > 100 and (spoil, True) not in seen
+    # unspoiled maps: a missing arc fails, and some maps keep every arc
+    assert seen["none", False] > 100 and seen["none", True] > 50
+
+
 def test_embeddings_compare_by_their_maps():
     assert ae.Embedding(map={0: 1, 1: 2}) == ae.Embedding(map={1: 2, 0: 1})
     assert ae.Embedding(map={0: 1}) != ae.Embedding(map={5: 6})

@@ -110,6 +110,26 @@ def test_witness_matches_reference_projective(seed=7):
             assert w is not True
 
 
+def test_witness_matches_reference_on_intake_hosts(seed=24):
+    # the cold request's hosts at desk scale: PG(2,7) less 0.6% to 7% of its
+    # arcs (free), and PG(2,7) plus one non-incident point->line arc (not free)
+    rng = random.Random(seed)
+    host = ae.gen_incidence(7)
+    points = host.n // 2
+    hosts = []
+    for _ in range(6):
+        kept = sorted(rng.sample(range(host.a()), host.a() - rng.randint(3, 32)))
+        hosts.append(Digraph(host.n, [host.arcs[j] for j in kept]))
+    while len(hosts) < 10:
+        p, line = rng.randrange(points), points + rng.randrange(points)
+        if not host.has_arc(p, line):
+            hosts.append(Digraph(host.n, host.arcs + ((p, line),)))
+    for d in hosts:
+        for s in (1, 2, 3, 4):
+            assert_same_witness(d, s)
+    assert [ae.is_k2s_free(d, 2) is True for d in hosts] == [True] * 6 + [False] * 4
+
+
 def test_witness_matches_reference_with_empty_sign_sides(seed=12):
     # hosts where many vertices have no out-arcs or no in-arcs, so whole sign
     # pairs are skipped by the scan: bipartite orientations, sources and sinks

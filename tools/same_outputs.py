@@ -34,6 +34,14 @@ instance):
   2 to 10 vertices, some of them pure sources or pure sinks, and caterpillars
   with k <= 6, half of them reversed, 3 in 10 in a shuffled vertex order;
   each record is the map, or the exception's type and message.
+- ``intake``: ``parse_arclist`` on arc-list texts of PG(2,25) less 100 to
+  1,200 seeded arcs and of PG(2,25) plus one non-incident point->line arc, as
+  the intake-cold benchmark writes them, one in three rewritten so that the
+  bulk reader hands it to the per-line reader (comment lines, tab-led lines,
+  ``+`` signs) or reads it with names written with leading zeros, and one
+  (the second) naming an arc twice, as ``7`` and ``007``; each record is
+  (n, arcs) or the error message, then ``is_k2s_free`` at s = 1, 2 and 3 on
+  the parsed host.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -57,6 +65,8 @@ from antembed import (
     gen_incidence,
     good_arcs,
     is_caterpillar,
+    is_k2s_free,
+    parse_arclist,
     reverse,
     reverse_antitree,
     sample_antitree,
@@ -74,6 +84,7 @@ REPLAY_HOSTS = 2000
 PADDED_TREES = 200
 STRIP_PAIRS = 10_000
 MINDEG_PAIRS = 20_000
+INTAKE_TEXTS = 160
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -239,6 +250,49 @@ def caterpillar_mindeg():
         yield json.dumps(rec, separators=(",", ":"))
 
 
+def intake_text(rng: random.Random, host: Digraph, i: int) -> str:
+    """The i-th host text: the intake-cold benchmark's PG(2,25) variants, one
+    in three rewritten (see the module docstring)."""
+    points = host.n // 2
+    lines = [f"{u} {v}" for u, v in host.arcs]
+    if i % 4 == 3:
+        while True:
+            p, line = rng.randrange(points), points + rng.randrange(points)
+            if not host.has_arc(p, line):
+                break
+        lines.append(f"{p} {line}")
+    else:
+        gone = frozenset(rng.sample(range(len(lines)), rng.randint(100, 1200)))
+        lines = [ln for j, ln in enumerate(lines) if j not in gone]
+    form = "twice" if i == 1 else i % 3 and rng.choice(["comment", "tab", "plus", "zeros"])
+    if form in ("tab", "plus", "zeros"):
+        pad = {"tab": ("\t", ""), "plus": ("", "+"), "zeros": ("", "00")}[form]
+        for j in rng.sample(range(len(lines)), 50):
+            u, v = lines[j].split()
+            lines[j] = f"{pad[0]}{pad[1]}{u} {pad[1]}{v}"
+    elif form == "comment":
+        for j in sorted(rng.sample(range(len(lines)), 20), reverse=True):
+            lines.insert(j, f"# comment {j}")
+    elif form == "twice":
+        u, v = lines[rng.randrange(len(lines))].split()
+        lines.append(f"{u} 00{v}")
+    arcs = sum(not ln.startswith("#") for ln in lines)
+    return f"{host.n} {arcs}\n" + "\n".join(lines) + "\n"
+
+
+def intake(host: Digraph):
+    rng = random.Random(10)
+    for i in range(INTAKE_TEXTS):
+        try:
+            d, _ = parse_arclist(intake_text(rng, host, i))
+        except AntembedError as exc:
+            yield json.dumps(str(exc))
+            continue
+        scans = [is_k2s_free(d, s) for s in (1, 2, 3)]
+        scans = [w if w is True else [w.a, w.b, w.sign_a, w.sign_b, sorted(w.common)] for w in scans]
+        yield json.dumps([d.n, d.arcs, scans], separators=(",", ":"))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -248,6 +302,7 @@ def main() -> int:
     digest("witness-replay", witness_replay())
     digest("padded-broom-and-strip", padded_broom_and_strip())
     digest("caterpillar-mindeg", caterpillar_mindeg())
+    digest("intake", intake(host))
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
