@@ -21,8 +21,14 @@ spine prefix has even length and ``(cur & mask) << m`` when it is odd.  The
 mask clears the nasty positions of every block (its first m, or its last m);
 it depends only on the block lengths and on (s, m, parity), and is kept per
 convex digraph.  Consecutive spine vertices have opposite signs, so between
-stages one ``operator.itemgetter`` over the set's bit string moves it from
-the out-major layout to the in-major one or back.
+stages the set moves from the out-major layout to the in-major one or back:
+its bit string, read least significant bit first, goes through one
+``operator.itemgetter`` of the permutation itself.  The permutation is
+counted out in one pass over the in-blocks in clockwise position order: when
+in-arc (u, y) is met, the arcs of u met before it give y's rank in u's
+position-sorted out-list, and u's clockwise list is that list rotated by the
+offset r_u the tables keep, so the arc sits at index (rank - r_u) mod deg+(u)
+of u's out-block.
 
 No arc stores a predecessor: the arc one stage back sits at clockwise index
 idx + m or idx - m in the same block.  Walking an arc back stage by stage
@@ -59,7 +65,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
@@ -77,21 +83,23 @@ class ConvexDigraph:
 
     The default order (vertex ids ascending), its positions and its tables
     and layouts are memoized on the digraph; an explicit order builds its own.
-    Tables indexed by sign hold the out-side at [1] and the in-side at [-1].
-    ``_cache`` is filled on first use, so it too is per digraph for the
-    default order and per instance otherwise.  It holds the stage mask of
-    each (sign, m, even) under that key (one a(D)-bit int), under each sign
-    the getter that moves a set into that sign's layout (a(D) indices), the
+    Tables indexed by sign hold the out-side at [1] and the in-side at [-1];
+    ``_rot`` holds the rotation of each out-list, which the relayout
+    permutation reads.  ``_cache`` is filled on first use, so it too is per
+    digraph for the default order and per instance otherwise.  It holds the
+    stage mask of each (sign, m, even) under that key (one a(D)-bit int),
+    under each sign the getter that moves a set, least significant bit
+    first, into that sign's layout (a(D) indices), the
     good-arc stage of each step prefix under that prefix (one a(D)-bit int)
     and the least good arc of each step tuple, in the order ``sign`` picks,
     under ("least", sign, steps) (one arc)."""
 
-    __slots__ = ("d", "order", "pos", "_cw", "_cache")
+    __slots__ = ("d", "order", "pos", "_cw", "_rot", "_cache")
 
     def __init__(self, d: Digraph, order=None):
         self.d = d
         if order is None:
-            tables = memoized(d, ("convex",), lambda: _convex_tables(d, tuple(range(d.n))))
+            tables = memoized(d, ("convex",), lambda: _convex_tables(d, None))
             self.order = tables[0]
         else:
             self.order = tuple(order)
@@ -101,7 +109,7 @@ class ConvexDigraph:
             for i, v in enumerate(self.order):
                 pos[v] = i
             tables = _convex_tables(d, tuple(pos))
-        self.pos, self._cw, self._cache = tables
+        self.pos, self._cw, self._rot, self._cache = tables
 
     def cw_list(self, x: int, sign: int) -> tuple[int, ...]:
         """Sign-arcs of x ordered clockwise starting just after x."""
@@ -149,7 +157,7 @@ class ConvexDigraph:
         if into is None:
             self._cache[1], self._cache[-1] = self._relayout_getters()
             into = self._cache[sign]
-        return int("".join(into(format(bits, f"0{self.d.a()}b"))), 2)
+        return int("".join(into(format(bits, f"0{self.d.a()}b")[::-1]))[::-1], 2)
 
     def _layout_arcs(self, sign: int) -> list[Arc]:
         """The arcs of the sign layout in position order."""
@@ -158,36 +166,45 @@ class ConvexDigraph:
         return [(u, y) for y, lst in enumerate(self._cw[-1]) for u in lst]
 
     def _relayout_getters(self):
-        """The getters moving a set's bit string (most significant bit first)
-        into the out-major and into the in-major layout."""
-        n, (cw_out, cw_in) = self.d.n, self._cw[1:]
-        # out-major position of every arc, keyed by tail * n + head
-        where = dict(zip([x * n + w for x, lst in enumerate(cw_out) for w in lst], count()))
-        from_out = [where[u * n + y] for y, lst in enumerate(cw_in) for u in lst]
-        from_in = [0] * len(from_out)
-        for q, p in enumerate(from_out):
-            from_in[p] = q
-        top = len(from_out) - 1
-        # new bit q is old bit src[q]; string index i holds bit top - i
-        return tuple(itemgetter(*[top - p for p in reversed(src)]) for src in (from_in, from_out))
+        """The getters moving a set's bit string, least significant bit first,
+        into the out-major and into the in-major layout: the itemgetters of
+        ``from_in`` (the in-major position of the arc at each out-major one)
+        and of its inverse ``from_out``.  One pass over the in-blocks in
+        clockwise position order writes both: tail u's out-arcs are met in
+        position order of their heads, that is at u's clockwise indices
+        deg+(u) - r_u, ..., deg+(u) - 1, 0, 1, ..."""
+        cw_out, cw_in = self._cw[1:]
+        nxt = [chain(range(e - r, e), range(e - len(lst), e - r)).__next__
+               for e, r, lst in zip(accumulate(map(len, cw_out)), self._rot, cw_out)]
+        starts = list(accumulate(map(len, cw_in), initial=0))
+        from_out, from_in = [0] * starts[-1], [0] * starts[-1]
+        for y in self.order:
+            for q, u in enumerate(cw_in[y], starts[y]):
+                from_out[q] = p = nxt[u]()
+                from_in[p] = q
+        return itemgetter(*from_in), itemgetter(*from_out)
 
 
-def _convex_tables(d: Digraph, pos: tuple[int, ...]):
-    """The positions, the clockwise tables of both signs, indexed by sign,
-    and an empty cache."""
-    at = pos.__getitem__
-    tables = [None]
+def _convex_tables(d: Digraph, pos: tuple[int, ...] | None):
+    """The positions (the vertex ids when ``pos`` is None, the default order,
+    whose lists sort without a key), the clockwise tables of both signs,
+    indexed by sign, the rotation r of each out-list (the position-sorted
+    list's [r:] + [:r], with 0 <= r <= deg) and an empty cache."""
+    at = None if pos is None else pos.__getitem__
+    pos = tuple(range(d.n)) if pos is None else pos
+    tables, rots = [None], []
     for lists in neighbor_lists(d):
-        cw = []
+        cw, rot = [], [0] * len(lists)
         for x, lst in enumerate(lists):
             if len(lst) > 1:
                 # by position, then rotated to start just after x: the order of (pos[w] - pos[x]) % n
                 lst.sort(key=at)
-                i = bisect_right(lst, pos[x], key=at)
+                rot[x] = i = bisect_right(lst, pos[x], key=at)
                 lst = lst[i:] + lst[:i]
             cw.append(tuple(lst))
         tables.append(tuple(cw))
-    return pos, tuple(tables), {}
+        rots.append(rot)
+    return pos, tuple(tables), rots[0], {}
 
 
 @dataclass(eq=False)

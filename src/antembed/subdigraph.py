@@ -15,7 +15,6 @@ Thresholds compare exactly in integers: deg < k/2 iff 2 deg < k.
 from __future__ import annotations
 
 import heapq
-from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -206,9 +205,6 @@ class SelectionResult(NamedTuple):
     case_tag: str  # "I" or "II"
     witness_vertex: int
     audit: Mapping  # read-only
-
-    def __setattr__(self, name, value):  # as a frozen dataclass does
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:

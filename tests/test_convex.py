@@ -1,5 +1,6 @@
 import random
 import re
+from operator import itemgetter
 
 import pytest
 
@@ -379,15 +380,19 @@ def test_clockwise_tables_match_the_distance_key_sort():
     for d in hosts:
         shuffled = list(range(d.n))
         rng.shuffle(shuffled)
-        for pos in (tuple(range(d.n)), tuple(shuffled)):
-            at, tables, _ = convex._convex_tables(d, pos)
-            assert at is pos
+        # None is the default order, whose lists sort by vertex id without a key
+        for given in (None, tuple(range(d.n)), tuple(shuffled)):
+            pos, tables, rot, _ = convex._convex_tables(d, given)
+            assert pos == (given or tuple(range(d.n)))
             for sign in (+1, -1):
                 want = tuple(
                     tuple(sorted(bits_of(d.neighbor_bits(x, sign)), key=lambda w: (pos[w] - pos[x]) % d.n))
                     for x in range(d.n)
                 )
                 assert tables[sign] == want
+            for x, (lst, r) in enumerate(zip(tables[1], rot)):
+                by_pos = sorted(lst, key=pos.__getitem__)
+                assert 0 <= r <= len(lst) and tuple(by_pos[r:] + by_pos[:r]) == lst
 
 
 def reference_run_dp(c, t, dec):
@@ -538,6 +543,70 @@ def test_bitset_dp_edge_hosts():
     table = ae.good_arcs(ae.ConvexDigraph(d), single)
     assert table.steps == () and table.count == 3
     assert list(table.stage_arcs) == [dict.fromkeys(d.arcs)]
+
+
+def reference_relayout(c, bits, sign):
+    """The set moved into the sign layout through getters keyed by
+    tail * n + head over the bit string read most significant bit first."""
+    n, (cw_out, cw_in) = c.d.n, c._cw[1:]
+    where = {x * n + w: p for p, (x, w) in enumerate((x, w) for x, lst in enumerate(cw_out) for w in lst)}
+    from_out = [where[u * n + y] for y, lst in enumerate(cw_in) for u in lst]
+    from_in = [0] * len(from_out)
+    for q, p in enumerate(from_out):
+        from_in[p] = q
+    src, top = from_out if sign < 0 else from_in, len(from_out) - 1
+    if not bits:
+        return 0
+    # new bit q is old bit src[q]; string index i holds bit top - i
+    into = itemgetter(*[top - p for p in reversed(src)])
+    return int("".join(into(format(bits, f"0{c.d.a()}b"))), 2)
+
+
+def reference_mask(c, sign, m, even):
+    """The stage mask position by position: index i of a block of length L
+    survives when i >= m (even) or i < L - m (odd)."""
+    flags = [i >= m if even else i < len(lst) - m for lst in c._cw[sign] for i in range(len(lst))]
+    return sum(1 << p for p, keep in enumerate(flags) if keep)
+
+
+def assert_relayout_and_masks_match_reference(c, rng, sets):
+    a = c.d.a()
+    for bits in [0, (1 << a) - 1] + [rng.getrandbits(a) if a else 0 for _ in range(sets)]:
+        for sign in (1, -1):
+            moved = c._relayout(bits, sign)
+            assert moved == reference_relayout(c, bits, sign)
+            assert moved.bit_count() == bits.bit_count()
+            assert c._relayout(moved, -sign) == bits
+    longest = max(map(len, c._cw[1] + c._cw[-1]), default=0)
+    for sign in (1, -1):
+        for m in range(1, longest + 2):
+            for even in (True, False):
+                assert c._mask(sign, m, even) == reference_mask(c, sign, m, even)
+
+
+def test_relayout_and_masks_match_reference_on_small_hosts():
+    rng = random.Random(29)
+    seen = set()
+    for i in range(300):
+        n = 1 + i % 9
+        d = random_digraph(rng, n, rng.choice([0.0, 0.1, 0.3, 0.6, 1.0]))
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for order in (None, list(reversed(range(n))), shuffled):
+            c = ae.ConvexDigraph(Digraph(n, d.arcs), order)
+            assert_relayout_and_masks_match_reference(c, rng, 3)
+        lens = [len(lst) for lst in c._cw[1] + c._cw[-1]]
+        seen.update({"empty" if d.a() == 0 else "arcs", 0 in lens and "empty-row", 1 in lens and "one-arc"})
+    assert {"empty", "arcs", "empty-row", "one-arc"} <= seen
+
+
+def test_relayout_and_masks_match_reference_on_pg7():
+    rng = random.Random(31)
+    host = ae.gen_incidence(7)
+    order = list(range(host.n))
+    rng.shuffle(order)
+    for c in (ae.ConvexDigraph(host), ae.ConvexDigraph(ae.reverse(host)), ae.ConvexDigraph(host, order)):
+        assert_relayout_and_masks_match_reference(c, rng, 20)
 
 
 # -- the good-arc memo: per (convex digraph, step prefix) ----------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -241,7 +240,9 @@ def test_select_returns_input_when_nothing_deleted():
 
 def test_selection_result_is_read_only():
     sel = ae.select_subdigraph(ae.gen_incidence(7), 4, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         sel.case_tag = "II"
+    with pytest.raises(AttributeError):
+        sel.extra = 1
     with pytest.raises(TypeError):
         sel.audit["edges"] = 0

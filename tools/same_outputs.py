@@ -42,6 +42,11 @@ instance):
   (the second) naming an arc twice, as ``7`` and ``007``; each record is
   (n, arcs) or the error message, then ``is_k2s_free`` at s = 1, 2 and 3 on
   the parsed host.
+- ``cold-good-arcs``: PG(2,7) and PG(2,13) with seeded arcs deleted, each a
+  new host, and their reversals, in the default, the reversed and a shuffled
+  vertex order; each record is a random caterpillar's steps, good-arc count
+  and sorted last-stage arcs, then ``embed_caterpillar``'s map in that order
+  or the exception's type and message.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -60,6 +65,7 @@ from antembed import (
     Digraph,
     degree_stats,
     embed_antitree,
+    embed_caterpillar,
     embed_caterpillar_mindeg,
     enumerate_antitrees,
     gen_incidence,
@@ -85,6 +91,8 @@ PADDED_TREES = 200
 STRIP_PAIRS = 10_000
 MINDEG_PAIRS = 20_000
 INTAKE_TEXTS = 160
+COLD_HOSTS = 40
+COLD_CATS = 5
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -293,6 +301,46 @@ def intake(host: Digraph):
         yield json.dumps([d.n, d.arcs, scans], separators=(",", ":"))
 
 
+def cold_caterpillar(rng: random.Random, q: int):
+    """A caterpillar with a spine of 2 to q // 2 + 2 vertices, up to q // 3
+    leaves on each inner one, the first of random sign, relabelled at random."""
+    spine = rng.randint(2, q // 2 + 2)
+    sign = [rng.choice((1, -1))]
+    for _ in range(spine - 1):
+        sign.append(-sign[-1])
+    arcs = [(i, i + 1) if sign[i] > 0 else (i + 1, i) for i in range(spine - 1)]
+    for i in range(1, spine - 1):
+        for _ in range(rng.randint(0, q // 3)):
+            arcs.append((i, len(sign)) if sign[i] > 0 else (len(sign), i))
+            sign.append(-sign[i])
+    perm = list(range(len(sign)))
+    rng.shuffle(perm)
+    return validate_antitree(Digraph(len(sign), [(perm[a], perm[b]) for a, b in arcs]))
+
+
+def cold_good_arcs():
+    rng = random.Random(11)
+    for q in (7, 13):
+        base = gen_incidence(q)
+        for _ in range(COLD_HOSTS):
+            gone = set(rng.sample(range(base.a()), rng.randint(0, base.a() // 10)))
+            d = Digraph(base.n, [arc for j, arc in enumerate(base.arcs) if j not in gone])
+            shuffled = list(range(d.n))
+            rng.shuffle(shuffled)
+            for host in (d, reverse(d)):
+                for order in (None, list(reversed(range(d.n))), shuffled):
+                    c = ConvexDigraph(host, order)
+                    for _ in range(COLD_CATS):
+                        t = cold_caterpillar(rng, q)
+                        table = good_arcs(c, t)
+                        try:
+                            rec = sorted(embed_caterpillar(host, t, order).map.items())
+                        except AntembedError as exc:
+                            rec = [type(exc).__name__, str(exc)]
+                        yield json.dumps([table.steps, table.count, sorted(table.stage_arcs[-1]), rec],
+                                         separators=(",", ":"))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -303,6 +351,7 @@ def main() -> int:
     digest("padded-broom-and-strip", padded_broom_and_strip())
     digest("caterpillar-mindeg", caterpillar_mindeg())
     digest("intake", intake(host))
+    digest("cold-good-arcs", cold_good_arcs())
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
