@@ -217,8 +217,10 @@ class GoodArcTable:
     its stage's anchor sign (``stages[0]``, every arc, in the layout of the
     first stage, or the out-major one when there is none); ``count`` is the
     size of the last.  ``dec`` may span a caterpillar inside t, in t's
-    labels, with extra leaves labelled from t.n.  The two count bounds are computed on first read, from the steps:
-    a stage anchored at sign s adds m arcs and m vertices of sign -s."""
+    labels, with extra leaves labelled from t.n.  The two count bounds are
+    computed on each read (each is read once per table, or twice on
+    failure), from the steps: a stage anchored at sign s adds m arcs and m
+    vertices of sign -s."""
 
     dec: SpineDecomposition = field(repr=False)
     c: ConvexDigraph = field(repr=False)
@@ -227,13 +229,13 @@ class GoodArcTable:
     stages: tuple[int, ...] = field(repr=False)
     count: int
 
-    @cached_property
+    @property
     def lemma8_bound(self) -> int:
         """a(D) - (k-1)n."""
         d = self.c.d
         return d.a() - sum(m for _, m, _ in self.steps) * d.n
 
-    @cached_property
+    @property
     def lemma12_bound(self) -> int:
         """a(D) - (|T+|-1)|D-| - (|T-|-1)|D+|."""
         d = self.c.d

@@ -156,28 +156,22 @@ def memoized(d, key: tuple, compute: Callable[[], object]):
 
     ``d`` is any immutable value with a ``_memo`` slot that starts as None: a
     ``Digraph`` or an ``antitree.AntiTree``.  ``compute`` must depend only on
-    ``d`` and ``key``, and return no list.  The memo is created on first use,
-    so a value never asked for derived work carries none.  A result that is
-    ``d``, or a tuple item that is ``d`` (that tuple kept as a list, rebuilt
-    on each hit), is stored as a sentinel: no entry references its owner, so
-    a dropped value is freed at once instead of waiting for a cycle
-    collection.  A call that raises stores nothing and is recomputed next
-    time.
+    ``d`` and ``key``, and must not hold ``d`` inside its result.  The memo is
+    created on first use, so a value never asked for derived work carries
+    none.  A result that is ``d`` is stored as a sentinel: no entry references
+    its owner, so a dropped value is freed at once instead of waiting for a
+    cycle collection.  A call that raises stores nothing and is recomputed
+    next time.
     """
     if d._memo is not None:
         val = d._memo.get(key, _MISS)
         if val is not _MISS:
-            if type(val) is list:
-                return tuple([d if x is _OWNER else x for x in val])
             return d if val is _OWNER else val
     val = compute()
     memo = d._memo
     if memo is None:
         memo = d._memo = {}
-    if type(val) is tuple and any(x is d for x in val):
-        memo[key] = [_OWNER if x is d else x for x in val]
-    else:
-        memo[key] = _OWNER if val is d else val
+    memo[key] = _OWNER if val is d else val
     return val
 
 

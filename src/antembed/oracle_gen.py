@@ -46,7 +46,12 @@ class SearchStats:
 
 
 def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchStats:
-    """Exact decision of "t embeds in d", exhaustive when budget is None."""
+    """Exact decision of "t embeds in d", exhaustive when budget is None.
+
+    The search stops as Inconclusive once it has expanded more than
+    ``budget`` nodes; a negative budget is refused."""
+    if budget is not None and budget < 0:
+        raise AntembedError(f"budget must be non-negative, got {budget}")
     t0 = time.perf_counter()
     rv = rooted_view(t, min(centroids(t)))
     order = rv.bfs_order
@@ -66,8 +71,6 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
         nonlocal nodes
         if i == len(order):
             return True
-        if budget is not None and nodes > budget:
-            return None
         x = order[i]
         if i == 0:
             nbrs = -1

@@ -214,11 +214,15 @@ def select_subdigraph(d: Digraph, k: int, r: int) -> SelectionResult:
     ``sub`` is ``d`` itself when no arc is deleted.  The outcome is memoized
     on ``d`` for each (k, r), so the revalidation runs once per (d, k, r), on
     the value every later call returns."""
-    return SelectionResult._make(memoized(d, ("select", k, r), lambda: _select(d, k, r)))
+    sel = memoized(d, ("select", k, r), lambda: _select(d, k, r))
+    if sel.sub is None:  # the whole host, which the memo entry may not reference
+        return SelectionResult(d, sel.case_tag, sel.witness_vertex, sel.audit)
+    return sel
 
 
-def _select(d: Digraph, k: int, r: int):
-    """(sub, case, witness vertex, read-only audit), revalidated from scratch."""
+def _select(d: Digraph, k: int, r: int) -> SelectionResult:
+    """The selection, revalidated from scratch, with ``sub`` None when it is
+    ``d`` itself."""
     if k > d.n:
         raise HypothesisViolated("k-exceeds-order", k=k, n=d.n)
     if d.a() <= (k - 1) * d.n:
@@ -266,4 +270,4 @@ def _select(d: Digraph, k: int, r: int):
             "delta_minus_bar": prof.delta_minus_bar,
         }
     )
-    return sub, case, witness, MappingProxyType(audit)
+    return SelectionResult(None if sub is d else sub, case, witness, MappingProxyType(audit))

@@ -1089,8 +1089,8 @@ def test_host_memo_has_no_cycle_and_skips_ordered_calls():
     ae.embed_caterpillar_mindeg(host, star)
     ae.embed_caterpillar_mindeg(host, ae.reverse_antitree(star))
     assert not _reaches(host._memo, host)
-    # a memoized tuple is handed out as stored, and rebuilt only when it held
-    # its owner (the selection's sub above); the default order is memoized too
+    # a memoized tuple is handed out as stored, and a selection is rebuilt
+    # only when its sub is the owner (above); the default order is memoized too
     assert ae.plus_minus_sets(host) is ae.plus_minus_sets(host)
     assert ConvexDigraph(host).pos is ConvexDigraph(host).order is ConvexDigraph(host).pos
     # an explicit order is not memoized; nor is a refusal

@@ -59,13 +59,14 @@ def test_is_free_examples():
 _SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-def reference_scan(d, s):
+def reference_scan(d, s, pairs=_SIGN_PAIRS):
     """The exhaustive probe of every (a, b, sign pair) triple in lexicographic
-    order; ``is_k2s_free`` must return the same witness."""
+    order; ``is_k2s_free`` must return the same witness.  ``pairs`` limits
+    the probe to some sign pairs, in their order."""
     for a in range(d.n):
         for b in range(a + 1, d.n):
             strip = ~((1 << a) | (1 << b))
-            for sa, sb in _SIGN_PAIRS:
+            for sa, sb in pairs:
                 bits = d.neighbor_bits(a, sa) & d.neighbor_bits(b, sb) & strip
                 if bits.bit_count() >= s:
                     picked = []
@@ -82,6 +83,22 @@ def assert_same_witness(d, s):
     assert ae.is_k2s_free(d, s) == want
     assert ae.is_k2s_free(d, s, prune=True) == want
     return want
+
+
+def pg7_variants(rng, count):
+    """PG(2,7) with 1 to 3 seeded non-incident arcs added in either direction
+    and 0 to 20 of its arcs deleted, then half of them reversed."""
+    host = ae.gen_incidence(7)
+    points = host.n // 2
+    for i in range(count):
+        extra, want = set(), rng.randint(1, 3)
+        while len(extra) < want:
+            p, line = rng.randrange(points), points + rng.randrange(points)
+            if not host.has_arc(p, line):
+                extra.add((p, line) if rng.random() < 0.5 else (line, p))
+        kept = sorted(rng.sample(range(host.a()), host.a() - rng.randint(0, 20)))
+        d = Digraph(host.n, [host.arcs[j] for j in kept] + sorted(extra))
+        yield ae.reverse(d) if i % 2 else d
 
 
 def test_witness_matches_reference_random(seed=1302):
@@ -108,6 +125,9 @@ def test_witness_matches_reference_projective(seed=7):
             v = rng.choice([x for x in lines if not host.has_arc(u, x)])
             w = assert_same_witness(Digraph(host.n, host.arcs + ((u, v),)), 2)
             assert w is not True
+    for d in pg7_variants(rng, 20):
+        for s in (1, 2, 3):
+            assert_same_witness(d, s)
 
 
 def test_witness_matches_reference_on_intake_hosts(seed=24):
@@ -198,3 +218,73 @@ def test_s1_characterization_exhaustive_n4():
             degs_ok = all(len(arc_nbrs(d, v, sg)) <= 1 for v in range(n) for sg in (1, -1))
             expected = degs_ok and not p2
             assert (ae.is_k2s_free(d, 1) is True) == expected
+
+
+def test_s2_witness_on_the_minus_minus_side_first():
+    # hosts whose first witness is (-,-) at a smaller a than every witness of
+    # the other three pairs: two sinks under two sources, and the reversals
+    # of PG(2,7) with one non-incident arc added (points become sinks)
+    sinks_first = Digraph(4, [(2, 0), (2, 1), (3, 0), (3, 1)])
+    w = assert_same_witness(sinks_first, 2)
+    assert (w.a, w.b, w.sign_a, w.sign_b, w.common) == (0, 1, -1, -1, {2, 3})
+    assert reference_scan(sinks_first, 2, [(1, 1), (1, -1), (-1, 1)]).a == 2
+    host = ae.gen_incidence(7)
+    points = host.n // 2
+    for p, first in ((0, points + 20), (3, points + 40), (50, points)):
+        line = next(x for x in range(first, host.n) if not host.has_arc(p, x))
+        d = ae.reverse(Digraph(host.n, host.arcs + ((p, line),)))
+        w = assert_same_witness(d, 2)
+        pass_one = reference_scan(d, 2, [(1, 1), (1, -1), (-1, 1)])
+        assert (w.sign_a, w.sign_b) == (-1, -1) and w.a < points <= pass_one.a
+
+
+def test_s2_minus_minus_witness_ties_the_first_pass_vertex():
+    # 0 shares in-neighbours 5, 6 with 1 and out-neighbours 3, 4 with 2: the
+    # first pass stops at a = 0 with b = 2, the (-,-) pair there has b = 1
+    smaller_b = Digraph(7, [(0, 3), (0, 4), (2, 3), (2, 4), (5, 0), (6, 0), (5, 1), (6, 1)])
+    w = assert_same_witness(smaller_b, 2)
+    assert (w.a, w.b, w.sign_a, w.sign_b) == (0, 1, -1, -1)
+    # the same b: (+,+) comes before (-,-), and (-,-) before (+,-)
+    plus_first = Digraph(6, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (5, 0), (4, 1), (5, 1)])
+    w = assert_same_witness(plus_first, 2)
+    assert (w.a, w.b, w.sign_a, w.sign_b) == (0, 1, 1, 1)
+    minus_first = Digraph(6, [(0, 2), (0, 3), (2, 1), (3, 1), (4, 0), (5, 0), (4, 1), (5, 1)])
+    w = assert_same_witness(minus_first, 2)
+    assert (w.a, w.b, w.sign_a, w.sign_b) == (0, 1, -1, -1)
+
+
+def test_only_minus_minus_witness_at_s1_and_s3():
+    # a (-,-) witness with no witness of the other pairs: at s = 1 an out-star
+    # (two vertices with a common in-neighbour), at s = 3 three sources into
+    # two sinks (the sources share only two out-neighbours)
+    out_star = Digraph(3, [(2, 0), (2, 1)])
+    w = assert_same_witness(out_star, 1)
+    assert (w.a, w.b, w.sign_a, w.sign_b) == (0, 1, -1, -1)
+    assert assert_same_witness(out_star, 2) is True
+    sinks = Digraph(5, [(u, v) for u in (2, 3, 4) for v in (0, 1)])
+    w = assert_same_witness(sinks, 3)
+    assert (w.a, w.b, w.sign_a, w.sign_b, w.common) == (0, 1, -1, -1, {2, 3, 4})
+    assert reference_scan(sinks, 3, [(1, 1), (1, -1), (-1, 1)]) is True
+
+
+def test_s2_plus_plus_and_minus_minus_witnesses_come_together(seed=26):
+    # the duality the s = 2 scan rests on: a (-,-) witness (a, b) with common
+    # set {w1, w2} is the (+,+) witness (w1, w2) with common set {a, b}
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        p = rng.random()
+        hosts.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]))
+    hosts.extend(pg7_variants(rng, 40))
+    seen = set()
+    for d in hosts:
+        plus, minus = reference_scan(d, 2, [(1, 1)]), reference_scan(d, 2, [(-1, -1)])
+        assert (plus is True) == (minus is True)
+        seen.add(plus is True)
+        if plus is not True:
+            a, b = sorted(plus.common)
+            assert minus.a <= a
+            assert len(ae.common_neighborhood(d, a, -1, b, -1)) >= 2
+        assert_same_witness(d, 2)
+    assert seen == {True, False}

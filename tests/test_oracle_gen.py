@@ -49,6 +49,16 @@ def test_oracle_budget():
     assert st.verdict == "Inconclusive" and st.nodes_expanded >= 2
 
 
+def test_oracle_refuses_a_negative_budget():
+    host = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    t = T(2, [(0, 1)])
+    with pytest.raises(ae.AntembedError, match="budget must be non-negative"):
+        ae.oracle_embed(host, t, budget=-1)
+    assert ae.oracle_embed(host, t, budget=0).verdict == "Inconclusive"
+    assert ae.oracle_embed(host, t, budget=1).verdict == "Inconclusive"
+    assert ae.oracle_embed(host, t, budget=2).verdict == "Embeds"
+
+
 def test_gen_burr():
     for k in range(2, 13):
         d = ae.gen_burr(k)

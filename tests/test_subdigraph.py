@@ -238,6 +238,18 @@ def test_select_returns_input_when_nothing_deleted():
     _audit(d, sel, 3, 1)
 
 
+def test_select_memo_hit_builds_one_result():
+    # a selection that deletes arcs is handed out as stored; one that keeps
+    # the whole host is stored without it and rebuilt as one SelectionResult
+    d = ae.gen_random_dense(10, 3, seed=0)
+    assert ae.select_subdigraph(d, 3, 1) is ae.select_subdigraph(d, 3, 1)
+    host = ae.gen_incidence(7)
+    first, hit = ae.select_subdigraph(host, 4, 2), ae.select_subdigraph(host, 4, 2)
+    assert type(hit) is ae.SelectionResult and hit == first and hit.sub is host
+    stored = host._memo[("select", 4, 2)]
+    assert type(stored) is ae.SelectionResult and stored.sub is None and stored[1:] == hit[1:]
+
+
 def test_selection_result_is_read_only():
     sel = ae.select_subdigraph(ae.gen_incidence(7), 4, 2)
     with pytest.raises(AttributeError):

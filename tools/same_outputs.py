@@ -47,6 +47,11 @@ instance):
   vertex order; each record is a random caterpillar's steps, good-arc count
   and sorted last-stage arcs, then ``embed_caterpillar``'s map in that order
   or the exception's type and message.
+- ``freeness-witness``: ``is_k2s_free`` at s = 1, 2 and 3 on the reversals
+  of the ``intake`` stream's parsed hosts (the added point->line arc becomes
+  a line->point arc, so the first witness is a (-,-) one among the points),
+  then on PG(2,7) and PG(2,13) each with 1 to 3 seeded non-incident arcs
+  added, point->line or line->point.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -93,6 +98,7 @@ MINDEG_PAIRS = 20_000
 INTAKE_TEXTS = 160
 COLD_HOSTS = 40
 COLD_CATS = 5
+WITNESS_HOSTS = 100
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -288,17 +294,47 @@ def intake_text(rng: random.Random, host: Digraph, i: int) -> str:
     return f"{host.n} {arcs}\n" + "\n".join(lines) + "\n"
 
 
-def intake(host: Digraph):
+def intake_hosts(host: Digraph):
+    """The parsed hosts of the intake texts, or the parser's error message."""
     rng = random.Random(10)
     for i in range(INTAKE_TEXTS):
         try:
             d, _ = parse_arclist(intake_text(rng, host, i))
         except AntembedError as exc:
-            yield json.dumps(str(exc))
+            yield str(exc)
             continue
-        scans = [is_k2s_free(d, s) for s in (1, 2, 3)]
-        scans = [w if w is True else [w.a, w.b, w.sign_a, w.sign_b, sorted(w.common)] for w in scans]
-        yield json.dumps([d.n, d.arcs, scans], separators=(",", ":"))
+        yield d
+
+
+def scans(d: Digraph):
+    """``is_k2s_free`` at s = 1, 2 and 3: True or the witness as a list."""
+    found = [is_k2s_free(d, s) for s in (1, 2, 3)]
+    return [w if w is True else [w.a, w.b, w.sign_a, w.sign_b, sorted(w.common)] for w in found]
+
+
+def intake(host: Digraph):
+    for d in intake_hosts(host):
+        yield json.dumps(d if type(d) is str else [d.n, d.arcs, scans(d)], separators=(",", ":"))
+
+
+def freeness_witness(host: Digraph):
+    for d in intake_hosts(host):
+        if type(d) is not str:
+            yield json.dumps(scans(reverse(d)), separators=(",", ":"))
+    rng = random.Random(12)
+    for q in (7, 13):
+        base = gen_incidence(q)
+        points = base.n // 2
+        for _ in range(WITNESS_HOSTS):
+            extra = set()
+            for _ in range(rng.randint(1, 3)):
+                while True:
+                    p, line = rng.randrange(points), points + rng.randrange(points)
+                    if not base.has_arc(p, line):
+                        break
+                extra.add((p, line) if rng.random() < 0.5 else (line, p))
+            d = Digraph(base.n, base.arcs + tuple(sorted(extra)))
+            yield json.dumps([sorted(extra), scans(d)], separators=(",", ":"))
 
 
 def cold_caterpillar(rng: random.Random, q: int):
@@ -352,6 +388,7 @@ def main() -> int:
     digest("caterpillar-mindeg", caterpillar_mindeg())
     digest("intake", intake(host))
     digest("cold-good-arcs", cold_good_arcs())
+    digest("freeness-witness", freeness_witness(host))
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
