@@ -254,7 +254,8 @@ class GoodArcTable:
 
 
 class _StageArcs(Sequence):
-    """The stage maps of a GoodArcTable, each decoded on first read."""
+    """The stage maps of a GoodArcTable, each decoded on first read; a slice
+    is the list of its maps."""
 
     __slots__ = ("_table", "_maps")
 
@@ -267,6 +268,8 @@ class _StageArcs(Sequence):
 
     def __getitem__(self, i):
         i = range(len(self._maps))[i]
+        if type(i) is range:  # a slice: the list of its maps
+            return [self[j] for j in i]
         if self._maps[i] is None:
             self._maps[i] = self._decode(i)
         return self._maps[i]

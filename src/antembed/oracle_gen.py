@@ -267,11 +267,14 @@ def gen_random_dense(n: int, k: int, seed: int) -> Digraph:
     if not (1 <= k <= n):
         raise AntembedError("need 1 <= k <= n")
     want = (k - 1) * n + 1
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    if want > len(pairs):
+    if want > n * (n - 1):
         raise AntembedError(f"cannot place {want} arcs on {n} vertices")
-    rng = random.Random(seed)
-    return Digraph(n, rng.sample(pairs, want))
+    # index j is the j-th ordered pair (u, v), u != v, in row-major order
+    arcs = []
+    for j in random.Random(seed).sample(range(n * (n - 1)), want):
+        u, v = divmod(j, n - 1)
+        arcs.append((u, v + (v >= u)))
+    return Digraph(n, arcs)
 
 
 def sample_antitree(k: int, rng: random.Random) -> AntiTree:

@@ -1,7 +1,8 @@
 """Degree pruning and the two-regime subdigraph selector.
 
-``prune_pseudo`` deletes all out-arcs (in-arcs) of any vertex whose positive
-out-degree (in-degree) is below k/2 until none remains, yielding a nonempty
+Both prunings are one k/2 peel (``_peel``) of a 0/1 matrix held as rows and
+columns of bitmasks.  ``prune_pseudo`` peels the digraph itself: deleting
+row v deletes v's out-arcs, column v its in-arcs, which yields a nonempty
 subdigraph of minimum pseudo-semidegree at least k/2.
 
 ``select_subdigraph`` routes through a bipartite double cover: split each
@@ -14,7 +15,6 @@ Thresholds compare exactly in integers: deg < k/2 iff 2 deg < k.
 
 from __future__ import annotations
 
-import heapq
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -22,18 +22,42 @@ from .digraph import Digraph, bits_of, degree_profile, memoized
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
 
+def _peel(rows: list, cols: list, k: int, event=None) -> tuple[int, int]:
+    """Delete every positive row or column of the matrix (bit w of ``rows[v]``
+    is bit v of ``cols[w]``) whose count is below k/2, in place, until none is
+    left; ``event(count)`` runs after each deletion.  Returns the number of
+    deletions and of entries deleted.
+
+    The result is the unique largest submatrix in which every positive count
+    is at least k/2 (the union of two such submatrices is one too, and no
+    entry of it is ever deleted), so the worklist order cannot change it."""
+    triggers = deleted = 0
+    work = list(range(len(rows)))
+    while work:
+        v = work.pop()
+        # each side of an index fires at most once, since it is 0 afterwards
+        for this, cross in ((rows, cols), (cols, rows)):
+            deg = this[v].bit_count()
+            if 0 < 2 * deg < k:
+                triggers += 1
+                deleted += deg
+                for w in bits_of(this[v]):
+                    cross[w] ^= 1 << v
+                    work.append(w)
+                this[v] = 0
+                if event is not None:
+                    event(deg)
+    return triggers, deleted
+
+
 def prune_pseudo(d: Digraph, k: int) -> Digraph:
-    """Subdigraph with pseudo-semidegree >= k/2.
+    """Subdigraph with pseudo-semidegree >= k/2: the k/2 peel of the out-arc
+    rows and in-arc columns of d.
 
     More than (k-1)|V| arcs guarantee a nonempty result; the fixpoint runs
     either way and only an empty outcome raises (so a digraph already above
     the threshold passes through whatever its density).  When no arc is
     deleted the input itself is returned.
-
-    The fixpoint is the unique largest subdigraph in which every positive
-    out- and in-degree is at least k/2 (the union of two such subdigraphs is
-    one too, and no arc of it is ever deleted), so the worklist order cannot
-    change the result.
 
     The result is memoized on ``d`` for each k."""
     return memoized(d, ("prune", k), lambda: _prune_pseudo(d, k))
@@ -44,23 +68,7 @@ def _prune_pseudo(d: Digraph, k: int) -> Digraph:
         raise AntembedError("k must be positive")
     dense = d.a() > (k - 1) * d.n
     out_bits = list(d.out_bits)
-    in_bits = list(d.in_bits)
-    deleted = 0
-    triggers = 0
-    work = list(range(d.n))
-    while work:
-        v = work.pop()
-        # side +1 deletes v's out-arcs, side -1 its in-arcs; each side of a
-        # vertex fires at most once, since its degree is 0 afterwards
-        for rows, cross in ((out_bits, in_bits), (in_bits, out_bits)):
-            deg = rows[v].bit_count()
-            if 0 < 2 * deg < k:
-                triggers += 1
-                deleted += deg
-                for w in bits_of(rows[v]):
-                    cross[w] ^= 1 << v
-                    work.append(w)
-                rows[v] = 0
+    triggers, deleted = _peel(out_bits, list(d.in_bits), k)
     if triggers > 2 * d.n or deleted > (k - 1) * d.n:
         raise InternalAssertion("prune-budget", triggers=triggers, deleted=deleted)
     sub = Digraph.from_bits(d.n, out_bits) if deleted else d
@@ -73,25 +81,19 @@ def _prune_pseudo(d: Digraph, k: int) -> Digraph:
     return sub
 
 
-def _obs_density(e: int, order: int, k: int) -> bool:
-    # e(H) > (k-1)|H|/2, exact in integers
-    return 2 * e > (k - 1) * order
-
-
 def prune_bipartite(d: Digraph, k: int, r: int):
     """The two-loop deletion protocol on the bipartite double cover of d:
     a-side vertex u is u+, adjacent to the b-side v- of every arc u->v, and
     both sides are indexed by the vertex ids 0..n-1.
 
     Returns (alive_a, alive_b, adj, case_tag, audit) where alive_* are vertex
-    id sets and adj the surviving bitmask adjacency.  Density is asserted
-    after every deletion event.  Case I keeps an a-side vertex of degree >= k
-    with all a-degrees >= k/2 and all b-degrees >= r; case II keeps a b-side
-    vertex of degree >= k with all degrees >= k/2 and every surviving a-side
-    vertex of original degree > k - r.
-
-    Vertices are processed least id first; the guaranteed postconditions do
-    not depend on that order.
+    id sets and adj the surviving bitmask adjacency.  Density,
+    e(H) > (k-1)|H|/2, is asserted after every deletion event: deleting a
+    vertex of degree below k/2, or a pair with degree sum below k, keeps it,
+    so the order of the events does not matter.  Case I keeps an a-side
+    vertex of degree >= k with all a-degrees >= k/2 and all b-degrees >= r;
+    case II keeps a b-side vertex of degree >= k with all degrees >= k/2 and
+    every surviving a-side vertex of original degree > k - r.
     """
     if not (1 <= r and 2 * r <= k + 1):
         raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
@@ -100,103 +102,53 @@ def prune_bipartite(d: Digraph, k: int, r: int):
     radj = list(d.in_bits)
     alive_a = set(range(n))
     alive_b = set(range(n))
-    e = sum(m.bit_count() for m in adj)
-    if not _obs_density(e, 2 * n, k):
-        raise HypothesisViolated("density", edges=e, order=2 * n)
-    dega = [adj[u].bit_count() for u in range(n)]
-    degb = [radj[v].bit_count() for v in range(n)]
+    e, order = d.a(), 2 * n
+    if 2 * e <= (k - 1) * order:
+        raise HypothesisViolated("density", edges=e, order=order)
 
-    def drop_a(u):
-        nonlocal e
-        for w in bits_of(adj[u]):
-            radj[w] &= ~(1 << u)
-            degb[w] -= 1
-            e -= 1
-        adj[u] = 0
-        dega[u] = 0
-        alive_a.discard(u)
+    def deleted(edges, vertices=1):
+        nonlocal e, order
+        e -= edges
+        order -= vertices
+        if 2 * e <= (k - 1) * order:
+            raise InternalAssertion("obs-deleting", edges=e, order=order)
 
-    def drop_b(v):
-        nonlocal e
-        for w in bits_of(radj[v]):
-            adj[w] &= ~(1 << v)
-            dega[w] -= 1
-            e -= 1
-        radj[v] = 0
-        degb[v] = 0
-        alive_b.discard(v)
+    def drop(rows, cols, alive, v):
+        row, rows[v] = rows[v], 0
+        for w in bits_of(row):
+            cols[w] ^= 1 << v
+        alive.discard(v)
+        return row.bit_count()
 
-    def assert_density():
-        if not _obs_density(e, len(alive_a) + len(alive_b), k):
-            raise InternalAssertion("obs-deleting", edges=e, order=len(alive_a) + len(alive_b))
-
-    # first loop: low a-degrees, then low degree-sum pairs.  Degrees only
-    # decrease, so a lazy min-heap reproduces exactly the least-id-first
-    # rescan order without the quadratic scans.
-    heap_a = [u for u in range(n) if 2 * dega[u] < k]
-    heapq.heapify(heap_a)
-
-    def drain_rule1():
-        while heap_a:
-            u = heapq.heappop(heap_a)
-            if u in alive_a and 2 * dega[u] < k:
-                drop_a(u)
-                assert_density()
-
+    # first loop: a-vertices below k/2, then the least pair with degree sum
+    # below k.  Dropping an a-vertex lowers no a-degree, so one pass in id
+    # order clears the first rule.
     while True:
-        drain_rule1()
-        min_b = min((degb[v] for v in alive_b), default=None)
-        pair = None
-        if min_b is not None:
-            for u2 in sorted(alive_a):
-                if dega[u2] + min_b < k:
-                    v2 = min(v for v in alive_b if dega[u2] + degb[v] < k)
-                    pair = (u2, v2)
-                    break
-        if pair is None:
+        for u in sorted(alive_a):
+            if 2 * adj[u].bit_count() < k:
+                deleted(drop(adj, radj, alive_a, u))
+        min_b = min((radj[v].bit_count() for v in alive_b), default=k)
+        u2 = next((u for u in sorted(alive_a) if adj[u].bit_count() + min_b < k), None)
+        if u2 is None:
             break
+        deg = adj[u2].bit_count()
+        v2 = min(v for v in alive_b if deg + radj[v].bit_count() < k)
         # the density observation covers the pair as one deletion event
-        hit = radj[pair[1]]
-        drop_a(pair[0])
-        drop_b(pair[1])
-        assert_density()
-        for u in bits_of(hit):
-            if u in alive_a and 2 * dega[u] < k:
-                heapq.heappush(heap_a, u)
+        deleted(drop(adj, radj, alive_a, u2) + drop(radj, adj, alive_b, v2), 2)
 
-    audit = {"loop2": False}
-    if any(degb[v] < r for v in alive_b):
-        # some b-vertex is below r: strip everything under k/2 on both sides
-        audit["loop2"] = True
-        heap2 = [(0, u) for u in alive_a if 2 * dega[u] < k]
-        heap2 += [(1, v) for v in alive_b if 2 * degb[v] < k]
-        heapq.heapify(heap2)
-        while heap2:
-            side, u = heapq.heappop(heap2)
-            if side == 0:
-                if u in alive_a and 2 * dega[u] < k:
-                    hit = adj[u]
-                    drop_a(u)
-                    assert_density()
-                    for v in bits_of(hit):
-                        if v in alive_b and 2 * degb[v] < k:
-                            heapq.heappush(heap2, (1, v))
-            else:
-                if u in alive_b and 2 * degb[u] < k:
-                    hit = radj[u]
-                    drop_b(u)
-                    assert_density()
-                    for w in bits_of(hit):
-                        if w in alive_a and 2 * dega[w] < k:
-                            heapq.heappush(heap2, (0, w))
-        case = "II" if len(alive_a) > len(alive_b) else "I"
-    else:
-        case = "I"
-
+    loop2 = any(radj[v].bit_count() < r for v in alive_b)
+    if loop2:
+        # some b-vertex is below r: strip everything under k/2 on both sides.
+        # The peel's result is unique, so the survivors are the vertices left
+        # with an edge; edgeless ones count in |H| until then, which only
+        # makes each density check stricter.
+        _peel(adj, radj, k, deleted)
+        alive_a = {u for u in alive_a if adj[u]}
+        alive_b = {v for v in alive_b if radj[v]}
+    case = "II" if loop2 and len(alive_a) > len(alive_b) else "I"
     if not alive_a or not alive_b or e == 0:
         raise InternalAssertion("bipartite-empty")
-    audit["edges"] = e
-    audit["sides"] = (len(alive_a), len(alive_b))
+    audit = {"loop2": loop2, "edges": e, "sides": (len(alive_a), len(alive_b))}
     return alive_a, alive_b, adj, case, audit
 
 
@@ -227,8 +179,6 @@ def _select(d: Digraph, k: int, r: int) -> SelectionResult:
         raise HypothesisViolated("k-exceeds-order", k=k, n=d.n)
     if d.a() <= (k - 1) * d.n:
         raise HypothesisViolated("density", arcs=d.a(), need=(k - 1) * d.n + 1)
-    if not (1 <= r and 2 * r <= k + 1):
-        raise AntembedError(f"need 1 <= r <= ceil(k/2), got r={r}, k={k}")
     alive_a, alive_b, adj, case, audit = prune_bipartite(d, k, r)
     sub = d if audit["edges"] == d.a() else Digraph.from_bits(d.n, adj)
 

@@ -79,6 +79,11 @@ def _suite(name: str, **defaults: int):
     return register
 
 
+def _instance(d, t, **extra):
+    """A failure record: the host and the tree as JSON objects, then ``extra``."""
+    return {"host": to_json_obj(d), "tree": to_json_obj(t.tree), **extra}
+
+
 def _pmap(fn, items, jobs):
     if jobs <= 1:
         return [fn(x) for x in items]
@@ -109,9 +114,9 @@ def _prop3_host(args):
         try:
             emb = embed_caterpillar(d, t)
             if not validate_embedding(t, d, emb.map):
-                bad.append({"host": to_json_obj(d), "tree": to_json_obj(t.tree), "why": "invalid"})
+                bad.append(_instance(d, t, why="invalid"))
         except Exception as exc:  # any refusal here is a failure: density held
-            bad.append({"host": to_json_obj(d), "tree": to_json_obj(t.tree), "why": repr(exc)})
+            bad.append(_instance(d, t, why=repr(exc)))
     return bad
 
 
@@ -157,23 +162,19 @@ def _goodarcs_one(args):
         table = good_arcs(c, t)
         table2 = good_arcs_mindeg(c, t)
     except Exception as exc:  # the ops assert their own count bounds
-        out["bound_fail"] = {"host": to_json_obj(d), "tree": to_json_obj(t.tree), "why": repr(exc)}
+        out["bound_fail"] = _instance(d, t, why=repr(exc))
         return out
     if set(table.stage_arcs[-1]) != set(table2.stage_arcs[-1]):
-        out["bound_fail"] = {"host": to_json_obj(d), "tree": to_json_obj(t.tree), "which": "set-mismatch"}
+        out["bound_fail"] = _instance(d, t, which="set-mismatch")
     if d.n <= 5 and t.k <= 3:
         bf = brute_good_arcs(c, t)
         dp = set(table.stage_arcs[-1])
         if dp != bf:
-            out["equality_fail"] = {
-                "host": to_json_obj(d),
-                "order": list(order),
-                "tree": to_json_obj(t.tree),
-                "dp_minus_bf": sorted(dp - bf),
-                "bf_minus_dp": sorted(bf - dp),
-            }
+            out["equality_fail"] = _instance(
+                d, t, order=list(order), dp_minus_bf=sorted(dp - bf), bf_minus_dp=sorted(bf - dp)
+            )
         if not dp <= bf:
-            out["bound_fail"] = {"host": to_json_obj(d), "tree": to_json_obj(t.tree), "which": "unsound"}
+            out["bound_fail"] = _instance(d, t, which="unsound")
     return out
 
 
@@ -399,7 +400,7 @@ def _differential_one(seed):
         if oracle_embed(d, t).verdict != "Embeds":
             fails.append("prop3-vs-oracle")
     if fails:
-        return {"host": to_json_obj(d), "tree": to_json_obj(t.tree), "fails": fails}
+        return _instance(d, t, fails=fails)
     return None
 
 
@@ -449,9 +450,7 @@ def suite_reversal(params, jobs=1):
             d = Digraph(n, arcs)
             why = check_pair(d, t, False)
             if why:
-                failures.append(
-                    {"i": i, "why": why, "host": to_json_obj(d), "tree": to_json_obj(t.tree)}
-                )
+                failures.append(_instance(d, t, i=i, why=why))
     return _report("reversal-metamorphic", params, failures, {"instances": count})
 
 

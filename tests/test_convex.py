@@ -747,3 +747,15 @@ def test_dp_memo_explicit_order_has_its_own_cache():
     for bad in (order[1:], [0] + order[1:-1] + [0]):
         with pytest.raises(ae.AntembedError, match="order must be a permutation"):
             ae.ConvexDigraph(host, bad)
+
+
+def test_stage_arcs_slices_are_lists_of_maps():
+    host = ae.gen_incidence(7)
+    table = ae.good_arcs(ae.ConvexDigraph(host), spine_caterpillar(1, [2, 1, 0, 2]))
+    stages = table.stage_arcs
+    maps = [stages[i] for i in range(len(stages))]
+    assert stages[1:] == maps[1:] and stages[::-1] == maps[::-1] and stages[:] == maps
+    assert all(a is b for a, b in zip(stages[1:], maps[1:]))
+    assert stages[5:2] == []
+    with pytest.raises(IndexError):
+        stages[len(stages)]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_gen_random_dense():
         ae.gen_random_dense(3, 3, seed=0)
     with pytest.raises(ae.AntembedError, match="1 <= k <= n"):
         ae.gen_random_dense(3, 4, seed=0)
+
+
+def test_gen_random_dense_samples_pair_indices():
+    # the sampled indices decode to the arcs a sample of the pairs list picks
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        k = rng.randint(1, n - 1)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        want = random.Random(seed).sample(pairs, (k - 1) * n + 1)
+        assert ae.gen_random_dense(n, k, seed=seed).arcs == tuple(want)
+    # no pair is listed, so a refusal on a large order costs nothing
+    start = time.perf_counter()
+    with pytest.raises(ae.AntembedError, match="cannot place"):
+        ae.gen_random_dense(100_000, 100_000, seed=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sample_antitree():

@@ -258,3 +258,83 @@ def test_selection_result_is_read_only():
         sel.extra = 1
     with pytest.raises(TypeError):
         sel.audit["edges"] = 0
+
+
+def reference_bipartite(d, k, r):
+    """prune_bipartite's two loops as least-id-first rescans: the first
+    deletes the least a-vertex below k/2, else the least pair (u, v) with
+    degree sum below k, and rescans; the second, run when some surviving
+    b-vertex is below r, deletes the least a-vertex, else the least b-vertex,
+    below k/2, and rescans.  Returns the five values and which loops fired."""
+    if not (1 <= r and 2 * r <= k + 1):
+        raise ae.AntembedError("r out of range")
+    n = d.n
+    out = [set() for _ in range(n)]
+    inn = [set() for _ in range(n)]
+    for u, v in d.arcs:
+        out[u].add(v)
+        inn[v].add(u)
+    if 2 * d.a() <= (k - 1) * 2 * n:
+        raise ae.HypothesisViolated("density")
+    alive_a, alive_b = set(range(n)), set(range(n))
+
+    def drop(rows, cols, alive, x):
+        for w in rows[x]:
+            cols[w].discard(x)
+        rows[x] = set()
+        alive.discard(x)
+
+    pairs = 0
+    while True:
+        low = [u for u in sorted(alive_a) if 2 * len(out[u]) < k]
+        if low:
+            drop(out, inn, alive_a, low[0])
+            continue
+        pair = [(u, v) for u in sorted(alive_a) for v in sorted(alive_b) if len(out[u]) + len(inn[v]) < k]
+        if not pair:
+            break
+        pairs += 1
+        drop(out, inn, alive_a, pair[0][0])
+        drop(inn, out, alive_b, pair[0][1])
+    loop2 = any(len(inn[v]) < r for v in alive_b)
+    while loop2:
+        low = [(out, inn, alive_a, u) for u in sorted(alive_a) if 2 * len(out[u]) < k]
+        low += [(inn, out, alive_b, v) for v in sorted(alive_b) if 2 * len(inn[v]) < k]
+        if not low:
+            break
+        drop(*low[0])
+    case = "II" if loop2 and len(alive_a) > len(alive_b) else "I"
+    e = sum(map(len, out))
+    if not alive_a or not alive_b or e == 0:
+        raise ae.InternalAssertion("bipartite-empty")
+    adj = [sum(1 << v for v in out[u]) for u in range(n)]
+    return (alive_a, alive_b, adj, case, {"loop2": loop2, "edges": e, "sides": (len(alive_a), len(alive_b))}), pairs
+
+
+def test_prune_bipartite_matches_rescan_reference(seed=3):
+    # dense random hosts, half of them with arcs added: the deletion order is
+    # free, the outcome is not.  The pair rule and the second loop each fire
+    # on hundreds of the instances that return.
+    rng = random.Random(seed)
+    fired = {"returned": 0, "pair": 0, "loop2": 0}
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, n - 1)
+        r = rng.randint(1, (k + 1) // 2) if rng.random() < 0.9 else rng.choice((0, (k + 1) // 2 + 1))
+        d = ae.gen_random_dense(n, k, seed=rng.randrange(10**6))
+        if rng.random() < 0.5:
+            extra = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and not d.has_arc(u, v) and rng.random() < 0.2]
+            d = Digraph(n, d.arcs + tuple(extra))
+        try:
+            want, pairs = reference_bipartite(d, k, r)
+        except ae.AntembedError as exc:
+            with pytest.raises(ae.AntembedError) as got:
+                prune_bipartite(d, k, r)
+            assert type(got.value) is type(exc)
+            continue
+        assert prune_bipartite(d, k, r) == want
+        fired["returned"] += 1
+        fired["pair"] += pairs > 0
+        fired["loop2"] += want[4]["loop2"]
+    assert fired["returned"] >= 1000 and fired["pair"] >= 200 and fired["loop2"] >= 500, fired

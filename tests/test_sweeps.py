@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
 import antembed as ae
 import antembed.sweeps as sw
-from antembed.digraph import Digraph
+from antembed.digraph import Digraph, from_json_obj
 from antembed.errors import HypothesisViolated
 from antembed.oracle_gen import sample_antitree_heavy
 
@@ -87,3 +88,23 @@ def test_mid_delta_fuzz_soundness():
         assert ae.validate_embedding(t, d, out.embedding.map)
         succ += 1
     assert succ > 0
+
+
+def test_fault_injected_prop3_failure_records_replay(monkeypatch):
+    # an embed_caterpillar that swaps two images: the suite reports it, and
+    # each record survives JSON and replays with the real function
+    real = sw.embed_caterpillar
+
+    def swapped(d, t, order=None):
+        m = dict(real(d, t, order).map)
+        m[0], m[1] = m[1], m[0]
+        return ae.Embedding(map=m)
+
+    monkeypatch.setattr(sw, "embed_caterpillar", swapped)
+    rep = sw.suite_prop3_exhaustive({"sample5": 50, "seed": 1})
+    assert not rep["ok"] and all(f["why"] == "invalid" for f in rep["failures"])
+    assert json.loads(json.dumps(rep)) == rep
+    for f in rep["failures"][:50]:
+        d = from_json_obj(f["host"])
+        t = ae.validate_antitree(from_json_obj(f["tree"]))
+        assert ae.validate_embedding(t, d, real(d, t).map)

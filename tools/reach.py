@@ -11,9 +11,10 @@ and then benchmark ops in process, each ``wl.instance(i)``, ``wl.op`` and
 ``wl.check``, at seeds 1302 and 8191: pg25-warm 400 ops, intake-cold 24 and
 desk-mix 2,000.  A line counts as never reached when some code object
 compiled from its module maps an instruction to it (``co_lines``,
-recursively) and no event hit it.  Tests that fork pool workers
-(``--jobs 2``) are not traced in the workers, so a few ``sweeps`` lines read
-as never reached although they run.
+recursively) and no event hit it.  ``sweeps._pmap`` is replaced by its own
+serial branch, so the work of ``--jobs 2`` tests runs in this process, under
+the tracer, rather than in untraced pool workers; only the lines that start
+the pool read as never reached.
 
     python tools/reach.py
 
@@ -77,6 +78,11 @@ def main() -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     sys.settrace(_global)
     import pytest
+
+    import antembed.sweeps as sweeps
+
+    pmap = sweeps._pmap
+    sweeps._pmap = lambda fn, items, jobs: pmap(fn, items, 1)
 
     pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "tests"])
     _benchmark_ops()

@@ -52,6 +52,13 @@ instance):
   a line->point arc, so the first witness is a (-,-) one among the points),
   then on PG(2,7) and PG(2,13) each with 1 to 3 seeded non-incident arcs
   added, point->line or line->point.
+- ``selection``: seeded random hosts with 2 to 12 vertices,
+  ``gen_random_dense`` hosts with 2 to 14, and PG(2,7) and PG(2,13) with
+  seeded arcs deleted; on each host, for every k from 1 to one past the order
+  or twice the largest degree (whichever is less), ``prune_pseudo``'s sorted
+  arcs, then for every r from 0 to ceil(k/2) + 1 ``select_subdigraph``'s
+  case, witness, sorted arcs and audit; each failing call records the
+  exception's type and message instead.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -74,13 +81,16 @@ from antembed import (
     embed_caterpillar_mindeg,
     enumerate_antitrees,
     gen_incidence,
+    gen_random_dense,
     good_arcs,
     is_caterpillar,
     is_k2s_free,
     parse_arclist,
+    prune_pseudo,
     reverse,
     reverse_antitree,
     sample_antitree,
+    select_subdigraph,
     validate_antitree,
 )
 from antembed.convex import reconstruct_witness
@@ -99,6 +109,8 @@ INTAKE_TEXTS = 160
 COLD_HOSTS = 40
 COLD_CATS = 5
 WITNESS_HOSTS = 100
+SELECT_HOSTS = 1000
+SELECT_PG_HOSTS = 20
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -377,6 +389,41 @@ def cold_good_arcs():
                                          separators=(",", ":"))
 
 
+def selection_hosts():
+    rng = random.Random(13)
+    for _ in range(SELECT_HOSTS):
+        n = rng.randint(2, 12)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8, 1.0])
+        yield Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+    for seed in range(SELECT_HOSTS):
+        n = rng.randint(2, 14)
+        yield gen_random_dense(n, rng.randint(1, n - 1), seed)
+    for q in (7, 13):
+        base = gen_incidence(q)
+        for _ in range(SELECT_PG_HOSTS):
+            gone = set(rng.sample(range(base.a()), rng.randint(0, base.a() // 4)))
+            yield Digraph(base.n, [arc for j, arc in enumerate(base.arcs) if j not in gone])
+
+
+def selection():
+    def attempt(fn):
+        try:
+            return fn()
+        except AntembedError as exc:
+            return [type(exc).__name__, str(exc)]
+
+    def selected(d, k, r):
+        sel = select_subdigraph(d, k, r)
+        return [sel.case_tag, sel.witness_vertex, sorted(sel.sub.arcs), dict(sel.audit)]
+
+    for d in selection_hosts():
+        top = max(max(d.out_deg(v), d.in_deg(v)) for v in range(d.n))
+        for k in range(1, min(d.n + 1, 2 * top) + 1):
+            rec = [k, attempt(lambda: sorted(prune_pseudo(d, k).arcs))]
+            rec += [attempt(lambda: selected(d, k, r)) for r in range((k + 1) // 2 + 2)]
+            yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -389,6 +436,7 @@ def main() -> int:
     digest("intake", intake(host))
     digest("cold-good-arcs", cold_good_arcs())
     digest("freeness-witness", freeness_witness(host))
+    digest("selection", selection())
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
