@@ -125,14 +125,13 @@ class ConvexDigraph:
         return i
 
     def interval(self, a: int, b: int) -> set[int]:
-        """Vertices strictly after a and strictly before b, clockwise."""
-        n = self.d.n
-        out = set()
-        i = (self.pos[a] + 1) % n
-        while self.order[i] != b:
-            out.add(self.order[i])
-            i = (i + 1) % n
-        return out
+        """Vertices strictly after a and strictly before b, clockwise; every
+        vertex but a when b is a."""
+        n, order = self.d.n, self.order
+        if not (0 <= a < n and 0 <= b < n):
+            raise AntembedError(f"interval ({a}, {b}) names a vertex outside 0..{n - 1}")
+        i, j = self.pos[a] + 1, self.pos[b]
+        return set(order[i:j]) if i <= j else set(order[i:] + order[:j])
 
     def _mask(self, sign: int, m: int, even: bool) -> int:
         """The positions of the sign layout that survive a stage shifting by m:

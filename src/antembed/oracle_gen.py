@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .antitree import AntiTree, caterpillar_decompose, centroids, degree_stats, from_edges, rooted_view
 from .convex import ConvexDigraph
-from .digraph import Digraph, bits_of, degree_profile
+from .digraph import Digraph, bits_of, degree_profile, neighbor_lists
 from .errors import AntembedError
 
 _PRIME_POWERS = {
@@ -34,6 +34,12 @@ _PRIME_POWERS = {
     19: (19, 1, None),
     23: (23, 1, None),
     25: (5, 2, (2, 0)),      # x^2 + 2
+    29: (29, 1, None),
+    31: (31, 1, None),
+    37: (37, 1, None),
+    41: (41, 1, None),
+    43: (43, 1, None),
+    47: (47, 1, None),
 }
 
 
@@ -229,19 +235,37 @@ def _projective_points(gf: _GF) -> list[tuple[int, int, int]]:
 def gen_incidence(q: int) -> Digraph:
     """Point -> line incidence digraph of PG(2, q).
 
-    Points occupy ids 0..N-1 and lines N..2N-1 with N = q^2 + q + 1; the arc
-    set is exactly the incidence relation, so every vertex is a pure source or
-    a pure sink and the digraph is antidirected.
+    Points occupy ids 0..N-1 and lines N..2N-1 with N = q^2 + q + 1, both in
+    ``_projective_points``' layout: (1,y,z) at y q + z, (0,1,z) at q^2 + z,
+    (0,0,1) at q^2 + q.  The arc set is exactly the incidence relation, so
+    every vertex is a pure source or a pure sink and the digraph is
+    antidirected.  Each point's q+1 lines are solved for, not searched: for
+    (a,b,c) with c != 0 they are (1, y, -(a+by)/c) for each y, then
+    (0, 1, -b/c); with c = 0 and b != 0, (1, -a/b, z) for each z, then
+    (0,0,1); with b = c = 0, every (0,1,z), then (0,0,1).  Each list comes
+    out in increasing id order, so arcs are listed point by point, lines
+    ascending, in O(N q).
     """
     gf = _GF(q)
-    pts = _projective_points(gf)
-    N = len(pts)
+    add, mul = gf.add, gf.mul
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    qq = q * q
+    N = qq + q + 1
     arcs = []
-    for i, (a, b, c) in enumerate(pts):
-        for j, (x, y, z) in enumerate(pts):
-            s = gf.add[gf.mul[a][x]][gf.add[gf.mul[b][y]][gf.mul[c][z]]]
-            if s == 0:
-                arcs.append((i, N + j))
+    for i, (a, b, c) in enumerate(_projective_points(gf)):
+        if c:
+            # -x / c is x times -1/c
+            by, over = mul[b], mul[neg[inv[c]]]
+            lines = [y * q + over[add[a][by[y]]] for y in range(q)]
+            lines.append(qq + over[b])
+        elif b:
+            y = mul[neg[a]][inv[b]] * q
+            lines = list(range(y, y + q))
+            lines.append(qq + q)
+        else:
+            lines = list(range(qq, qq + q + 1))
+        arcs += [(i, N + j) for j in lines]
     d = Digraph(2 * N, arcs)
     if d.a() != (q + 1) * N:
         raise AntembedError("incidence arc count audit failed")
@@ -250,14 +274,30 @@ def gen_incidence(q: int) -> Digraph:
 
 def audit_projective(d: Digraph) -> bool:
     """Two points on exactly one common line, two lines through exactly one
-    common point; checked directly on the bitmask adjacency."""
+    common point; checked directly on the bitmask adjacency.
+
+    Points are ids 0..n/2-1 and lines the next n/2.  For each point i the
+    in-rows of its out-neighbours are folded into two counters (``one``: in
+    some row, ``two``: in two or more), and a point j sits in exactly
+    |N+(i) ∩ N+(j)| of those rows; so i shares exactly one line with every
+    other point iff every point but i is in ``one`` and none is in ``two``
+    (i itself is in every row and is masked out).  Lines are checked the same
+    way on their in-neighbours' out-rows.  The cost is 2 a(D) folded rows,
+    read from the neighbour lists of the arc columns.
+    """
     n2 = d.n // 2
-    pts = range(n2)
-    for i in pts:
-        for j in range(i + 1, n2):
-            if (d.out_bits[i] & d.out_bits[j]).bit_count() != 1:
-                return False
-            if (d.in_bits[n2 + i] & d.in_bits[n2 + j]).bit_count() != 1:
+    pts = (1 << n2) - 1
+    outs, ins = neighbor_lists(d)
+    for nbrs, folded, side in ((outs, d.in_bits, 0), (ins, d.out_bits, n2)):
+        every = pts << side
+        for v in range(side, side + n2):
+            one = two = 0
+            for w in nbrs[v]:
+                row = folded[w]
+                two |= one & row
+                one |= row
+            others = every ^ (1 << v)
+            if one & others != others or two & others:
                 return False
     return True
 

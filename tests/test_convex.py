@@ -28,6 +28,29 @@ def random_digraph(rng, n, p=None):
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
 
 
+def test_interval_slices_the_order_and_refuses_unknown_vertices():
+    # against a clockwise walk from a to b, in random orders; interval(a, a)
+    # is every vertex but a, and a vertex outside 0..n-1 is refused
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        order = list(range(n))
+        rng.shuffle(order)
+        c = ae.ConvexDigraph(Digraph(n, []), order)
+        for a in range(n):
+            for b in range(n):
+                walk, i = set(), (order.index(a) + 1) % n
+                while order[i] != b:
+                    walk.add(order[i])
+                    i = (i + 1) % n
+                assert c.interval(a, b) == walk
+            assert c.interval(a, a) == set(range(n)) - {a}
+    c = ae.ConvexDigraph(ae.gen_incidence(2))
+    for a, b in ((0, 99), (99, 0), (0, 14), (-1, 3)):
+        with pytest.raises(ae.AntembedError, match="outside 0..13"):
+            c.interval(a, b)
+
+
 def test_side_condition_matches_the_clockwise_interval():
     # random circular orders, injective maps and spines of both parities: the
     # side condition holds exactly when the interval the chord cuts off,

@@ -6,7 +6,7 @@ import pytest
 
 import antembed as ae
 from antembed.digraph import Digraph
-from antembed.oracle_gen import sample_antitree_heavy
+from antembed.oracle_gen import _PRIME_POWERS, _GF, _projective_points, sample_antitree_heavy
 
 D1 = Digraph(3, [(0, 1), (2, 1)])
 
@@ -96,7 +96,7 @@ def test_gen_incidence_small():
     assert ae.audit_projective(fano)
     plus, minus = ae.plus_minus_sets(fano)
     assert len(plus) == 7 and len(minus) == 7 and not (plus & minus)
-    for q in (3, 4, 5):
+    for q in (3, 4, 5, 29, 31, 37, 41, 43, 47):
         d = ae.gen_incidence(q)
         N = q * q + q + 1
         assert d.n == 2 * N and d.a() == (q + 1) * N
@@ -115,6 +115,63 @@ def test_gen_incidence_25_shape():
     d = ae.gen_incidence(25)
     assert d.n == 1302 and d.a() == 16926
     assert d.a() > 12 * d.n
+
+
+def reference_incidence(q):
+    """PG(2,q) by testing every point against every line."""
+    gf = _GF(q)
+    pts = _projective_points(gf)
+    N = len(pts)
+    arcs = []
+    for i, (a, b, c) in enumerate(pts):
+        for j, (x, y, z) in enumerate(pts):
+            if gf.add[gf.mul[a][x]][gf.add[gf.mul[b][y]][gf.mul[c][z]]] == 0:
+                arcs.append((i, N + j))
+    return Digraph(2 * N, arcs)
+
+
+def reference_audit(d):
+    """The projective axioms tested on every pair of points and of lines."""
+    n2 = d.n // 2
+    for i in range(n2):
+        for j in range(i + 1, n2):
+            if (d.out_bits[i] & d.out_bits[j]).bit_count() != 1:
+                return False
+            if (d.in_bits[n2 + i] & d.in_bits[n2 + j]).bit_count() != 1:
+                return False
+    return True
+
+
+def test_gen_incidence_matches_all_pairs_reference():
+    for q in [q for q in sorted(_PRIME_POWERS) if q <= 25] + [29, 31]:
+        d, ref = ae.gen_incidence(q), reference_incidence(q)
+        assert d.arcs == ref.arcs and d.in_bits == ref.in_bits, q
+
+
+def test_audit_projective_matches_pairwise_reference():
+    # seeded PG(2,q), q <= 7, less some arcs or plus point->line, line->point
+    # and point->point arcs
+    rng = random.Random(28)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        base = ae.gen_incidence(rng.choice([2, 3, 4, 5, 7]))
+        N = base.n // 2
+        arcs = set(base.arcs)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(["delete", "point-line", "line-point", "point-point"])
+            if kind == "delete":
+                arcs.discard(rng.choice(sorted(arcs)))
+            elif kind == "point-line":
+                arcs.add((rng.randrange(N), N + rng.randrange(N)))
+            elif kind == "line-point":
+                arcs.add((N + rng.randrange(N), rng.randrange(N)))
+            else:
+                arcs.add(tuple(rng.sample(range(N), 2)))
+        d = Digraph(base.n, sorted(arcs))
+        verdict = ae.audit_projective(d)
+        assert verdict == reference_audit(d)
+        verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_gen_random_dense():

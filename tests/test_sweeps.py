@@ -90,6 +90,21 @@ def test_mid_delta_fuzz_soundness():
     assert succ > 0
 
 
+def test_fault_injected_theorem2_pg_reports_a_broken_plane(monkeypatch):
+    # PG(2,25) with the arcs into one line removed and one non-incident
+    # point->line arc added: wrong shape, not K_{2,2}-free, not a plane
+    real = sw.gen_incidence(25)
+    line = real.n // 2
+    extra = next((0, v) for v in range(line + 1, real.n) if not real.has_arc(0, v))
+    broken = Digraph(real.n, [a for a in real.arcs if a[1] != line] + [extra])
+    monkeypatch.setattr(sw, "gen_incidence", lambda q: broken)
+    rep = sw.suite_theorem2_pg({"count": 2, "seed": 1302, "full_check": 2})
+    assert not rep["ok"]
+    whys = {f.get("why") for f in rep["failures"]}
+    assert {"host-shape", "host-not-free", "projective-axioms"} <= whys
+    assert json.loads(json.dumps(rep)) == rep
+
+
 def test_fault_injected_prop3_failure_records_replay(monkeypatch):
     # an embed_caterpillar that swaps two images: the suite reports it, and
     # each record survives JSON and replays with the real function

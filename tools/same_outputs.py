@@ -59,6 +59,10 @@ instance):
   arcs, then for every r from 0 to ceil(k/2) + 1 ``select_subdigraph``'s
   case, witness, sorted arcs and audit; each failing call records the
   exception's type and message instead.
+- ``incidence``: ``gen_incidence(q)``'s order and arcs for every q up to 25
+  that it supports, then ``audit_projective``'s verdict on seeded PG(2,q),
+  q <= 7, less some arcs or plus point->line, line->point and point->point
+  arcs.
 
 It needs only the public API, so it runs unchanged against an older tree.
 """
@@ -75,6 +79,7 @@ from antembed import (
     AntembedError,
     ConvexDigraph,
     Digraph,
+    audit_projective,
     degree_stats,
     embed_antitree,
     embed_caterpillar,
@@ -111,6 +116,8 @@ COLD_CATS = 5
 WITNESS_HOSTS = 100
 SELECT_HOSTS = 1000
 SELECT_PG_HOSTS = 20
+INCIDENCE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+AUDIT_HOSTS = 1500
 # the oracle's node budget after an internal assertion, as in the benchmark
 BUDGET = 200_000
 
@@ -424,6 +431,30 @@ def selection():
             yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
+def incidence():
+    for q in INCIDENCE_QS:
+        d = gen_incidence(q)
+        yield json.dumps([q, d.n, d.arcs], separators=(",", ":"))
+    rng = random.Random(14)
+    for _ in range(AUDIT_HOSTS):
+        q = rng.choice([2, 3, 4, 5, 7])
+        base = gen_incidence(q)
+        points = base.n // 2
+        arcs = set(base.arcs)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(["delete", "point-line", "line-point", "point-point"])
+            if kind == "delete":
+                arcs.discard(rng.choice(sorted(arcs)))
+            elif kind == "point-line":
+                arcs.add((rng.randrange(points), points + rng.randrange(points)))
+            elif kind == "line-point":
+                arcs.add((points + rng.randrange(points), rng.randrange(points)))
+            else:
+                arcs.add(tuple(rng.sample(range(points), 2)))
+        arcs = sorted(arcs)
+        yield json.dumps([q, arcs, audit_projective(Digraph(base.n, arcs))], separators=(",", ":"))
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
@@ -437,6 +468,7 @@ def main() -> int:
     digest("cold-good-arcs", cold_good_arcs())
     digest("freeness-witness", freeness_witness(host))
     digest("selection", selection())
+    digest("incidence", incidence())
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
