@@ -133,18 +133,7 @@ def cmd_check_free(args) -> int:
     if res is True:
         _emit({"free": True, "s": args.s}, args.json)
         return 0
-    payload = {
-        "free": False,
-        "s": args.s,
-        "witness": {
-            "a": res.a,
-            "b": res.b,
-            "sign_a": res.sign_a,
-            "sign_b": res.sign_b,
-            "common": sorted(res.common),
-        },
-    }
-    print(json.dumps(payload))
+    print(json.dumps({"free": False, "s": args.s, "witness": res.to_json()}))
     return 1
 
 

@@ -67,6 +67,16 @@ class ForbiddenWitness:
     sign_b: int
     common: frozenset[int]
 
+    def to_json(self) -> dict:
+        """The witness as a JSON object, keys in the order a, b, sign_a,
+        sign_b, common, the common set sorted."""
+        return {"a": self.a, "b": self.b, "sign_a": self.sign_a, "sign_b": self.sign_b, "common": sorted(self.common)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> ForbiddenWitness:
+        """The inverse of ``to_json``."""
+        return cls(obj["a"], obj["b"], obj["sign_a"], obj["sign_b"], frozenset(obj["common"]))
+
     def revalidate(self, d: Digraph, s: int) -> bool:
         if self.a == self.b or len(self.common) != s:
             return False

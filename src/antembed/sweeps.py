@@ -20,7 +20,7 @@ from .convex import ConvexDigraph, embed_caterpillar, good_arcs, good_arcs_minde
 from .digraph import Digraph, degree_profile, reverse, to_json_obj
 from .embedding import validate_embedding
 from .errors import AntembedError, HypothesisViolated
-from .freeness import common_neighborhood, is_k2s_free
+from .freeness import ForbiddenWitness, is_k2s_free
 from .oracle_gen import (
     audit_projective,
     brute_good_arcs,
@@ -91,33 +91,46 @@ def _pmap(fn, items, jobs):
         return pool.map(fn, items, chunksize=64)
 
 
+def _per_seed(name, one, params, jobs):
+    """The report of ``one`` on seeds ``seed`` to ``seed+count-1``; its records are the failures."""
+    count, seed = params["count"], params["seed"]
+    failures = [r for r in _pmap(one, [seed + i for i in range(count)], jobs) if r]
+    return _report(name, params, failures, {"instances": count})
+
+
+def _random_pair(rng, nmax, densities):
+    """A host on 2 to ``nmax`` vertices, each arc in with a probability drawn
+    from ``densities``, and a random tree with at most min(5, n-1) arcs."""
+    n = rng.randint(2, nmax)
+    t = sample_antitree(rng.randint(1, min(5, n - 1)), rng)
+    p = rng.choice(densities)
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]), t
+
+
+def _caterpillar_failure(d, t):
+    """None when ``embed_caterpillar``'s map of ``t`` into ``d`` validates, else ``"invalid"`` or
+    the exception's repr: callers pass pairs above the density bound, where any refusal fails."""
+    try:
+        emb = embed_caterpillar(d, t)
+        return None if validate_embedding(t, d, emb.map) else "invalid"
+    except Exception as exc:
+        return repr(exc)
+
+
 # -- criterion 1: exhaustive caterpillar embedding ------------------------------
 
 
 def _caterpillar_classes(kmax):
-    out = []
-    for k in range(1, kmax + 1):
-        for t in enumerate_antitrees(k):
-            if is_caterpillar(t):
-                out.append(t)
-    return out
+    return [t for k in range(1, kmax + 1) for t in enumerate_antitrees(k) if is_caterpillar(t)]
 
 
 def _prop3_host(args):
     d, trees = args
-    bad = []
-    n = d.n
-    for t in trees:
-        k = t.k
-        if t.n > n or d.a() <= (k - 1) * n:
-            continue
-        try:
-            emb = embed_caterpillar(d, t)
-            if not validate_embedding(t, d, emb.map):
-                bad.append(_instance(d, t, why="invalid"))
-        except Exception as exc:  # any refusal here is a failure: density held
-            bad.append(_instance(d, t, why=repr(exc)))
-    return bad
+    return [
+        _instance(d, t, why=why)
+        for t in trees
+        if t.n <= d.n and d.a() > (t.k - 1) * d.n and (why := _caterpillar_failure(d, t))
+    ]
 
 
 _PAIRS5 = [(u, v) for u in range(5) for v in range(5) if u != v]
@@ -171,7 +184,7 @@ def _goodarcs_one(args):
         dp = set(table.stage_arcs[-1])
         if dp != bf:
             out["equality_fail"] = _instance(
-                d, t, order=list(order), dp_minus_bf=sorted(dp - bf), bf_minus_dp=sorted(bf - dp)
+                d, t, order=list(order), dp_minus_bf=sorted(map(list, dp - bf)), bf_minus_dp=sorted(map(list, bf - dp))
             )
         if not dp <= bf:
             out["bound_fail"] = _instance(d, t, which="unsound")
@@ -192,8 +205,6 @@ def suite_good_arcs(params, jobs=1):
         order = list(range(n))
         rng.shuffle(order)
         cand = [t for t in trees if t.n <= n]
-        if not cand:
-            continue
         t = cand[rng.randrange(len(cand))]
         tasks.append((d, tuple(order), t))
     res = _pmap(_goodarcs_one, tasks, jobs)
@@ -257,10 +268,7 @@ def _selector_one(seed):
 
 @_suite("selector-audit", count=10_000, seed=777)
 def suite_selector_audit(params, jobs=1):
-    count, seed = params["count"], params["seed"]
-    res = _pmap(_selector_one, [seed + i for i in range(count)], jobs)
-    failures = [r for r in res if r]
-    return _report("selector-audit", params, failures, {"instances": count})
+    return _per_seed("selector-audit", _selector_one, params, jobs)
 
 
 # -- criterion 4: Theorem 2 end to end on PG(2,25) -------------------------------
@@ -351,14 +359,9 @@ def suite_burr_tightness(params, jobs=1):
                 if u == v or d.has_arc(u, v):
                     continue
                 adds += 1
-                d2 = Digraph(d.n, list(d.arcs) + [(u, v)])
-                try:
-                    emb = embed_caterpillar(d2, star)
-                except Exception as exc:
-                    failures.append({"k": k, "added": [u, v], "why": repr(exc)})
-                    continue
-                if not validate_embedding(star, d2, emb.map):
-                    failures.append({"k": k, "added": [u, v], "why": "invalid"})
+                why = _caterpillar_failure(Digraph(d.n, list(d.arcs) + [(u, v)]), star)
+                if why:
+                    failures.append({"k": k, "added": [u, v], "why": why})
     return _report("burr-tightness", params, failures, {"additions": adds})
 
 
@@ -366,13 +369,8 @@ def suite_burr_tightness(params, jobs=1):
 
 
 def _differential_one(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 12)
-    k = rng.randint(1, min(5, n - 1))
-    t = sample_antitree(k, rng)
-    p = rng.choice([0.15, 0.3, 0.5, 0.8])
-    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
-    d = Digraph(n, arcs)
+    d, t = _random_pair(random.Random(seed), 12, (0.15, 0.3, 0.5, 0.8))
+    n, k = d.n, t.k
     fails = []
     out = embed_antitree(d, t, k)
     if out.ok:
@@ -381,21 +379,13 @@ def _differential_one(seed):
         if oracle_embed(d, t).verdict != "Embeds":
             fails.append("pipeline-vs-oracle")
     else:
-        kind = out.failure.get("kind")
-        if kind == "density" and d.a() > (k - 1) * n:
+        f = out.failure
+        if f.get("kind") == "density" and d.a() > (k - 1) * n:
             fails.append("bogus-density-refusal")
-        if kind == "freeness":
-            w = out.failure["witness"]
-            cn = common_neighborhood(d, w["a"], w["sign_a"], w["b"], w["sign_b"])
-            if not set(w["common"]) <= cn:
-                fails.append("bogus-freeness-witness")
+        if f.get("kind") == "freeness" and not ForbiddenWitness.from_json(f["witness"]).revalidate(d, f["s"]):
+            fails.append("bogus-freeness-witness")
     if is_caterpillar(t) and d.a() > (k - 1) * n:
-        try:
-            emb = embed_caterpillar(d, t)
-            ok = validate_embedding(t, d, emb.map)
-        except Exception:
-            ok = False
-        if not ok:
+        if _caterpillar_failure(d, t):
             fails.append("prop3-miss")
         if oracle_embed(d, t).verdict != "Embeds":
             fails.append("prop3-vs-oracle")
@@ -406,10 +396,7 @@ def _differential_one(seed):
 
 @_suite("differential", count=10_000, seed=60_001)
 def suite_differential(params, jobs=1):
-    count, seed = params["count"], params["seed"]
-    res = _pmap(_differential_one, [seed + i for i in range(count)], jobs)
-    failures = [r for r in res if r]
-    return _report("differential", params, failures, {"instances": count})
+    return _per_seed("differential", _differential_one, params, jobs)
 
 
 # -- criterion 7: metamorphic reversal ---------------------------------------------
@@ -442,12 +429,7 @@ def suite_reversal(params, jobs=1):
             if why:
                 failures.append({"i": i, "why": why, "tree": to_json_obj(t.tree)})
         else:
-            n = rng.randint(2, 10)
-            k = rng.randint(1, min(5, n - 1))
-            t = sample_antitree(k, rng)
-            p = rng.choice([0.2, 0.5, 0.9])
-            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
-            d = Digraph(n, arcs)
+            d, t = _random_pair(rng, 10, (0.2, 0.5, 0.9))
             why = check_pair(d, t, False)
             if why:
                 failures.append(_instance(d, t, i=i, why=why))

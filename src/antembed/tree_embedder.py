@@ -544,13 +544,7 @@ def embed_antitree(d: Digraph, t: AntiTree, k: int | None = None, force_oracle: 
     # a single arc needs no forbidden-subgraph hypothesis
     free = True if known_free or k == 1 else is_k2s_free(d, s)
     if free is not True:
-        out = _refusal(
-            "freeness",
-            trace,
-            s=s,
-            witness={"a": free.a, "b": free.b, "sign_a": free.sign_a,
-                     "sign_b": free.sign_b, "common": sorted(free.common)},
-        )
+        out = _refusal("freeness", trace, s=s, witness=free.to_json())
         return _oracle_after(d, t, budget, trace) if force_oracle else out
     try:
         mapping, case = _single_arc(d, t) if k == 1 else _dispatch(d, t, k, trace)

@@ -24,10 +24,11 @@ def test_gen_and_check_free(tmp_path, capsys):
 
     host = _write(tmp_path, "burr.txt", d)
     assert main(["check-free", "--host", host, "--s", "1"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    w = payload["witness"]
-    cn = ae.common_neighborhood(d, w["a"], w["sign_a"], w["b"], w["sign_b"])
-    assert set(w["common"]) <= cn
+    line = capsys.readouterr().out
+    w = ae.is_k2s_free(d, 1)
+    assert line == json.dumps({"free": False, "s": 1, "witness": w.to_json()}) + "\n"
+    assert ae.ForbiddenWitness.from_json(json.loads(line)["witness"]).revalidate(d, 1)
+    assert ae.ForbiddenWitness.from_json(w.to_json()) == w
 
     fano = ae.gen_incidence(2)
     host = _write(tmp_path, "fano.txt", fano)

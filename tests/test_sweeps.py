@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,11 @@ import antembed.sweeps as sw
 from antembed.digraph import Digraph, from_json_obj
 from antembed.errors import HypothesisViolated
 from antembed.oracle_gen import sample_antitree_heavy
+
+# the real functions, for the faults below to wrap
+REAL_EMBED = sw.embed_antitree
+REAL_BRUTE = sw.brute_good_arcs
+REAL_SELECT = sw.select_subdigraph
 
 
 def test_parallel_map_matches_serial():
@@ -123,3 +130,113 @@ def test_fault_injected_prop3_failure_records_replay(monkeypatch):
         d = from_json_obj(f["host"])
         t = ae.validate_antitree(from_json_obj(f["tree"]))
         assert ae.validate_embedding(t, d, real(d, t).map)
+
+
+def _swapped_images(d, t, k=None, **kw):
+    out = REAL_EMBED(d, t, k, **kw)
+    if not out.ok:
+        return out
+    m = dict(out.embedding.map)
+    m[0], m[1] = m[1], m[0]
+    return dataclasses.replace(out, embedding=ae.Embedding(map=m))
+
+
+def _density_refusal(d, t, k=None, **kw):
+    return ae.EmbedOutcome(embedding=None, trace=[], failure={"kind": "density"})
+
+
+def _non_common_witness(d, t, k=None, **kw):
+    # 0 and 1 "share" a vertex that is not an out-neighbour of both
+    x = next((v for v in range(2, d.n) if not (d.has_arc(0, v) and d.has_arc(1, v))), None)
+    if x is None:
+        return REAL_EMBED(d, t, k, **kw)
+    w = ae.ForbiddenWitness(0, 1, 1, 1, frozenset({x}))
+    return ae.EmbedOutcome(embedding=None, trace=[], failure={"kind": "freeness", "s": 1, "witness": w.to_json()})
+
+
+def _verdict(verdict):
+    return lambda d, t, budget=None: SimpleNamespace(verdict=verdict)
+
+
+def _raising(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+def _faulty_report(monkeypatch, attr, fake, suite, params):
+    """``suite``'s report with ``sw.<attr>`` replaced by ``fake``; the fault
+    is undone before returning.  The report must fail and survive JSON."""
+    monkeypatch.setattr(sw, attr, fake)
+    rep = suite(params)
+    monkeypatch.undo()
+    assert not rep["ok"]
+    assert json.loads(json.dumps(rep)) == rep
+    return rep
+
+
+@pytest.mark.parametrize(
+    "attr, fake, tags",
+    [
+        ("embed_antitree", _swapped_images, {"pipeline-invalid"}),
+        ("oracle_embed", _verdict("NotContained"), {"pipeline-vs-oracle", "prop3-vs-oracle"}),
+        ("embed_antitree", _density_refusal, {"bogus-density-refusal"}),
+        ("embed_antitree", _non_common_witness, {"bogus-freeness-witness"}),
+        ("embed_caterpillar", _raising, {"prop3-miss"}),
+    ],
+)
+def test_fault_injected_differential_records_replay(monkeypatch, attr, fake, tags):
+    rep = _faulty_report(monkeypatch, attr, fake, sw.suite_differential, {"count": 40, "seed": 3})
+    assert tags <= {tag for f in rep["failures"] for tag in f["fails"]}
+    # each record's pair passes the suite's own check with the real functions
+    for f in rep["failures"]:
+        pair = from_json_obj(f["host"]), ae.validate_antitree(from_json_obj(f["tree"]))
+        monkeypatch.setattr(sw, "_random_pair", lambda rng, nmax, densities: pair)
+        assert sw._differential_one(0) is None
+
+
+def test_fault_injected_reversal_reports_mismatches(monkeypatch):
+    # a reverse that returns its input, in the PG(2,25) branch and the random one
+    params = {"count": 12, "pg_count": 2, "seed": 4}
+    rep = _faulty_report(monkeypatch, "reverse", lambda d: d, sw.suite_reversal, params)
+    assert all(f["why"].endswith("-mismatch") for f in rep["failures"])
+    assert {f["i"] < 2 for f in rep["failures"]} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "attr, fake, why",
+    [
+        ("embed_caterpillar", _raising, "RuntimeError('injected')"),
+        ("oracle_embed", _verdict("Embeds"), "oracle-Embeds"),
+    ],
+)
+def test_fault_injected_burr_tightness(monkeypatch, attr, fake, why):
+    rep = _faulty_report(monkeypatch, attr, fake, sw.suite_burr_tightness, {"kmax": 3})
+    assert why in {f["why"] for f in rep["failures"]}
+
+
+def _dp_least_arc_dropped(c, t):
+    return REAL_BRUTE(c, t) - set(sorted(sw.good_arcs(c, t).stage_arcs[-1])[:1])
+
+
+@pytest.mark.parametrize(
+    "attr, fake, key, tag",
+    [
+        ("good_arcs_mindeg", _raising, "why", "RuntimeError('injected')"),
+        ("brute_good_arcs", _dp_least_arc_dropped, "which", "unsound"),
+    ],
+)
+def test_fault_injected_good_arcs(monkeypatch, attr, fake, key, tag):
+    rep = _faulty_report(monkeypatch, attr, fake, sw.suite_good_arcs, {"count": 30, "seed": 5})
+    assert rep["summary"]["bound_failures"] > 0
+    assert tag in {f.get(key) for f in rep["failures"]}
+
+
+@pytest.mark.parametrize(
+    "attr, fake, tag",
+    [
+        ("select_subdigraph", lambda d, k, r: REAL_SELECT(d, k, r)._replace(sub=d), "cond-"),
+        ("prune_pseudo", lambda d, k: Digraph(d.n, []), "prune"),
+    ],
+)
+def test_fault_injected_selector_audit(monkeypatch, attr, fake, tag):
+    rep = _faulty_report(monkeypatch, attr, fake, sw.suite_selector_audit, {"count": 20, "seed": 2})
+    assert any(x.startswith(tag) for f in rep["failures"] for x in f["fails"])
