@@ -28,7 +28,6 @@ from .digraph import (
     Digraph,
     degree_profile,
     parse_arclist,
-    plus_minus_sets,
     reverse,
     to_arclist,
 )

@@ -55,14 +55,6 @@ class AntiTree:
     def n(self) -> int:
         return self.tree.n
 
-    def plus_minus(self) -> tuple[frozenset[int], frozenset[int]]:
-        """(T+, T-), memoized on the tree."""
-        sides = lambda: (
-            frozenset(v for v in range(self.n) if self.sign[v] > 0),
-            frozenset(v for v in range(self.n) if self.sign[v] < 0),
-        )
-        return memoized(self, ("sides",), sides)
-
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path, endpoints included, read up the view rooted
         at u (the hub's view, which the embedder builds anyway)."""

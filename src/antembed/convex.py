@@ -69,7 +69,7 @@ from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from .antitree import AntiTree, SpineDecomposition, caterpillar_decompose
-from .digraph import Digraph, bits_of, memoized, neighbor_lists, plus_minus_sets
+from .digraph import Digraph, bits_of, memoized, neighbor_lists, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import AntembedError, HypothesisViolated, InternalAssertion
 
@@ -238,52 +238,44 @@ class GoodArcTable:
     def lemma12_bound(self) -> int:
         """a(D) - (|T+|-1)|D-| - (|T-|-1)|D+|."""
         d = self.c.d
-        dplus, dminus = plus_minus_sets(d)
         tplus = sum(m for s, m, _ in self.steps if s < 0)
         tminus = sum(m for s, m, _ in self.steps if s > 0)
-        return d.a() - tplus * len(dminus) - tminus * len(dplus)
+        return d.a() - tplus * side_bits(d, -1).bit_count() - tminus * side_bits(d, 1).bit_count()
 
     @cached_property
     def stage_arcs(self) -> "_StageArcs":
-        """stage_arcs[i] maps each good arc of the spine prefix of length i+2
-        to its predecessor one stage earlier (None at the first stage).  Each
-        stage is decoded from its bit set when first read; embedding reads
-        none."""
+        """stage_arcs[i] is the frozenset of the good arcs of the spine prefix
+        of length i+2 (every host arc at the first stage).  Each stage is
+        decoded from its bit set when first read; embedding reads none."""
         return _StageArcs(self)
 
 
 class _StageArcs(Sequence):
-    """The stage maps of a GoodArcTable, each decoded on first read; a slice
-    is the list of its maps."""
+    """The arc sets of a GoodArcTable's stages, each decoded on first read."""
 
-    __slots__ = ("_table", "_maps")
+    __slots__ = ("_table", "_sets")
 
     def __init__(self, table: GoodArcTable):
         self._table = table
-        self._maps: list[dict[Arc, Arc | None] | None] = [None] * len(table.stages)
+        self._sets: list[frozenset[Arc] | None] = [None] * len(table.stages)
 
     def __len__(self) -> int:
-        return len(self._maps)
+        return len(self._sets)
 
-    def __getitem__(self, i):
-        i = range(len(self._maps))[i]
-        if type(i) is range:  # a slice: the list of its maps
-            return [self[j] for j in i]
-        if self._maps[i] is None:
-            self._maps[i] = self._decode(i)
-        return self._maps[i]
+    def __getitem__(self, i: int) -> frozenset[Arc]:
+        i = range(len(self._sets))[i]
+        if self._sets[i] is None:
+            self._sets[i] = self._decode(i)
+        return self._sets[i]
 
-    def _decode(self, i: int) -> dict[Arc, Arc | None]:
+    def _decode(self, i: int) -> frozenset[Arc]:
         table = self._table
         if i == 0:
-            return dict.fromkeys(table.c.d.arcs)
-        sign, m, even = table.steps[i - 1]
-        arcs = table.c._layout_arcs(sign)
+            return table.c.d.arc_set
+        arcs = table.c._layout_arcs(table.steps[i - 1][0])
         # one byte per position, 1 where the arc is in the set
         flags = format(table.stages[i], f"0{len(arcs)}b")[::-1].encode().translate(_BIT_BYTES)
-        # the predecessor of position p sits at p + m (even) or p - m
-        preds = compress(arcs[m:], flags) if even else compress(arcs, flags[m:])
-        return dict(zip(compress(arcs, flags), preds))
+        return frozenset(compress(arcs, flags))
 
 
 def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTable:
@@ -291,8 +283,8 @@ def _run_dp(c: ConvexDigraph, t: AntiTree, dec: SpineDecomposition) -> GoodArcTa
     read from ``c._cache`` under its step prefix and computed only on a miss.
 
     A shift moves every surviving arc inside its own block, so no two arcs
-    ever land on one position: the stage maps are injective by construction
-    and need no check."""
+    ever land on one position: each stage's shift is injective by
+    construction and needs no check."""
     steps = tuple(
         (t.sign[p], 1 + len(dec.leaves_at.get(p, ())), j % 2 == 1)
         for j, p in enumerate(dec.spine[1:-1], start=2)
@@ -428,7 +420,7 @@ def sign_balanced_witness(d: Digraph, t: AntiTree, sides: tuple[int, int], holds
     + takes the least good arc in (head, tail) order, which is the reversed
     pair's least arc, and the same map.
     """
-    dp, dm = map(len, plus_minus_sets(d))
+    dp, dm = side_bits(d, 1).bit_count(), side_bits(d, -1).bit_count()
     tp, tm = sides
     if 2 * d.a() <= (tp + tm - 2) * (dp + dm):
         raise HypothesisViolated("density", arcs=d.a(), sides=(dp, dm), k=tp + tm - 1)
@@ -442,5 +434,5 @@ def sign_balanced_witness(d: Digraph, t: AntiTree, sides: tuple[int, int], holds
 def embed_caterpillar_mindeg(d: Digraph, t: AntiTree, order=None) -> Embedding:
     """Sign-balanced caterpillar embedding: ``sign_balanced_witness`` on t's
     own decomposition, validated on the pair given."""
-    sides = tuple(map(len, t.plus_minus()))
-    return Embedding(map=sign_balanced_witness(d, t, sides, partial(validate_embedding, t, d), order=order))
+    tp = t.sign.count(1)
+    return Embedding(map=sign_balanced_witness(d, t, (tp, t.n - tp), partial(validate_embedding, t, d), order=order))

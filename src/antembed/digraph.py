@@ -16,8 +16,8 @@ columns for the loops that walk every neighborhood of a large host, where
 iterating the bits of each long row costs several times more.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
-host work (its reversal, its degree profile, vertex mask, sign sides and
-side masks, its pseudo-degree core, its selections and its convex tables, see
+host work (its reversal, its degree profile, its side masks, its
+pseudo-degree core, its selections and its convex tables, see
 ``memoized``), so reusing one value across embeds does that work once; no
 memo entry ever references the digraph that holds it.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -226,13 +225,6 @@ def _degree_profile(d: Digraph) -> DegreeProfile:
     )
 
 
-def plus_minus_sets(d: Digraph) -> tuple[frozenset[int], frozenset[int]]:
-    """(D+, D-): vertices of positive out-degree and of positive in-degree,
-    memoized on ``d``."""
-    sides = lambda: (frozenset(compress(range(d.n), d.out_bits)), frozenset(compress(range(d.n), d.in_bits)))
-    return memoized(d, ("sides",), sides)
-
-
 def reverse(d: Digraph) -> Digraph:
     """Flip every arc; order preserved.  The rows swap and so do the tail and
     head columns, so nothing is re-checked and no arc is visited.
@@ -244,16 +236,11 @@ def reverse(d: Digraph) -> Digraph:
     return memoized(d, ("reverse",), flipped)
 
 
-def core_member_bits(d: Digraph) -> int:
-    """Bitmask of vertices with positive total degree (the vertex set of a
-    subdigraph), memoized on ``d``."""
-    return memoized(d, ("members",), lambda: reduce(or_, d.out_bits + d.in_bits, 0))
-
-
 def side_bits(d: Digraph, sign: int) -> int:
-    """Bitmask of the vertices whose ``sign`` row is non-empty (positive
-    out-degree for +1, positive in-degree for -1): the OR of the opposite
-    rows, memoized on ``d``."""
+    """Bitmask of the vertices whose ``sign`` row is non-empty: D+ (positive
+    out-degree) for +1, D- (positive in-degree) for -1, the OR of the
+    opposite rows, memoized on ``d``.  The one form of a host side; the
+    vertex set of a subdigraph is the OR of the two."""
     return memoized(d, ("side", sign), lambda: reduce(or_, d.in_bits if sign > 0 else d.out_bits, 0))
 
 

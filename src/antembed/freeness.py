@@ -34,11 +34,9 @@ in (a, b, sign pair) order finds first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
-from operator import or_
 
-from .digraph import Digraph, bits_of, neighbor_lists
+from .digraph import Digraph, bits_of, neighbor_lists, side_bits
 from .errors import AntembedError
 
 _SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -131,10 +129,11 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     lists = (None, [None] * n, [None] * n)
     walked = 0
     steps = range(s - 1, 0, -1)
-    # live[sg]: the vertices w with N^{sg}(w) non-empty, indexed like ``bits``.
-    # A common neighbour w of a and b has b ∈ N^{-sb}(w), so w ∈ live[-sb].
-    # Built at the first fold: a scan that ends at its first probe (most
-    # scans of a small dense host) never pays for it.
+    # live[sg]: the vertices w with N^{sg}(w) non-empty, indexed like ``bits``:
+    # the side masks ``side_bits(d, sg)``.  A common neighbour w of a and b
+    # has b ∈ N^{-sb}(w), so w ∈ live[-sb].  Read at the first fold: a scan
+    # that ends at its first probe (most scans of a small dense host) never
+    # pays for it.
     live = None
     hit = None  # (a, b, place of the pair in _SIGN_PAIRS), least so far
     stop = n
@@ -148,7 +147,7 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
                     best = (a + 1, place)
                     break
                 if live is None:
-                    live = (None, reduce(or_, d.in_bits, 0), reduce(or_, d.out_bits, 0))
+                    live = (None, side_bits(d, 1), side_bits(d, -1))
                 if (bits[sa][a] & live[-sb]).bit_count() < s:
                     continue
                 nbrs = lists[sa][a]

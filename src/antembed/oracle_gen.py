@@ -380,10 +380,13 @@ def sample_antitree_heavy(k: int, rng: random.Random, delta2_min: int) -> AntiTr
             return t
 
 
-def enumerate_digraphs(n: int, max_n: int = 5):
-    """Stream all labeled digraphs on n vertices."""
-    if n > max_n:
-        raise AntembedError(f"n={n} above the guard {max_n}; pass max_n to override")
+_ENUM_MAX_N = 5  # 2^20 digraphs on 5 vertices, 2^30 on 6
+
+
+def enumerate_digraphs(n: int):
+    """Stream all labeled digraphs on n <= 5 vertices."""
+    if n > _ENUM_MAX_N:
+        raise AntembedError(f"n={n} above the guard {_ENUM_MAX_N}")
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     npairs = len(pairs)
     for mask in range(1 << npairs):

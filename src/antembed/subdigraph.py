@@ -188,12 +188,11 @@ def _select(d: Digraph, k: int, r: int) -> SelectionResult:
     minus = [v for v in range(d.n) if prof.in_deg[v] > 0]
     if 2 * sub.a() <= (k - 1) * (len(plus) + len(minus)):
         raise InternalAssertion("cor-cond-1", arcs=sub.a(), sides=(len(plus), len(minus)))
-    min_out = min(prof.out_deg[v] for v in plus)
-    min_in = min(prof.in_deg[v] for v in minus)
+    min_out, min_in = prof.delta_plus_bar, prof.delta_minus_bar
     if min_out + min_in < k:
         raise InternalAssertion("cor-cond-2", min_out=min_out, min_in=min_in)
     if case == "I":
-        witness = next((a for a in sorted(plus) if prof.out_deg[a] >= k), None)
+        witness = next((a for a in plus if prof.out_deg[a] >= k), None)
         ok = (
             witness is not None
             and 2 * prof.delta_plus_bar >= k
@@ -201,7 +200,7 @@ def _select(d: Digraph, k: int, r: int) -> SelectionResult:
             and len(plus) <= len(minus)
         )
     else:
-        witness = next((b for b in sorted(minus) if prof.in_deg[b] >= k), None)
+        witness = next((b for b in minus if prof.in_deg[b] >= k), None)
         ok = (
             witness is not None
             and 2 * prof.delta0_bar >= k

@@ -54,7 +54,7 @@ from .antitree import (
     rooted_view,
 )
 from .convex import sign_balanced_witness
-from .digraph import Digraph, bits_of, core_member_bits, degree_profile, plus_minus_sets, reverse, side_bits
+from .digraph import Digraph, bits_of, degree_profile, reverse, side_bits
 from .embedding import Embedding, validate_embedding
 from .errors import HypothesisViolated, InternalAssertion
 from .freeness import is_k2s_free
@@ -132,8 +132,8 @@ class _Ctx:
         self.t = t
         self.d = d
         self.core = core
-        self.core_bits = core_member_bits(core)
         self.sided = {+1: side_bits(core, +1), -1: side_bits(core, -1)}
+        self.core_bits = self.sided[+1] | self.sided[-1]
         self.loose = loose
         self.rv = rooted_view(t, root)
         self.f: dict[int, int] = {}
@@ -371,8 +371,8 @@ def _broom_catmindeg(core: Digraph, t: AntiTree, broom, case: CaseTag, trace: li
     try:
         f = sign_balanced_witness(core, t, (tp, tm), holds, dec)
     except HypothesisViolated:
-        raise InternalAssertion(step + ":hypotheses", d_sides=tuple(map(len, plus_minus_sets(core))),
-                                t_sides=(tp, tm)) from None
+        d_sides = tuple(side_bits(core, s).bit_count() for s in (1, -1))
+        raise InternalAssertion(step + ":hypotheses", d_sides=d_sides, t_sides=(tp, tm)) from None
     for w in pad:
         del f[w]
     return f

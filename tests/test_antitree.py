@@ -28,10 +28,7 @@ def test_validate_examples():
     with pytest.raises(ae.NotAntidirected) as exc:
         T(3, [(0, 1), (1, 2)])
     assert exc.value.witness == (0, 1, 2)
-    s = out_star(4)
-    plus, minus = s.plus_minus()
-    assert plus == {0} and minus == {1, 2, 3, 4}
-    assert s.plus_minus()[1] is minus  # memoized on the tree
+    assert out_star(4).sign == (1, -1, -1, -1, -1)
 
 
 def test_validate_rejections():
@@ -287,8 +284,8 @@ def test_enumerate_validated_and_distinct():
         assert len(keys) == len(ts)
         for t in ts:
             assert t.k == k
-            plus, minus = t.plus_minus()
-            assert len(plus) + len(minus) == k + 1
+            assert set(t.sign) <= {1, -1} and len(t.sign) == k + 1
+            assert all(t.sign[u] == 1 and t.sign[v] == -1 for u, v in t.tree.arcs)
             assert max(t.deg) <= k
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from operator import itemgetter
@@ -8,8 +9,8 @@ import antembed as ae
 from antembed import convex
 from antembed.antitree import caterpillar_decompose, is_caterpillar
 from antembed.convex import check_side_condition, reconstruct_witness
-from antembed.digraph import Digraph, bits_of
-from antembed.oracle_gen import all_embeddings, brute_good_arcs, oracle_embed
+from antembed.digraph import Digraph, bits_of, side_bits
+from antembed.oracle_gen import all_embeddings, brute_good_arcs, oracle_embed, sample_antitree_heavy
 
 
 def caterpillars(kmax):
@@ -86,6 +87,30 @@ def test_good_arcs_k1_all():
         table = ae.good_arcs_mindeg(c, t1)
         assert set(table.stage_arcs[-1]) == set(d.arc_set)
         assert table.lemma12_bound == d.a()
+
+
+def test_good_arc_counts_below_their_bounds_raise(monkeypatch):
+    # the real table with its count cut to 0, under both bounds: each count
+    # check fires, and its need is the bound computed here from the arcs and
+    # t.sign (the host's sides differ in size, so swapped sides would show)
+    run_dp = convex._run_dp
+    monkeypatch.setattr(convex, "_run_dp", lambda c, t, dec: dataclasses.replace(run_dp(c, t, dec), count=0))
+    d = Digraph(10, [(a, b) for a in range(4) for b in range(4, 10)])
+    dplus, dminus = len({u for u, _ in d.arcs}), len({v for _, v in d.arcs})
+    for t in caterpillars(3):
+        tp, tm = t.sign.count(1), t.sign.count(-1)
+        for run, tag, need in ((ae.good_arcs, "good-count", d.a() - (t.k - 1) * d.n),
+                               (ae.good_arcs_mindeg, "good-count-mindeg", d.a() - (tp - 1) * dminus - (tm - 1) * dplus)):
+            assert need > 0
+            with pytest.raises(ae.InternalAssertion) as exc:
+                run(ae.ConvexDigraph(d), t)
+            assert (exc.value.tag, exc.value.data) == (tag, {"have": 0, "need": need})
+    # a B-I broom's count check sends the run to the oracle, whose map is validated
+    host, t = ae.gen_incidence(25), sample_antitree_heavy(13, random.Random(31), 6)
+    out = ae.embed_antitree(host, t, known_free=True)
+    assert [e["tag"] for e in out.assertion_events()] == ["good-count-mindeg"]
+    assert out.trace[-3]["tag"] == "B-I:balance" and out.trace[-1]["verdict"] == "Embeds"
+    assert out.ok and ae.validate_embedding(t, host, out.embedding.map)
 
 
 def test_good_arc_bounds_and_witnesses():
@@ -227,9 +252,9 @@ def test_good_arcs_mindeg_one_directional_bipartite():
         for t in caterpillars(3):
             if t.n > d.n:
                 continue
-            tp, tm = t.plus_minus()
+            tp, tm = t.sign.count(1), t.sign.count(-1)
             table = ae.good_arcs_mindeg(c, t)
-            bound = d.a() - (len(tp) - 1) * nb - (len(tm) - 1) * na
+            bound = d.a() - (tp - 1) * nb - (tm - 1) * na
             assert table.lemma12_bound == bound
             dp = set(table.stage_arcs[-1])
             assert len(dp) >= bound
@@ -281,7 +306,7 @@ def test_sign_balanced_refusals_come_before_the_decomposition():
     # refuses it for density, a dense host leaning the other way for sign
     # balance, and only a host that passes both decomposes it
     spider = ae.validate_antitree(Digraph(7, [(0, 1), (2, 1), (0, 3), (4, 3), (0, 5), (6, 5)]))
-    assert [len(side) for side in spider.plus_minus()] == [4, 3]
+    assert (spider.sign.count(1), spider.sign.count(-1)) == (4, 3)
 
     def one_way(na, nb):
         return Digraph(na + nb, [(a, na + b) for a in range(na) for b in range(nb)])
@@ -320,9 +345,14 @@ def test_construction_commutes_with_reversal():
                     assert convex._least_good_arc(table, -1) == convex._least_good_arc(rtable)[::-1]
 
 
+def sides(d):
+    """(|D+|, |D-|), counted from the side masks."""
+    return side_bits(d, 1).bit_count(), side_bits(d, -1).bit_count()
+
+
 def lean(d, t):
     """+1 when the pair leans to + (|D+| > |D-| or |T+| > |T-|), else -1."""
-    (dp, dm), (tp, tm) = map(len, ae.plus_minus_sets(d)), map(len, t.plus_minus())
+    (dp, dm), (tp, tm) = sides(d), (t.sign.count(1), t.sign.count(-1))
     return 1 if dp > dm or tp > tm else -1
 
 
@@ -339,9 +369,9 @@ def test_embed_caterpillar_mindeg_same_map_on_the_reversed_pair():
         pure = set(rng.sample(range(n), rng.randint(0, n // 3)))
         sign = rng.choice((1, -1))
         d = Digraph(n, [(u, v) for u, v in d.arcs if (v if sign > 0 else u) not in pure])
-        dp, dm = map(len, ae.plus_minus_sets(d))
+        dp, dm = sides(d)
         t = rng.choice([t for t in trees if t.n <= n])
-        tp, tm = map(len, t.plus_minus())
+        tp, tm = t.sign.count(1), t.sign.count(-1)
         if (dp - dm) * (tp - tm) < 0:
             t = ae.reverse_antitree(t)
         if (dp, tp) == (dm, tm):
@@ -384,15 +414,16 @@ def test_cw_index_rejects_a_non_neighbor():
 
 def test_good_arcs_reads_no_sign_sides():
     # the count bounds are computed on first read: good_arcs reads only the
-    # Lemma 8 one, and neither host nor tree gets its sign sides memoized
+    # Lemma 8 one, and the host gets no side mask memoized, nor from
+    # embed_caterpillar
     d = ae.gen_incidence(7)
     t = caterpillars(4)[-1]
     table = ae.good_arcs(convex.ConvexDigraph(d), t)
-    assert ("sides",) not in d._memo and ("sides",) not in (t._memo or {})
+    assert ae.validate_embedding(t, d, ae.embed_caterpillar(d, t).map)
+    assert ("side", 1) not in d._memo and ("side", -1) not in d._memo
     assert table.lemma8_bound == d.a() - (t.k - 1) * d.n
-    dplus, dminus = ae.plus_minus_sets(d)
-    tplus, tminus = t.plus_minus()
-    assert table.lemma12_bound == d.a() - (len(tplus) - 1) * len(dminus) - (len(tminus) - 1) * len(dplus)
+    (dplus, dminus), (tplus, tminus) = sides(d), (t.sign.count(1), t.sign.count(-1))
+    assert table.lemma12_bound == d.a() - (tplus - 1) * dminus - (tminus - 1) * dplus
 
 
 def test_clockwise_tables_match_the_distance_key_sort():
@@ -420,7 +451,8 @@ def test_clockwise_tables_match_the_distance_key_sort():
 
 def reference_run_dp(c, t, dec):
     """One {arc: predecessor} dict per stage over every host arc, clockwise
-    lists rebuilt here from the rows and the order."""
+    lists rebuilt here from the rows and the order; a stage's arc set is its
+    keys."""
     spine = dec.spine
     current = {arc: None for arc in c.d.arcs}
     stages = [current]
@@ -479,14 +511,15 @@ def reference_witness(c, t, dec, stages, final_arc):
 
 
 def assert_matches_reference(c, t, witnesses=None):
-    """Same stages, count, least arc and witness maps as the reference; a host
-    arc outside the good set is refused by name."""
+    """Same stage arc sets, count, least arc and witness maps (replayed along
+    the reference's predecessors) as the reference; a host arc outside the
+    good set is refused by name."""
     dec = caterpillar_decompose(t)
     ref = reference_run_dp(c, t, dec)
     table = ae.good_arcs(c, t)
     final = ref[-1]
     assert table.count == len(final)
-    assert list(table.stage_arcs) == ref
+    assert list(table.stage_arcs) == [frozenset(stage) for stage in ref]
     assert set(ae.good_arcs_mindeg(c, t).stage_arcs[-1]) == set(final)
     if not final:
         return
@@ -565,7 +598,7 @@ def test_bitset_dp_edge_hosts():
     d = Digraph(4, [(0, 1), (3, 1), (2, 0)])
     table = ae.good_arcs(ae.ConvexDigraph(d), single)
     assert table.steps == () and table.count == 3
-    assert list(table.stage_arcs) == [dict.fromkeys(d.arcs)]
+    assert list(table.stage_arcs) == [d.arc_set]
 
 
 def reference_relayout(c, bits, sign):
@@ -712,7 +745,7 @@ def assert_memo_matches_fresh(d, trees, order=None):
             assert table.steps == base.steps and table.stages == base.stages
             assert table.count == base.count
             if id(t) not in refs:
-                refs[id(t)] = reference_run_dp(c, t, caterpillar_decompose(t))[-1]
+                refs[id(t)] = frozenset(reference_run_dp(c, t, caterpillar_decompose(t))[-1])
             assert table.stage_arcs[-1] == refs[id(t)] == base.stage_arcs[-1]
             assert ae.good_arcs_mindeg(c, t).stages == base.stages
             if table.count:
@@ -776,9 +809,9 @@ def test_stage_arcs_slices_are_lists_of_maps():
     host = ae.gen_incidence(7)
     table = ae.good_arcs(ae.ConvexDigraph(host), spine_caterpillar(1, [2, 1, 0, 2]))
     stages = table.stage_arcs
-    maps = [stages[i] for i in range(len(stages))]
-    assert stages[1:] == maps[1:] and stages[::-1] == maps[::-1] and stages[:] == maps
-    assert all(a is b for a, b in zip(stages[1:], maps[1:]))
-    assert stages[5:2] == []
-    with pytest.raises(IndexError):
-        stages[len(stages)]
+    sets = [stages[i] for i in range(len(stages))]
+    assert all(type(s) is frozenset for s in sets) and sets[0] == host.arc_set
+    assert all(stages[i - len(stages)] is s for i, s in enumerate(sets))  # decoded once
+    for i in (len(stages), -len(stages) - 1):
+        with pytest.raises(IndexError):
+            stages[i]

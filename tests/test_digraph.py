@@ -38,15 +38,18 @@ def test_degree_profile_bidirected_k4():
 
 
 def test_plus_minus_sets():
-    assert ae.plus_minus_sets(D1) == ({0, 2}, {1})
-    assert ae.plus_minus_sets(ae.Digraph(2, [])) == (set(), set())
+    # D+ and D- are the side masks
+    assert (digraph.side_bits(D1, 1), digraph.side_bits(D1, -1)) == (0b101, 0b010)
+    assert D1._memo[("side", -1)] == 0b010  # memoized on the digraph
+    empty = ae.Digraph(2, [])
+    assert (digraph.side_bits(empty, 1), digraph.side_bits(empty, -1)) == (0, 0)
 
 
 def test_plus_minus_antidirected_partition():
     # an antidirected digraph without isolated vertices splits its vertex set
     t = ae.Digraph(4, [(0, 1), (2, 1), (2, 3)])
-    plus, minus = ae.plus_minus_sets(t)
-    assert len(plus) + len(minus) == 4 and not (plus & minus)
+    plus, minus = digraph.side_bits(t, 1), digraph.side_bits(t, -1)
+    assert plus | minus == 0b1111 and not (plus & minus)
 
 
 def test_reverse():

@@ -448,8 +448,8 @@ def test_broom_case_a_padded_in_the_tree_labels(tree, host, leans_plus):
     t, d = tree(), host()
     tag, r = _broom_tag(t, t.k, "BroomA")
     core = ae.select_subdigraph(d, t.k, r).sub
-    dplus, dminus = ae.plus_minus_sets(core)
-    assert tag.params["padded"] and (len(dplus) > len(dminus)) is leans_plus
+    dplus, dminus = (ae.digraph.side_bits(core, s).bit_count() for s in (1, -1))
+    assert tag.params["padded"] and (dplus > dminus) is leans_plus
     out = ae.embed_antitree(d, t, known_free=True, budget=0)
     assert out.ok and out.case == tag and not out.assertion_events()
     assert ae.validate_embedding(t, d, out.embedding.map)
@@ -930,7 +930,7 @@ def test_each_embedding_is_validated_once(monkeypatch):
     # the witness is checked and validated once
     small, star = ae.gen_incidence(7), T(5, [(0, i) for i in range(1, 5)])
     rstar = ae.reverse_antitree(star)
-    assert len(rstar.plus_minus()[0]) > len(rstar.plus_minus()[1])
+    assert rstar.sign.count(1) > rstar.sign.count(-1)
     calls.clear()
     emb = ae.embed_caterpillar_mindeg(small, rstar)
     assert calls == {"convex": 1, "witness": 1} and ae.validate_embedding(rstar, small, emb.map)
@@ -972,7 +972,7 @@ def test_b2_non_leaf_off_the_core_fails_place_noncore(monkeypatch):
 
     def off_core(d, sel, t, broom, case, trace):
         mapping = step(d, sel, t, broom, case, trace)
-        core = ae.digraph.core_member_bits(sel.sub)
+        core = ae.digraph.side_bits(sel.sub, 1) | ae.digraph.side_bits(sel.sub, -1)
         x = next(x for x in mapping if t.deg[x] > 1)
         mapping[x] = moved[x] = next(h for h in range(d.n) if not (core >> h) & 1 and h not in mapping.values())
         return mapping
@@ -1089,9 +1089,9 @@ def test_host_memo_has_no_cycle_and_skips_ordered_calls():
     ae.embed_caterpillar_mindeg(host, star)
     ae.embed_caterpillar_mindeg(host, ae.reverse_antitree(star))
     assert not _reaches(host._memo, host)
-    # a memoized tuple is handed out as stored, and a selection is rebuilt
+    # a memoized value is handed out as stored, and a selection is rebuilt
     # only when its sub is the owner (above); the default order is memoized too
-    assert ae.plus_minus_sets(host) is ae.plus_minus_sets(host)
+    assert ae.degree_profile(host) is ae.degree_profile(host)
     assert ConvexDigraph(host).pos is ConvexDigraph(host).order is ConvexDigraph(host).pos
     # an explicit order is not memoized; nor is a refusal
     d = Digraph(host.n, host.arcs)

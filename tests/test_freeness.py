@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -49,6 +50,11 @@ def test_is_free_examples():
     w = ae.is_k2s_free(d, s)
     assert w is not True and (w.sign_a, w.sign_b) == (1, 1) and len(w.common) == s
     assert w.revalidate(d, s)
+    # refused before the host is read: a == b, s - 1 common vertices, and
+    # s + 1 of them (the witness at s - 1)
+    assert not dataclasses.replace(w, b=w.a).revalidate(d, s)
+    assert not dataclasses.replace(w, common=frozenset(sorted(w.common)[1:])).revalidate(d, s)
+    assert not w.revalidate(d, s - 1)
     assert ae.is_k2s_free(TRIANGLE, 2) is True
     w1 = ae.is_k2s_free(TRIANGLE, 1)
     assert w1 is not True and w1.revalidate(TRIANGLE, 1)

@@ -94,8 +94,8 @@ def test_gen_incidence_small():
     assert fano.n == 14 and fano.a() == 21
     assert ae.is_k2s_free(fano, 2) is True
     assert ae.audit_projective(fano)
-    plus, minus = ae.plus_minus_sets(fano)
-    assert len(plus) == 7 and len(minus) == 7 and not (plus & minus)
+    plus, minus = ae.digraph.side_bits(fano, 1), ae.digraph.side_bits(fano, -1)
+    assert plus.bit_count() == 7 and minus.bit_count() == 7 and not (plus & minus)
     for q in (3, 4, 5, 29, 31, 37, 41, 43, 47):
         d = ae.gen_incidence(q)
         N = q * q + q + 1
