@@ -13,7 +13,9 @@ statistics, its spine decomposition, its reversal, its rooted views and its
 double brooms (each with its own spine decomposition) are computed once per
 tree, and no memo entry references the tree that holds it.  The spine
 search takes four plain walks (``_walk``) and one greedy descent, so it is
-linear in the tree's size and builds no rooted view.
+linear in the tree's size and builds no rooted view.  The enumeration reads
+its free trees off level sequences (``_level_sequences``), so it needs no
+graph library.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import NotACaterpillar, NotAntidirected, NotATree, AntembedError
 
 PLUS = 1
 MINUS = -1
+_ENUM_MAX_K = 9  # enumerate_antitrees' largest k
 
 
 class AntiTree:
@@ -358,23 +361,55 @@ def canonical_form(t: AntiTree):
     return min(enc(c, -1) for c in centroids(t))
 
 
-def enumerate_antitrees(k: int, max_k: int = 8) -> list[AntiTree]:
-    """Every isomorphism class of k-arc antidirected trees, exactly once.
+def _next_rooted(seq: list[int], p: int) -> list[int]:
+    """Beyer and Hedetniemi's successor of ``seq``: from position p > 0 on,
+    repeat the subtree at the last q < p one level above seq[p]."""
+    q = p - 1 - seq[p - 1 :: -1].index(seq[p] - 1)
+    return seq[:p] + [seq[q + i % (p - q)] for i in range(len(seq) - p)]
 
-    Underlying trees come from networkx; each bipartition class becomes the
-    source side in turn, and sign-annotated canonical forms deduplicate the
-    two orientations (an even path, say, yields only one class).
+
+def _level_sequences(n: int):
+    """One level sequence (each vertex's depth, in preorder) per free tree on
+    n vertices, rooted at a centre: the algorithm of Wright, Richmond,
+    Odlyzko and McKay (SIAM J. Comput. 15(2), 1986), from the path on."""
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = seq.index(1, 2) if 1 in seq[2:] else n  # the root's second child
+        left, rest = [x - 1 for x in seq[1:m]], [0] + seq[m:]
+        if (max(left, default=-1), len(left), left) > (max(rest), len(rest), rest):
+            # the first subtree outgrows the rest: step past it
+            deep, seq = seq[m - 1] > 2, _next_rooted(seq, m - 1)
+            if deep:  # the root is left one child: end on a branch as deep as the tree
+                h = max(seq)
+                seq[-h:] = range(1, h + 1)
+        yield seq
+        if max(seq) < 2:  # the star comes last
+            return
+        seq = _next_rooted(seq, max(i for i, x in enumerate(seq) if x != 1))
+
+
+def _level_edges(seq: list[int]) -> list[tuple[int, int]]:
+    """The edges of the tree with level sequence ``seq`` (n >= 2, vertex i the
+    i-th in preorder): (1, 0), then the children of 1, 0, 2, 3, ... in turn."""
+    children, path = [[] for _ in seq], [0]  # path[d]: the last vertex seen at depth d
+    for i, depth in enumerate(seq[1:], 1):
+        children[path[depth - 1]].append(i)
+        path[depth:] = [i]
+    return [(1, 0)] + [(v, c) for v in (1, 0, *range(2, len(seq))) for c in children[v] if c != 1]
+
+
+def enumerate_antitrees(k: int) -> list[AntiTree]:
+    """Every isomorphism class of k-arc antidirected trees, 1 <= k <= 9, once.
+
+    Underlying trees come from level sequences; each bipartition class becomes
+    the source side in turn, and sign-annotated canonical forms deduplicate
+    the two orientations (an even path, say, yields only one class).
     """
-    import networkx as nx
-
-    if k < 1:
-        raise AntembedError("k must be at least 1")
-    if k > max_k:
-        raise AntembedError(f"k={k} above the configured bound {max_k}; pass max_k to override")
+    if not 1 <= k <= _ENUM_MAX_K:
+        raise AntembedError(f"k={k} outside the enumeration range 1..{_ENUM_MAX_K}")
     out: list[AntiTree] = []
     seen = set()
-    for g in nx.nonisomorphic_trees(k + 1):
-        edges = [tuple(e) for e in g.edges()]
+    for edges in map(_level_edges, _level_sequences(k + 1)):
         for source_colour in (0, 1):
             t = from_edges(k + 1, edges, source_colour)
             key = canonical_form(t)

@@ -129,7 +129,7 @@ def cmd_good_arcs(args) -> int:
 
 def cmd_check_free(args) -> int:
     host, _ = _load(args.host)
-    res = is_k2s_free(host, args.s, prune=args.prune)
+    res = is_k2s_free(host, args.s)
     if res is True:
         _emit({"free": True, "s": args.s}, args.json)
         return 0
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-free", help="forbidden K_{2,s} orientation scan")
     s.add_argument("--host", required=True)
     s.add_argument("--s", type=int, required=True)
-    s.add_argument("--prune", action="store_true",
-                   help="accepted for older scripts; the scan always skips low sign-degrees, same outcome")
     s.set_defaults(fn=cmd_check_free)
 
     s = sub.add_parser("select", help="two-regime subdigraph selection")

@@ -110,9 +110,9 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     a witness scan folds about what one four-pair pass would.  Every other s
     folds the four pairs in one pass.
 
-    ``prune`` is kept for its callers: the exhaustive probe it replaced
-    skipped pairs with a sign-degree below s under it, which this scan always
-    does, so the flag changes neither the work nor the outcome.
+    ``prune`` changes neither the work nor the outcome: this scan always skips
+    the pairs with a sign-degree below s that the exhaustive probe it replaced
+    skipped under it.  It stays because ``perfbench/workloads.py`` passes it.
     """
     if s < 1:
         raise AntembedError("s must be positive")

@@ -1,13 +1,17 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 import antembed as ae
-from antembed.antitree import canonical_form
+from antembed.antitree import _level_sequences, canonical_form, from_edges
 from antembed.digraph import Digraph
 
 
@@ -154,7 +158,7 @@ def _decompose_or_witness(t):
 
 
 def test_linear_spine_matches_all_paths_reference():
-    trees = [t for k in range(1, 10) for t in ae.enumerate_antitrees(k, max_k=9)]
+    trees = [t for k in range(1, 10) for t in ae.enumerate_antitrees(k)]
     rng = random.Random(4711)
     trees += [ae.sample_antitree(rng.randint(1, 60), rng) for _ in range(2000)]
     for t in trees:
@@ -183,6 +187,8 @@ def test_pickled_tree_leaves_its_memo_behind():
     ae.caterpillar_decompose(DOUBLE_STAR)
     copy = pickle.loads(pickle.dumps(DOUBLE_STAR))
     assert copy == DOUBLE_STAR and copy._memo is None
+    assert hash(copy) == hash(DOUBLE_STAR) == hash(copy)  # the second read is the cached hash
+    assert repr(copy) == repr(DOUBLE_STAR) == "AntiTree(k=5, arcs=[(0, 1), (0, 2), (0, 3), (4, 1), (5, 1)])"
     assert ae.caterpillar_decompose(copy) == ae.caterpillar_decompose(DOUBLE_STAR)
 
 
@@ -272,9 +278,54 @@ def test_enumerate_counts():
     # frozen from the independent labeled enumeration below
     assert len(ae.enumerate_antitrees(3)) == 3
     assert _labeled_classes(3) == 3
-    with pytest.raises(ae.AntembedError):
-        ae.enumerate_antitrees(9)
-    assert len(ae.enumerate_antitrees(9, max_k=9)) > 0
+    for k in (0, 10):
+        with pytest.raises(ae.AntembedError, match=f"k={k} outside"):
+            ae.enumerate_antitrees(k)
+
+
+def _networkx_antitrees(k):
+    """The enumeration as it read networkx's free trees, kept as the reference
+    for the level-sequence generator: same labels, arc order and signs."""
+    out, seen = [], set()
+    for g in nx.nonisomorphic_trees(k + 1):
+        edges = [tuple(e) for e in g.edges()]
+        for source_colour in (0, 1):
+            t = from_edges(k + 1, edges, source_colour)
+            key = canonical_form(t)
+            if key not in seen:
+                seen.add(key)
+                out.append(t)
+    out.sort(key=canonical_form)
+    return out
+
+
+def test_enumeration_matches_the_networkx_reference():
+    for k in range(1, 10):
+        got, want = ae.enumerate_antitrees(k), _networkx_antitrees(k)
+        assert [(t.tree.arcs, t.sign) for t in got] == [(t.tree.arcs, t.sign) for t in want], k
+
+
+def test_free_tree_counts():
+    # OEIS A000055: free trees on 1 to 10 vertices
+    assert [sum(1 for _ in _level_sequences(n)) for n in range(1, 11)] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+
+
+def test_enumeration_needs_no_networkx():
+    # a None entry in sys.modules makes every import of networkx fail
+    code = """
+import sys
+sys.modules["networkx"] = None
+import antembed as ae
+trees = [t for k in range(1, 10) for t in ae.enumerate_antitrees(k)]
+cat = [t for t in ae.enumerate_antitrees(9) if ae.is_caterpillar(t)][-1]
+host = ae.Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
+assert ae.validate_embedding(cat, host, ae.embed_caterpillar(host, cat).map)
+print(len(trees))
+"""
+    src = str(Path(ae.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) == sum(len(ae.enumerate_antitrees(k)) for k in range(1, 10))
 
 
 def test_enumerate_validated_and_distinct():

@@ -33,6 +33,11 @@ def test_gen_and_check_free(tmp_path, capsys):
     fano = ae.gen_incidence(2)
     host = _write(tmp_path, "fano.txt", fano)
     assert main(["check-free", "--host", host, "--s", "2"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-free", "--host", host, "--s", "2", "--prune"])
+    assert exc.value.code == 2
+    assert "--prune" in capsys.readouterr().err
 
 
 def test_gen_incidence(capsys):

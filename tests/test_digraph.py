@@ -56,6 +56,7 @@ def test_reverse():
     r = ae.reverse(D1)
     assert r.arc_set == frozenset({(1, 0), (1, 2)})
     assert ae.reverse(r) == D1
+    assert repr(r) == "Digraph(n=3, arcs=[(1, 0), (1, 2)])"
     p, rp = ae.degree_profile(D1), ae.degree_profile(r)
     assert p.out_deg == rp.in_deg and p.in_deg == rp.out_deg
     assert p.delta_plus_bar == rp.delta_minus_bar
