@@ -65,6 +65,8 @@ instance):
   arcs.
 
 It needs only the public API, so it runs unchanged against an older tree.
+``STREAMS`` names every stream; ``tests/test_pinned_outputs.py`` digests a
+prefix of each, so Tier-1 pins them too.
 """
 
 from __future__ import annotations
@@ -144,26 +146,33 @@ def record(out) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"), default=repr)
 
 
-def digest(name: str, records) -> None:
+def stream_digest(records) -> tuple[int, str]:
+    """The record count and the sha256 over the records, one per line."""
     h = hashlib.sha256()
     count = 0
     for line in records:
         h.update(line.encode())
         h.update(b"\n")
         count += 1
-    print(f"{name} {count} {h.hexdigest()}", flush=True)
+    return count, h.hexdigest()
 
 
-def pg25_streams(host: Digraph):
-    for seed in (1302, 8191):
-        rng = random.Random(seed)
-        trees = [theorem2_tree(rng, i) for i in range(PG_TREES)]
-        digest(f"pg25-warm-{seed}",
-               (record(embed_antitree(host, t, K_PG, known_free=True, budget=BUDGET)) for t in trees))
-        rhost = reverse(host)
-        digest(f"pg25-warm-{seed}-reversed",
-               (record(embed_antitree(rhost, reverse_antitree(t), K_PG, known_free=True, budget=BUDGET))
-                for t in trees))
+def digest(name: str, records) -> None:
+    count, sha = stream_digest(records)
+    print(f"{name} {count} {sha}", flush=True)
+
+
+def pg25_warm(host: Digraph, seed: int, reversed_pair: bool = False):
+    """The theorem2-pg trees at ``seed`` embedded into ``host``, or each
+    reversed tree into the reversed host."""
+    rng = random.Random(seed)
+    if reversed_pair:
+        host = reverse(host)
+    for i in range(PG_TREES):
+        t = theorem2_tree(rng, i)
+        if reversed_pair:
+            t = reverse_antitree(t)
+        yield record(embed_antitree(host, t, K_PG, known_free=True, budget=BUDGET))
 
 
 def line_deleted(host: Digraph):
@@ -455,20 +464,31 @@ def incidence():
         yield json.dumps([q, arcs, audit_projective(Digraph(base.n, arcs))], separators=(",", ":"))
 
 
+# every stream by name, in the order the tool prints them; each takes the
+# PG(2,25) host and yields one record per instance
+STREAMS = {
+    "pg25-warm-1302": lambda host: pg25_warm(host, 1302),
+    "pg25-warm-1302-reversed": lambda host: pg25_warm(host, 1302, reversed_pair=True),
+    "pg25-warm-8191": lambda host: pg25_warm(host, 8191),
+    "pg25-warm-8191-reversed": lambda host: pg25_warm(host, 8191, reversed_pair=True),
+    "pg25-line-deleted": line_deleted,
+    "desk-differential": lambda host: desk_differential(),
+    "witness-replay": lambda host: witness_replay(),
+    "padded-broom-and-strip": lambda host: padded_broom_and_strip(),
+    "caterpillar-mindeg": lambda host: caterpillar_mindeg(),
+    "intake": intake,
+    "cold-good-arcs": lambda host: cold_good_arcs(),
+    "freeness-witness": freeness_witness,
+    "selection": lambda host: selection(),
+    "incidence": lambda host: incidence(),
+}
+
+
 def main() -> int:
     start = time.perf_counter()
     host = gen_incidence(25)
-    pg25_streams(host)
-    digest("pg25-line-deleted", line_deleted(host))
-    digest("desk-differential", desk_differential())
-    digest("witness-replay", witness_replay())
-    digest("padded-broom-and-strip", padded_broom_and_strip())
-    digest("caterpillar-mindeg", caterpillar_mindeg())
-    digest("intake", intake(host))
-    digest("cold-good-arcs", cold_good_arcs())
-    digest("freeness-witness", freeness_witness(host))
-    digest("selection", selection())
-    digest("incidence", incidence())
+    for name, stream in STREAMS.items():
+        digest(name, stream(host))
     print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
