@@ -7,7 +7,7 @@ its sign-typed neighborhood.
 
 This module is the one place that walks, colours, centres or spines a tree:
 ``_bfs`` is its only breadth-first walk, ``from_edges`` its only two-colouring
-and ``centroids`` its only centre search.  An AntiTree value is immutable and
+and ``centre`` its only centre search.  An AntiTree value is immutable and
 carries the same lazy memo as ``Digraph`` (``digraph.memoized``): its degree
 statistics, its spine decomposition, its reversal, its rooted views and its
 double brooms (each with its own spine decomposition) are computed once per
@@ -328,7 +328,7 @@ def reverse_antitree(t: AntiTree) -> AntiTree:
 # -- enumeration -------------------------------------------------------
 
 
-def centroids(t: AntiTree) -> list[int]:
+def centre(t: AntiTree) -> list[int]:
     """The one or two vertices left when leaf layers are peeled off until at
     most two remain (the centre of the tree), in increasing order."""
     deg = list(t.deg)
@@ -349,7 +349,7 @@ def centroids(t: AntiTree) -> list[int]:
 def canonical_form(t: AntiTree):
     """Canonical key for signed-tree isomorphism.
 
-    AHU-style subtree encoding rooted at the centroid(s), with the vertex sign
+    AHU-style subtree encoding rooted at each centre vertex, with the vertex sign
     folded into every code.  Two antidirected trees get the same key iff they
     are isomorphic as digraphs.
     """
@@ -358,7 +358,7 @@ def canonical_form(t: AntiTree):
         subs = sorted(enc(y, x) for y in t.adj[x] if y != p)
         return (t.sign[x], tuple(subs))
 
-    return min(enc(c, -1) for c in centroids(t))
+    return min(enc(c, -1) for c in centre(t))
 
 
 def _next_rooted(seq: list[int], p: int) -> list[int]:
@@ -407,14 +407,9 @@ def enumerate_antitrees(k: int) -> list[AntiTree]:
     """
     if not 1 <= k <= _ENUM_MAX_K:
         raise AntembedError(f"k={k} outside the enumeration range 1..{_ENUM_MAX_K}")
-    out: list[AntiTree] = []
-    seen = set()
+    classes: dict = {}  # the first tree of each class, under its canonical form
     for edges in map(_level_edges, _level_sequences(k + 1)):
         for source_colour in (0, 1):
             t = from_edges(k + 1, edges, source_colour)
-            key = canonical_form(t)
-            if key not in seen:
-                seen.add(key)
-                out.append(t)
-    out.sort(key=canonical_form)
-    return out
+            classes.setdefault(canonical_form(t), t)
+    return [classes[key] for key in sorted(classes)]

@@ -1,11 +1,18 @@
 """Ground-truth embedding oracle, instance generators, and small-case enumerators.
 
 The oracle is an exact backtracking search over tree vertices in BFS order from
-a centroid, with sign-degree pruning and bitmask domains.  Generators cover the
-extremal Burr host, the point-line incidence digraphs of PG(2,q) (a dense
-K_{2,2}-free family), seeded random dense digraphs, and the full labeled
-enumeration used by the exhaustive sweeps.
-"""
+the least centre vertex, with sign-degree pruning and bitmask domains.
+Generators cover the extremal Burr host, the point-line incidence digraphs of
+PG(2,q) (a dense K_{2,2}-free family, over one GF(q) construction for every
+supported q), seeded random dense digraphs, random trees by Pruefer decoding
+(least leaf first), and the full labeled enumeration used by the exhaustive
+sweeps.
+
+Two audits here check what holds by construction, so no fault reaches them:
+the incidence arc count (each point lists exactly q+1 lines and ``Digraph``
+refuses a duplicate, so a built plane has (q+1)N arcs) and the Burr regularity
+audit (each side gets k-1 arcs of each direction).  A wrong field table is
+caught by ``audit_projective`` instead."""
 
 from __future__ import annotations
 
@@ -14,32 +21,19 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .antitree import AntiTree, caterpillar_decompose, centroids, degree_stats, from_edges, rooted_view
+from .antitree import AntiTree, caterpillar_decompose, centre, degree_stats, from_edges, rooted_view
 from .convex import ConvexDigraph
 from .digraph import Digraph, bits_of, degree_profile, neighbor_lists
 from .errors import AntembedError
 
-_PRIME_POWERS = {
-    2: (2, 1, None),
-    3: (3, 1, None),
-    4: (2, 2, (1, 1)),       # x^2 + x + 1
-    5: (5, 1, None),
-    7: (7, 1, None),
-    8: (2, 3, (1, 1, 0)),    # x^3 + x + 1
-    9: (3, 2, (1, 0)),       # x^2 + 1
-    11: (11, 1, None),
-    13: (13, 1, None),
-    16: (2, 4, (1, 1, 0, 0)),  # x^4 + x + 1
-    17: (17, 1, None),
-    19: (19, 1, None),
-    23: (23, 1, None),
-    25: (5, 2, (2, 0)),      # x^2 + 2
-    29: (29, 1, None),
-    31: (31, 1, None),
-    37: (37, 1, None),
-    41: (41, 1, None),
-    43: (43, 1, None),
-    47: (47, 1, None),
+# q: (p, poly) for GF(q) = GF(p)[x] / (x^e + poly), e = len(poly), with poly
+# listing its low-order coefficients; a prime's is x^1 + 0
+_PRIME_POWERS = {p: (p, (0,)) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)} | {
+    4: (2, (1, 1)),         # x^2 + x + 1
+    8: (2, (1, 1, 0)),      # x^3 + x + 1
+    9: (3, (1, 0)),         # x^2 + 1
+    16: (2, (1, 1, 0, 0)),  # x^4 + x + 1
+    25: (5, (2, 0)),        # x^2 + 2
 }
 
 
@@ -59,7 +53,7 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
     if budget is not None and budget < 0:
         raise AntembedError(f"budget must be non-negative, got {budget}")
     t0 = time.perf_counter()
-    rv = rooted_view(t, min(centroids(t)))
+    rv = rooted_view(t, min(centre(t)))
     order = rv.bfs_order
     prof = degree_profile(d)
     degs = {1: prof.out_deg, -1: prof.in_deg}
@@ -84,7 +78,6 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
             # sign(x)=+ means the arc x->p, so the image must be an in-neighbor
             # of f(p); neighbor_bits flips accordingly
             nbrs = d.neighbor_bits(assign[rv.parent[x]], -t.sign[x]) & ~used
-        inconclusive = False
         for c in tries[i]:
             if not (nbrs >> c) & 1:
                 continue
@@ -93,13 +86,10 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
                 return None
             assign[x] = c
             res = rec(i + 1, used | (1 << c))
-            if res:
-                return True
+            if res is not False:  # an embedding, or out of budget
+                return res
             del assign[x]
-            if res is None:
-                inconclusive = True
-                break
-        return None if inconclusive else False
+        return False
 
     res = rec(0, 0)
     elapsed = time.perf_counter() - t0
@@ -112,7 +102,7 @@ def oracle_embed(d: Digraph, t: AntiTree, budget: int | None = None) -> SearchSt
 
 def all_embeddings(d: Digraph, t: AntiTree):
     """Yield every embedding of t in d (desk scale only)."""
-    rv = rooted_view(t, min(centroids(t)))
+    rv = rooted_view(t, min(centre(t)))
     order = rv.bfs_order
     assign: dict[int, int] = {}
 
@@ -173,59 +163,40 @@ def gen_burr(k: int) -> Digraph:
     return d
 
 
-class _GF:
-    """Arithmetic tables for GF(q), q a prime power from the supported list."""
+def _field(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of GF(q), q in ``_PRIME_POWERS``.
 
-    def __init__(self, q: int):
-        if q not in _PRIME_POWERS:
-            raise AntembedError(f"unsupported prime power q={q}")
-        p, e, poly = _PRIME_POWERS[q]
-        self.q = q
-        if e == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            return
-
-        def to_vec(a):
-            v = []
-            for _ in range(e):
-                v.append(a % p)
-                a //= p
-            return v
-
-        def to_int(v):
-            a = 0
-            for c in reversed(v):
-                a = a * p + c
-            return a
-
-        def polymul(u, v):
-            prod = [0] * (2 * e - 1)
-            for i, ui in enumerate(u):
-                if ui:
-                    for j, vj in enumerate(v):
-                        prod[i + j] = (prod[i + j] + ui * vj) % p
-            # reduce by x^e = -(poly), poly listing low-order coefficients
-            for i in range(2 * e - 2, e - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(e):
-                        prod[i - e + j] = (prod[i - e + j] - c * poly[j]) % p
-            return prod[:e]
-
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = to_vec(a)
-            for b in range(q):
-                vb = to_vec(b)
-                self.add[a][b] = to_int([(x + y) % p for x, y in zip(va, vb)])
-                self.mul[a][b] = to_int(polymul(va, vb))
+    Element a is the polynomial whose coefficients are a's e base-p digits,
+    lowest first, taken modulo x^e + poly (for a prime, x^1 + 0: x is 0).
+    Sums are digitwise mod p; a * b is Horner's rule over b's digits, top
+    first, through a table of x * a and the multiples c * a of each digit c.
+    """
+    if q not in _PRIME_POWERS:
+        raise AntembedError(f"unsupported prime power q={q}")
+    p, poly = _PRIME_POWERS[q]
+    places = [p**i for i in range(len(poly))]
+    digits = [[a // s % p for s in places] for a in range(q)]
+    add = [[sum((x + y) % p * s for x, y, s in zip(da, db, places)) for db in digits] for da in digits]
+    # x * a moves every digit one place up; the top digit t folds back as -t * poly
+    top = places[-1]
+    fold = [sum(-t * c % p * s for c, s in zip(poly, places)) for t in range(p)]
+    times_x = [add[a % top * p][fold[a // top]] for a in range(q)]
+    mul = []
+    for a in range(q):
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add[multiples[-1]][a])
+        row = []
+        for db in digits:
+            acc = 0
+            for c in reversed(db):
+                acc = add[times_x[acc]][multiples[c]]
+            row.append(acc)
+        mul.append(row)
+    return add, mul
 
 
-def _projective_points(gf: _GF) -> list[tuple[int, int, int]]:
-    q = gf.q
+def _projective_points(q: int) -> list[tuple[int, int, int]]:
     pts = [(1, y, z) for y in range(q) for z in range(q)]
     pts += [(0, 1, z) for z in range(q)]
     pts.append((0, 0, 1))
@@ -246,14 +217,13 @@ def gen_incidence(q: int) -> Digraph:
     out in increasing id order, so arcs are listed point by point, lines
     ascending, in O(N q).
     """
-    gf = _GF(q)
-    add, mul = gf.add, gf.mul
+    add, mul = _field(q)
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     qq = q * q
     N = qq + q + 1
     arcs = []
-    for i, (a, b, c) in enumerate(_projective_points(gf)):
+    for i, (a, b, c) in enumerate(_projective_points(q)):
         if c:
             # -x / c is x times -1/c
             by, over = mul[b], mul[neg[inv[c]]]
@@ -322,27 +292,17 @@ def sample_antitree(k: int, rng: random.Random) -> AntiTree:
     if k < 1:
         raise AntembedError(f"a tree needs at least one arc, got k={k}")
     n = k + 1
-    if n == 2:
-        edges = [(0, 1)]
-    else:
-        pruefer = [rng.randrange(n) for _ in range(n - 2)]
-        deg = [1] * n
-        for x in pruefer:
-            deg[x] += 1
-        edges = []
-        import heapq
-
-        leaves = [v for v in range(n) if deg[v] == 1]
-        heapq.heapify(leaves)
-        for x in pruefer:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, x))
-            deg[leaf] -= 1
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(leaves, x)
-        last = [v for v in range(n) if deg[v] == 1]
-        edges.append((last[0], last[1]))
+    pruefer = [rng.randrange(n) for _ in range(n - 2)]
+    deg = [1] * n
+    for x in pruefer:
+        deg[x] += 1
+    edges = []
+    for x in pruefer:
+        leaf = deg.index(1)  # the least leaf left
+        edges.append((leaf, x))
+        deg[leaf] -= 1
+        deg[x] -= 1
+    edges.append(tuple(v for v in range(n) if deg[v] == 1))
     return from_edges(n, edges, rng.randrange(2))
 
 

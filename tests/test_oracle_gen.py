@@ -1,12 +1,15 @@
 import hashlib
+import heapq
 import random
 import time
 
 import pytest
 
 import antembed as ae
+from antembed import oracle_gen
+from antembed.antitree import from_edges
 from antembed.digraph import Digraph
-from antembed.oracle_gen import _PRIME_POWERS, _GF, _projective_points, sample_antitree_heavy
+from antembed.oracle_gen import _PRIME_POWERS, _field, _projective_points, sample_antitree_heavy
 
 D1 = Digraph(3, [(0, 1), (2, 1)])
 
@@ -48,6 +51,19 @@ def test_oracle_budget():
     t = T(8, [(0, i) for i in range(1, 7)] + [(7, 1)])
     st = ae.oracle_embed(host, t, budget=2)
     assert st.verdict == "Inconclusive" and st.nodes_expanded >= 2
+
+
+def test_an_inconclusive_search_stops_at_the_first_node_past_its_budget():
+    # the full search takes 112 nodes to refute this tree in this host
+    d = Digraph(7, [(0, 2), (0, 4), (1, 0), (1, 3), (1, 4), (2, 1), (2, 5), (2, 6), (3, 6),
+                    (4, 1), (4, 3), (4, 5), (5, 0), (5, 1), (5, 3), (5, 6), (6, 0)])
+    t = T(7, [(0, 5), (1, 3), (4, 5), (2, 5), (2, 3), (6, 3)])
+    for budget in range(112):
+        st = ae.oracle_embed(d, t, budget=budget)
+        assert (st.verdict, st.nodes_expanded) == ("Inconclusive", budget + 1)
+    for budget in (112, None):
+        st = ae.oracle_embed(d, t, budget=budget)
+        assert (st.verdict, st.nodes_expanded) == ("NotContained", 112)
 
 
 def test_oracle_refuses_a_negative_budget():
@@ -117,10 +133,70 @@ def test_gen_incidence_25_shape():
     assert d.a() > 12 * d.n
 
 
+class ReferenceGF:
+    """GF(q) tables as the library built them before one construction served
+    every q: a prime path, and polynomial products reduced mod x^e + poly."""
+
+    def __init__(self, q: int):
+        p, poly = _PRIME_POWERS[q]
+        e = len(poly)
+        if e == 1:
+            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+            return
+
+        def to_vec(a):
+            v = []
+            for _ in range(e):
+                v.append(a % p)
+                a //= p
+            return v
+
+        def to_int(v):
+            a = 0
+            for c in reversed(v):
+                a = a * p + c
+            return a
+
+        def polymul(u, v):
+            prod = [0] * (2 * e - 1)
+            for i, ui in enumerate(u):
+                if ui:
+                    for j, vj in enumerate(v):
+                        prod[i + j] = (prod[i + j] + ui * vj) % p
+            # reduce by x^e = -(poly), poly listing low-order coefficients
+            for i in range(2 * e - 2, e - 1, -1):
+                c = prod[i]
+                if c:
+                    prod[i] = 0
+                    for j in range(e):
+                        prod[i - e + j] = (prod[i - e + j] - c * poly[j]) % p
+            return prod[:e]
+
+        self.add = [[0] * q for _ in range(q)]
+        self.mul = [[0] * q for _ in range(q)]
+        for a in range(q):
+            va = to_vec(a)
+            for b in range(q):
+                vb = to_vec(b)
+                self.add[a][b] = to_int([(x + y) % p for x, y in zip(va, vb)])
+                self.mul[a][b] = to_int(polymul(va, vb))
+
+
+def test_field_matches_the_reference_tables():
+    assert len(_PRIME_POWERS) == 20
+    for q in _PRIME_POWERS:
+        ref = ReferenceGF(q)
+        assert _field(q) == (ref.add, ref.mul), q
+    with pytest.raises(ae.AntembedError, match="unsupported prime power q=6"):
+        _field(6)
+
+
 def reference_incidence(q):
-    """PG(2,q) by testing every point against every line."""
-    gf = _GF(q)
-    pts = _projective_points(gf)
+    """PG(2,q) by testing every point against every line, over the reference
+    field."""
+    gf = ReferenceGF(q)
+    pts = _projective_points(q)
     N = len(pts)
     arcs = []
     for i, (a, b, c) in enumerate(pts):
@@ -174,6 +250,23 @@ def test_audit_projective_matches_pairwise_reference():
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
+@pytest.mark.parametrize("q", [5, 9])
+def test_a_wrong_field_entry_fails_the_projective_audit(monkeypatch, q):
+    # one product off by one (2 * 4 is neither 0 nor 1 in either field, so
+    # every inverse is still found and the plane is built)
+    def broken(q):
+        add, mul = _field(q)
+        mul = [row[:] for row in mul]
+        mul[2][4] = (mul[2][4] + 1) % q
+        return add, mul
+
+    assert ae.audit_projective(ae.gen_incidence(q))
+    monkeypatch.setattr(oracle_gen, "_field", broken)
+    d = ae.gen_incidence(q)
+    assert d.a() == (q + 1) * (q * q + q + 1)
+    assert not ae.audit_projective(d)
+
+
 def test_gen_random_dense():
     d1 = ae.gen_random_dense(10, 3, seed=5)
     d2 = ae.gen_random_dense(10, 3, seed=5)
@@ -208,6 +301,41 @@ def test_sample_antitree():
         assert t.k == k
     t = sample_antitree_heavy(13, rng, 6)
     assert ae.degree_stats(t).delta2 >= 6
+
+
+def heap_sample_antitree(k, rng):
+    """sample_antitree as it was: Pruefer decoding with a heap of the leaves,
+    and the one-arc tree apart."""
+    n = k + 1
+    if n == 2:
+        edges = [(0, 1)]
+    else:
+        pruefer = [rng.randrange(n) for _ in range(n - 2)]
+        deg = [1] * n
+        for x in pruefer:
+            deg[x] += 1
+        edges = []
+        leaves = [v for v in range(n) if deg[v] == 1]
+        heapq.heapify(leaves)
+        for x in pruefer:
+            leaf = heapq.heappop(leaves)
+            edges.append((leaf, x))
+            deg[leaf] -= 1
+            deg[x] -= 1
+            if deg[x] == 1:
+                heapq.heappush(leaves, x)
+        last = [v for v in range(n) if deg[v] == 1]
+        edges.append((last[0], last[1]))
+    return from_edges(n, edges, rng.randrange(2))
+
+
+def test_sample_antitree_matches_the_heap_reference():
+    for k in range(1, 61):
+        rng, ref_rng = random.Random(k), random.Random(k)
+        for _ in range(25):
+            t, ref = ae.sample_antitree(k, rng), heap_sample_antitree(k, ref_rng)
+            assert t.tree.arcs == ref.tree.arcs and t.sign == ref.sign, k
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_sampled_trees_frozen():
