@@ -115,7 +115,7 @@ def validate_antitree(d: Digraph) -> AntiTree:
         raise NotATree("trees with zero arcs are rejected")
     if d.n != k + 1:
         raise NotATree(f"{d.n} vertices with {k} arcs cannot form a tree")
-    outs, ins = neighbor_lists(d)
+    outs, ins = neighbor_lists(d, 1), neighbor_lists(d, -1)
     adj, sign, mixed = [], [], []
     for v, (o, i) in enumerate(zip(outs, ins)):
         adj.append(tuple(sorted(o + i)))

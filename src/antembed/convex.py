@@ -192,7 +192,8 @@ def _convex_tables(d: Digraph, pos: tuple[int, ...] | None):
     at = None if pos is None else pos.__getitem__
     pos = tuple(range(d.n)) if pos is None else pos
     tables, rots = [None], []
-    for lists in neighbor_lists(d):
+    for sign in (1, -1):
+        lists = neighbor_lists(d, sign)
         cw, rot = [], [0] * len(lists)
         for x, lst in enumerate(lists):
             if len(lst) > 1:

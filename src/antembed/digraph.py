@@ -11,9 +11,11 @@ insertion order, only for that order: arc-list and JSON output round-trip and
 error witnesses name the arc the input gave first.  The ``arcs`` tuple of
 (tail, head) pairs is built from the columns on first read, so a host that is
 only parsed, scanned, reversed and embedded into never allocates a pair per
-arc.  ``neighbor_lists`` builds plain per-vertex lists in one pass over the
-columns for the loops that walk every neighborhood of a large host, where
-iterating the bits of each long row costs several times more.
+arc.  ``neighbor_lists(d, sign)`` builds plain per-vertex lists of one side,
+N^{sign}(v) for every v, in one pass over the columns, for the loops that walk
+every neighborhood of a large host, where iterating the bits of each long row
+costs several times more; like ``side_bits(d, ±1)`` it takes the sign, so a
+caller builds only the side it reads.
 
 A Digraph value is immutable and safe to share.  It carries a memo of derived
 host work (its reversal, its degree profile, its side masks, its
@@ -27,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import eq, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AntembedError
@@ -174,18 +176,19 @@ def memoized(d, key: tuple, compute: Callable[[], object]):
     return val
 
 
-def neighbor_lists(d: Digraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-neighbor lists of every vertex, in insertion order.
+def neighbor_lists(d: Digraph, sign: int) -> list[list[int]]:
+    """N^{sign}(v) of every vertex v as a list, in insertion order: the
+    out-neighbours for +1, the in-neighbours for -1, in one pass over the arc
+    columns.
 
     Not memoized: the lists are as large as the host and each caller reads
     them once per host (the clockwise tables are memoized themselves), so
     keeping them would only add memory."""
-    outs = [[] for _ in range(d.n)]
-    ins = [[] for _ in range(d.n)]
-    for u, v in zip(d._tails, d._heads):
-        outs[u].append(v)
-        ins[v].append(u)
-    return outs, ins
+    lists = [[] for _ in range(d.n)]
+    keys, vals = (d._tails, d._heads) if sign > 0 else (d._heads, d._tails)
+    for u, v in zip(keys, vals):
+        lists[u].append(v)
+    return lists
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,11 @@ def side_bits(d: Digraph, sign: int) -> int:
 # -- file formats ------------------------------------------------------
 
 
-# The bulk format: every line is two ASCII-digit tokens.  The first line is
-# matched; every later one is checked by searching for a line break not
-# followed by such a line (or by the end), which keeps no state per line.
-_FIRST_LINE = re.compile(r"[0-9]+[ \t]+[0-9]+(?:\n|\Z)")
-_BAD_LINE = re.compile(r"\n(?!\Z|[0-9]+[ \t]+[0-9]+(?:\n|\Z))")
+# The bulk format: a header of two ASCII-digit tokens, then lines of two such
+# tokens, each line ended by ``\n`` but the last, whose ``\n`` is optional.
+# The body's loop is possessive: a line ends at its ``\n``, so there is never
+# another way to match, and the match keeps no backtracking state per line.
+_BULK = re.compile(r"[0-9]++[ \t]++[0-9]++(?:\n(?:[0-9]++[ \t]++[0-9]++\n)*+(?:[0-9]++[ \t]++[0-9]++)?)?")
 
 
 def parse_arclist(text: str):
@@ -269,10 +272,14 @@ def parse_arclist(text: str):
     A text with no ``#`` whose header is ``n m`` in ASCII digits, and whose
     every following line is two ASCII-digit tokens separated by spaces or
     tabs (``\n`` line ends, the last one optional), is read in bulk: one
-    ``split``, one ``int`` per distinct vertex name (a host names each vertex
-    many times), then rows OR-ed from a ``1 << v`` list.  Any other text, and
-    a bulk read that fails a check, goes through the per-line reader, so the
-    result and every error message are the same either way.
+    linear ``fullmatch`` checks that shape, then one ``split``, one ``int``
+    per distinct vertex name (a host names each vertex many times), and rows
+    OR-ed from a ``1 << v`` list.  The range and loop checks read each
+    distinct vertex once, not each arc (the largest name, and bit v of the
+    out-row of each named v), and a duplicate arc leaves the rows fewer than
+    m bits.  Any other text, and a bulk read that fails a check, goes through
+    the per-line reader, so the result and every error message are the same
+    either way.
     """
     parsed = _parse_bulk(text)
     return parsed if parsed is not None else _parse_lines(text)
@@ -281,7 +288,7 @@ def parse_arclist(text: str):
 def _parse_bulk(text: str):
     """(Digraph, None) for the plain format described in ``parse_arclist``,
     or None when the text is not in it or fails a check."""
-    if not _FIRST_LINE.match(text) or _BAD_LINE.search(text):
+    if not _BULK.fullmatch(text):
         return None
     head, _, body = text.partition("\n")
     toks = body.split()
@@ -290,12 +297,10 @@ def _parse_bulk(text: str):
         val = {tok: int(tok) for tok in set(toks)}  # one int per distinct name
     except ValueError:  # a token longer than int's digit limit
         return None
-    nums = list(map(val.__getitem__, toks))
-    if len(nums) != 2 * m or (nums and max(nums) >= n):
+    if len(toks) != 2 * m or (val and max(val.values()) >= n):
         return None
-    us, vs = nums[0::2], nums[1::2]
-    if any(map(eq, us, vs)):
-        return None
+    us = tuple(map(val.__getitem__, toks[0::2]))
+    vs = tuple(map(val.__getitem__, toks[1::2]))
     bit = [0] * n
     for v in val.values():  # only the vertices the arcs name: n may be huge
         bit[v] = 1 << v
@@ -304,9 +309,11 @@ def _parse_bulk(text: str):
     for u, v in zip(us, vs):
         out_bits[u] |= bit[v]
         in_bits[v] |= bit[u]
+    if any(out_bits[v] & bit[v] for v in val.values()):  # a loop
+        return None
     if sum(row.bit_count() for row in out_bits) != m:  # a duplicate arc
         return None
-    return Digraph._of(n, tuple(us), tuple(vs), tuple(out_bits), tuple(in_bits)), None
+    return Digraph._of(n, us, vs, tuple(out_bits), tuple(in_bits)), None
 
 
 def _parse_lines(text: str):

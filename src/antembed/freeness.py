@@ -123,10 +123,11 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
     # first folded at a and shared by every later fold of that row, the
     # second pass's included.  A scan that ends at a small a walks only the
     # rows it folds.  Walking every row so costs about twice one pass over the
-    # arc columns that builds lists for the whole host, so those lists take
-    # over once the walked rows hold a(D)/16 arcs, which bounds what a free
-    # scan pays extra.
-    lists = (None, [None] * n, [None] * n)
+    # arc columns that builds the sign's lists for the whole host, so once the
+    # walked rows hold a(D)/16 arcs the next row to walk brings in its sign's
+    # whole-host lists, which bounds what a free scan pays extra.  A sign no
+    # pair folds (the in-side of an incidence host at s = 2) is never listed.
+    lists = [None, [None] * n, [None] * n]
     walked = 0
     steps = range(s - 1, 0, -1)
     # live[sg]: the vertices w with N^{sg}(w) non-empty, indexed like ``bits``:
@@ -153,7 +154,7 @@ def is_k2s_free(d: Digraph, s: int, prune: bool = False):
                 nbrs = lists[sa][a]
                 if nbrs is None:
                     if walked > d.a() >> 4:
-                        lists = (None, *neighbor_lists(d))
+                        lists[sa] = neighbor_lists(d, sa)
                         nbrs = lists[sa][a]
                     else:
                         nbrs = lists[sa][a] = list(bits_of(bits[sa][a]))

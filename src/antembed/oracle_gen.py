@@ -9,10 +9,10 @@ supported q), seeded random dense digraphs, random trees by Pruefer decoding
 sweeps.
 
 Two audits here check what holds by construction, so no fault reaches them:
-the incidence arc count (each point lists exactly q+1 lines and ``Digraph``
-refuses a duplicate, so a built plane has (q+1)N arcs) and the Burr regularity
-audit (each side gets k-1 arcs of each direction).  A wrong field table is
-caught by ``audit_projective`` instead."""
+the incidence arc count (each point's q+1 solved lines are distinct, so a
+built plane's rows hold (q+1)N bits) and the Burr regularity audit (each side
+gets k-1 arcs of each direction).  A wrong field table is caught by
+``audit_projective`` instead."""
 
 from __future__ import annotations
 
@@ -216,13 +216,19 @@ def gen_incidence(q: int) -> Digraph:
     (0,0,1); with b = c = 0, every (0,1,z), then (0,0,1).  Each list comes
     out in increasing id order, so arcs are listed point by point, lines
     ascending, in O(N q).
+
+    The rows are built from the lists without a per-arc check.  The form
+    a x + b y + c z is symmetric in point and line, so point j's lines are
+    line j's points: the in-row of line j is the row of point j's list.  The
+    arc-count audit counts row bits, so a repeated line would fail it.
     """
     add, mul = _field(q)
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     qq = q * q
     N = qq + q + 1
-    arcs = []
+    bit = [1 << j for j in range(N)]
+    tails, heads, rows = [], [], []
     for i, (a, b, c) in enumerate(_projective_points(q)):
         if c:
             # -x / c is x times -1/c
@@ -235,11 +241,13 @@ def gen_incidence(q: int) -> Digraph:
             lines.append(qq + q)
         else:
             lines = list(range(qq, qq + q + 1))
-        arcs += [(i, N + j) for j in lines]
-    d = Digraph(2 * N, arcs)
-    if d.a() != (q + 1) * N:
+        tails += [i] * len(lines)
+        heads += [N + j for j in lines]
+        rows.append(sum(map(bit.__getitem__, lines)))  # fewer bits than lines if one repeats
+    if sum(row.bit_count() for row in rows) != (q + 1) * N:
         raise AntembedError("incidence arc count audit failed")
-    return d
+    out_bits = tuple(row << N for row in rows) + (0,) * N
+    return Digraph._of(2 * N, tuple(tails), tuple(heads), out_bits, (0,) * N + tuple(rows))
 
 
 def audit_projective(d: Digraph) -> bool:
@@ -253,12 +261,13 @@ def audit_projective(d: Digraph) -> bool:
     other point iff every point but i is in ``one`` and none is in ``two``
     (i itself is in every row and is masked out).  Lines are checked the same
     way on their in-neighbours' out-rows.  The cost is 2 a(D) folded rows,
-    read from the neighbour lists of the arc columns.
+    read from the neighbour lists of the arc columns; the lines' lists are
+    built only once every point has passed.
     """
     n2 = d.n // 2
     pts = (1 << n2) - 1
-    outs, ins = neighbor_lists(d)
-    for nbrs, folded, side in ((outs, d.in_bits, 0), (ins, d.out_bits, n2)):
+    for sign, folded, side in ((1, d.in_bits, 0), (-1, d.out_bits, n2)):
+        nbrs = neighbor_lists(d, sign)
         every = pts << side
         for v in range(side, side + n2):
             one = two = 0

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -130,8 +131,8 @@ def test_arcs_keep_insertion_order_on_every_construction_path(n_arcs):
     built = [ae.Digraph(n, arcs), bulk[0], digraph._parse_lines(text)[0], ae.parse_arclist("# per line\n" + text)[0]]
     for d in built:
         assert d.arcs == want and d.a() == len(want)
-        assert digraph.neighbor_lists(d) == ([[v for u, v in arcs if u == x] for x in range(n)],
-                                             [[u for u, v in arcs if v == x] for x in range(n)])
+        assert digraph.neighbor_lists(d, 1) == [[v for u, v in arcs if u == x] for x in range(n)]
+        assert digraph.neighbor_lists(d, -1) == [[u for u, v in arcs if v == x] for x in range(n)]
     rows = Digraph.from_bits(n, built[0].out_bits)
     assert rows.arcs == tuple(sorted(arcs)) and rows.a() == len(arcs)
 
@@ -340,3 +341,43 @@ def test_bulk_parse_of_heavily_repeated_names(seed=25):
         text = f"{n} {len(arcs)}\n" + "".join(f"{name(u)} {name(v)}\n" for u, v in arcs)
         assert assert_bulk_agrees(text)
         assert ae.parse_arclist(text)[0].arcs == tuple(arcs)
+
+
+# The bulk reader's former body check, the reference for ``digraph._BULK``:
+# the first line is matched, then a search looks at every line break for one
+# followed neither by the end nor by a plain line.
+REF_FIRST_LINE = re.compile(r"[0-9]+[ \t]+[0-9]+(?:\n|\Z)")
+REF_BAD_LINE = re.compile(r"\n(?!\Z|[0-9]+[ \t]+[0-9]+(?:\n|\Z))")
+
+
+def reference_bulk_check(text):
+    return bool(REF_FIRST_LINE.match(text)) and not REF_BAD_LINE.search(text)
+
+
+def test_bulk_check_matches_the_lookahead_reference(seed=33):
+    # lines of digits, spaces, tabs, \r, #, x and -, mostly plain "u v" lines
+    # with a character or two changed; texts end in zero, one or two line
+    # breaks, and a one-line text with none has no \n at all
+    rng = random.Random(seed)
+    chars = "0123456789 \t\r#x-"
+    digits = lambda: "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 3)))
+
+    def line():
+        if rng.random() < 0.1:
+            return ""
+        ln = list(digits() + rng.choice([" ", "\t", "  ", " \t"]) + digits())
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            j = rng.randrange(len(ln) + 1)
+            if rng.random() < 0.5 and j < len(ln):
+                ln[j] = rng.choice(chars)
+            else:
+                ln.insert(j, rng.choice(chars))
+        return "".join(ln)
+
+    taken = {True: 0, False: 0}
+    for _ in range(4000):
+        text = "\n".join(line() for _ in range(rng.randint(1, 6))) + "\n" * rng.choice((0, 1, 2))
+        want = reference_bulk_check(text)
+        assert (digraph._BULK.fullmatch(text) is not None) == want, text
+        taken[want] += 1
+    assert min(taken.values()) > 1000
